@@ -253,8 +253,7 @@ def _cmd_verify(args) -> tuple[int, str, dict]:
     if args.max_n is not None:
         config.max_n = args.max_n
         config.max_exp = args.max_n
-    jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
-    reports = run_suite(ring, named, checkers, config, jobs=jobs)
+    reports = run_suite(ring, named, checkers, config)
 
     groups: list[tuple[Optional[str], list[TheoremReport]]] = []
     for report in reports:
@@ -293,9 +292,10 @@ def _search_ring(ring: FiniteRing, target: str) -> Optional[dict]:
         witness = find_jordan_not_derivation(ring, progress)
         if witness is None:
             return None
-        from .maps import check_derivation
+        from .maps import MapLawError, check_derivation
         ok, pair = check_derivation(ring, witness.table)
-        assert not ok
+        if ok:
+            raise MapLawError("the Jordan witness satisfies the Leibniz law")
         return {"ring": spec_to_json(ring.spec),
                 "map_table": [int(v) for v in witness.table],
                 "leibniz_failure_at": list(pair)}
@@ -414,7 +414,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help=f"comma-separated ids or 'all' "
                         f"({', '.join(CHECKER_ORDER)})")
     p.add_argument("--jobs", type=int, default=0,
-                   help="worker threads (default: available parallelism)")
+                   help="accepted for compatibility; the checkers run in "
+                        "one thread")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for sampled instance spaces")
     p.add_argument("--max-n", type=int, default=None, dest="max_n",

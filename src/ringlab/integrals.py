@@ -151,21 +151,6 @@ def set_mul(a: ElementSet, b: ElementSet) -> ElementSet:
     return _set_binop(a, b, a.ring.mul_table)
 
 
-def integral_contains(integral: Integral, y: int) -> bool:
-    """Membership without materializing the coset."""
-    return integral.contains(y)
-
-
-def integral_equals(left: Integral, right: Integral) -> bool:
-    """Equality via shared kernel and representative difference."""
-    return left == right
-
-
-def integral_as_set(integral: Integral) -> ElementSet:
-    """Materialize the integral; empty integrals give the empty set."""
-    return integral.as_set()
-
-
 # ---------------------------------------------------------------------------
 # Image structure
 

@@ -214,7 +214,7 @@ class AdditiveMap:
             ring = self.ring
             members = np.flatnonzero(self.table == ring.zero)
             closed = np.isin(ring.add_table[np.ix_(members, members)], members).all()
-            if not closed:
+            if not closed or ring.zero not in members:
                 raise MapLawError("kernel failed the subgroup check")
             self._kernel = ElementSet(ring, members)
         return self._kernel
@@ -277,10 +277,10 @@ def inner_derivation(ring: FiniteRing, a: int) -> AdditiveMap:
     """The map x -> x*a - a*x; always a derivation."""
     a = ring_check(ring, a)
     table = _inner_table(ring, a)
-    d = AdditiveMap(ring, table, _derivation=True, _jordan=True, _inner=a)
     ok, witness = check_derivation(ring, table)
-    assert ok, f"inner map failed the Leibniz law at {witness}"
-    return d
+    if not ok:
+        raise MapLawError(f"inner map failed the Leibniz law at {witness}")
+    return AdditiveMap(ring, table, _derivation=True, _jordan=True, _inner=a)
 
 
 def formal_derivative(ring: FiniteRing) -> AdditiveMap:
@@ -294,10 +294,11 @@ def formal_derivative(ring: FiniteRing) -> AdditiveMap:
         deriv = tuple(((k + 1) * coeffs[k + 1]) % p if k + 1 < m else 0
                       for k in range(m))
         table[x] = ring.index_of_value(deriv)
-    d = AdditiveMap(ring, table, _derivation=True, _jordan=True)
     ok, witness = check_derivation(ring, table)
-    assert ok, f"formal derivative failed the Leibniz law at {witness}"
-    return d
+    if not ok:
+        raise MapLawError(f"the formal derivative of Z{p}[X]/(X^{m}) fails "
+                          f"the Leibniz law at {witness}")
+    return AdditiveMap(ring, table, _derivation=True, _jordan=True)
 
 
 def image(ring: FiniteRing, f: AdditiveMap) -> ElementSet:

@@ -249,7 +249,7 @@ class FiniteRing:
                 raise RingError(f"duplicate element label {lab!r}")
             self._label_index[lab] = i
         self._orders: Optional[np.ndarray] = None
-        self._inverse: Optional[list] = None
+        self._inverse: Optional[np.ndarray] = None
         self._commutative: Optional[bool] = None
         self._prime_witness: Optional[tuple] = -1  # -1 = not computed
 
@@ -330,18 +330,24 @@ class FiniteRing:
         return acc
 
     def invert(self, x: int) -> Optional[int]:
-        """Two-sided multiplicative inverse, or None.  Exhaustive scan."""
+        """Two-sided multiplicative inverse, or None."""
+        inverse = int(self.inverse_table()[self._check_index(x)])
+        return None if inverse < 0 else inverse
+
+    def inverse_table(self) -> np.ndarray:
+        """The two-sided inverse of every element, -1 where there is none.
+
+        Built whole in a local and only then published, so a reader in
+        another thread sees either no table or a full one.
+        """
         one = self._require_unity("inversion")
-        x = self._check_index(x)
         if self._inverse is None:
-            self._inverse = [None] * self.size
-            left = self.mul_table == one
-            for e in range(self.size):
-                hits = [y for y in range(self.size) if left[e, y] and left[y, e]]
-                assert len(hits) <= 1, "two-sided inverses must be unique"
-                if hits:
-                    self._inverse[e] = hits[0]
-        return self._inverse[x]
+            left = self.mul_table == one            # left[e, y]: e*y = 1
+            both = left & left.T                    # and y*e = 1
+            inverse = np.where(both.any(axis=1), both.argmax(axis=1), -1)
+            inverse.flags.writeable = False
+            self._inverse = inverse
+        return self._inverse
 
     def is_invertible(self, x: int) -> bool:
         return self.invert(x) is not None

@@ -6,6 +6,11 @@ map does not satisfy the hypotheses.  Instance spaces are enumerated
 exhaustively up to a configurable threshold, above which a seeded
 stratified sample is drawn and the seed recorded in the report.
 
+The membership checks are array identities over the Cayley tables: a
+checker evaluates one law on a whole block of instances at once and
+records its instances and witnesses in the order of the loop that states
+the law (see _Recorder.check_all).
+
 Checker ids, in the fixed order run_suite uses:
 
 basic              membership facts, surjectivity and injectivity criteria
@@ -24,17 +29,18 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .integrals import Integral, integrate, jordan_integrate, set_add
+from .integrals import integrate, jordan_integrate
 from .maps import (AdditiveMap, MapLawError, check_derivation,
                    enumerate_derivations, enumerate_jordan_derivations)
-from .rings import ElementSet, FiniteRing, RingError, spec_to_json
+from .rings import FiniteRing, RingError, spec_to_json
 
 MAX_WITNESSES = 25
+_BLOCK = 1 << 16    # pairs per array step, which bounds a pair check's memory
 
 
 @dataclass
@@ -90,6 +96,35 @@ class _Recorder:
                 self.witnesses.append(witness)
         return ok
 
+    def check_all(self, ok, witness, notes=(), present=None):
+        """Record a block of checks at once, as check() would one by one.
+
+        ok has one row per instance tuple and one column per check made on
+        it, both in loop order; a 1-D ok is one check per row.  Where
+        present is given, only its True cells are checks.  witness(row, col)
+        builds the witness of a failed check.  notes are (row, witness)
+        pairs, recorded ahead of that row's failures.
+        """
+        ok = np.asarray(ok, dtype=bool)
+        if ok.ndim == 1:
+            ok = ok[:, None]
+        bad = ~ok
+        if present is None:
+            self.instances += ok.size
+        else:
+            bad &= present
+            self.instances += int(np.count_nonzero(present))
+        failures = np.flatnonzero(bad)
+        if len(failures):
+            self.failed = True
+        room = MAX_WITNESSES - len(self.witnesses)
+        cols = ok.shape[1]
+        events = [(row, -1, note) for row, note in notes]
+        events += [(i // cols, i % cols, None) for i in map(int, failures[:room])]
+        events.sort(key=lambda e: e[:2])
+        for row, col, note in events[:room]:
+            self.witnesses.append(note if col < 0 else witness(row, col))
+
     def note(self, witness: dict):
         if len(self.witnesses) < MAX_WITNESSES:
             self.witnesses.append(witness)
@@ -119,47 +154,98 @@ def _require_map(ring: FiniteRing, dmap: AdditiveMap, law: str):
         raise MapLawError("map is not a validated Jordan derivation")
 
 
-def _pair_stream(n: int, config: CheckerConfig, rec: _Recorder):
-    """All (x, y) pairs, or a seeded stratified sample when too many."""
+def _pair_blocks(n: int, config: CheckerConfig, rec: _Recorder):
+    """All (x, y) pairs in row-major order, or a seeded stratified sample
+    when there are too many, as (xs, ys) array blocks of at most _BLOCK."""
     if n * n <= config.sample_threshold:
-        for x in range(n):
-            for y in range(n):
-                yield x, y
+        rows = max(1, _BLOCK // n)
+        for x0 in range(0, n, rows):
+            xs = np.arange(x0, min(n, x0 + rows))
+            yield np.repeat(xs, n), np.tile(np.arange(n), len(xs))
         return
     rng = random.Random(config.seed)
     rec.seed = config.seed
     rec.note({"kind": "sampled", "sample_size": config.sample_size,
               "space": n * n})
     per = max(1, config.sample_size // n)
-    for x in range(n):
-        for _ in range(per):
-            yield x, rng.randrange(n)
+    xs = np.repeat(np.arange(n), per)
+    ys = np.array([rng.randrange(n) for _ in range(n * per)], dtype=np.intp)
+    for s in range(0, len(xs), _BLOCK):
+        yield xs[s:s + _BLOCK], ys[s:s + _BLOCK]
 
 
-class _IntegralCache:
-    """Memoized integrals of one map, by integrated element."""
+class _Membership:
+    """y ∈ i_d(x) for one map, over whole arrays of elements.
 
-    def __init__(self, ring, dmap, law):
+    rep[x] is the first preimage of x, or -1 when i_d(x) is empty, and ker
+    is the kernel as a mask.  y ∈ i_d(x) ⇔ rep[x] ≥ 0 and y − rep[x] ∈ Ker,
+    the predicate of Integral.contains.  A sum of nonempty integrals is
+    (Σ reps) + Ker, since AdditiveMap.kernel verifies that Ker is a
+    subgroup.
+    """
+
+    def __init__(self, ring: FiniteRing, dmap: AdditiveMap):
         self.ring = ring
-        self.dmap = dmap
-        self.law = law
-        self._cache: dict[int, Integral] = {}
-        self._sets: dict[int, ElementSet] = {}
+        values, first = np.unique(dmap.table, return_index=True)
+        self.rep = np.full(ring.size, -1, dtype=np.intp)
+        self.rep[values] = first
+        self.ker = np.zeros(ring.size, dtype=bool)
+        self.ker[list(dmap.kernel.elements)] = True
 
-    def __call__(self, x: int) -> Integral:
-        got = self._cache.get(x)
-        if got is None:
-            fn = integrate if self.law == "derivation" else jordan_integrate
-            got = fn(self.ring, self.dmap, x)
-            self._cache[x] = got
-        return got
+    def sub(self, a, b):
+        return self.ring.add_table[a, self.ring.neg_table[b]]
 
-    def as_set(self, x: int) -> ElementSet:
-        got = self._sets.get(x)
-        if got is None:
-            got = self(x).as_set()
-            self._sets[x] = got
-        return got
+    def contains(self, x, y):
+        """Elementwise y ∈ i_d(x)."""
+        r = self.rep[x]
+        return (r >= 0) & self.ker[self.sub(y, r)]
+
+    def in_sum(self, z, *xs):
+        """Elementwise z ∈ i_d(x1) + ... + i_d(xk), where every i_d(xj) is
+        nonempty; elsewhere the result is meaningless."""
+        add = self.ring.add_table
+        total = self.rep[xs[0]]
+        for x in xs[1:]:
+            total = add[total, self.rep[x]]
+        return self.ker[self.sub(z, total)]
+
+
+def _check_additivity(rec: _Recorder, mem: _Membership, image):
+    """i_d(u) + i_d(v) = i_d(u + v) for all u, v in the image.  The left
+    side is the coset (rep[u] + rep[v]) + Ker, so the two are equal exactly
+    when rep[u] + rep[v] ∈ i_d(u + v)."""
+    add = mem.ring.add_table
+    u = np.asarray(image)
+    r = mem.rep[u]
+    ok = mem.contains(add[u[:, None], u[None, :]], add[r[:, None], r[None, :]])
+    rec.check_all(ok, lambda i, j: {"kind": "integral-additivity",
+                                    "x": int(u[i]), "y": int(u[j])})
+
+
+def _preimage_rows(dmap: AdditiveMap):
+    """The preimages of a map as a padded matrix.
+
+    values holds the image in increasing order.  Row g of members holds
+    the preimage of values[g] in increasing order, in the cells that
+    present marks; the other cells hold valid but meaningless indices.
+    """
+    order = np.argsort(dmap.table, kind="stable")
+    values, starts, counts = np.unique(dmap.table[order], return_index=True,
+                                       return_counts=True)
+    cols = np.arange(counts.max())
+    present = cols[None, :] < counts[:, None]
+    members = order[np.minimum(starts[:, None] + cols[None, :], len(order) - 1)]
+    return values, members, present
+
+
+def _member_triples(dmap: AdditiveMap):
+    """(x, y, Z, present): for every x in the image in increasing order and
+    every y in its preimage, one row whose present cells of Z list that
+    preimage again -- the loop order of `for x: for y in pre[x]: for z in
+    pre[x]`."""
+    values, members, present = _preimage_rows(dmap)
+    group = np.repeat(np.arange(len(values)), present.sum(axis=1))
+    return values[group], members[present], members[group], present[group]
 
 
 # ---------------------------------------------------------------------------
@@ -171,30 +257,27 @@ def verify_basic(ring: FiniteRing, dmap: AdditiveMap,
     """Membership facts and the surjectivity/injectivity criteria."""
     _require_map(ring, dmap, "derivation")
     rec = _Recorder("basic", ring)
-    ints = _IntegralCache(ring, dmap, "derivation")
+    mem = _Membership(ring, dmap)
+    d = dmap.table
     n = ring.size
+    elems = np.arange(n)
 
-    rec.check(ints(ring.zero).contains(ring.zero), {"kind": "zero-membership"})
-    for x in range(n):
-        v = int(dmap.table[x])
-        rec.check(ints(v).contains(x),
-                  {"kind": "element-not-in-own-integral", "x": x})
-    for x in range(n):
-        cur = ints(x)
-        if cur.is_empty:
-            rec.instances += 1
-            continue
-        values = {int(dmap.table[y]) for y in cur.as_set()}
-        rec.check(values == {x},
-                  {"kind": "integral-maps-outside", "x": x,
-                   "values": sorted(values)})
+    rec.check(mem.contains(ring.zero, ring.zero), {"kind": "zero-membership"})
+    rec.check_all(mem.contains(d, elems),
+                  lambda x, _: {"kind": "element-not-in-own-integral", "x": x})
+    # d maps i_d(x) = rep[x] + Ker onto {x}; an empty integral holds vacuously
+    values = d[ring.add_table[mem.rep[:, None], np.flatnonzero(mem.ker)[None, :]]]
+    onto = (values == elems[:, None]).all(axis=1)
+    rec.check_all((mem.rep < 0) | onto,
+                  lambda x, _: {"kind": "integral-maps-outside", "x": x,
+                                "values": sorted({int(v) for v in values[x]})})
     surjective = len(dmap.image) == n
-    all_nonempty = all(not ints(x).is_empty for x in range(n))
+    all_nonempty = bool((mem.rep >= 0).all())
     rec.check(surjective == all_nonempty,
               {"kind": "surjectivity-criterion", "surjective": surjective,
                "all_nonempty": all_nonempty})
     injective = len(dmap.kernel) == 1
-    all_single = all(len(dmap.preimages.get(x, ())) == 1 for x in range(n))
+    all_single = bool((np.bincount(d, minlength=n) == 1).all())
     rec.check(injective == all_single,
               {"kind": "injectivity-criterion", "injective": injective,
                "all_singletons": all_single})
@@ -241,19 +324,25 @@ def verify_kernel_constants(ring: FiniteRing, dmap: AdditiveMap,
             rec.check(ring.mul(b, ib) in kern,
                       {"kind": "bold-scaled-not-in-kernel", "n": m, "m": mm})
 
-    ints = _IntegralCache(ring, dmap, "derivation")
+    # y + ib*b and y + b*ib stay in i_d(d(y)): one row per y, columns in
+    # the order (n, m, left/right)
+    mem = _Membership(ring, dmap)
     invertible_ns = [m for m in ns if inverses[m] is not None]
-    for y in range(ring.size):
-        x = int(dmap.table[y])
-        cur = ints(x)
-        for m in invertible_ns:
-            ib = inverses[m]
-            for mm in ns:
-                b = bolds[mm]
-                rec.check(cur.contains(ring.add(y, ring.mul(ib, b))),
-                          {"kind": "shifted-left", "y": y, "n": m, "m": mm})
-                rec.check(cur.contains(ring.add(y, ring.mul(b, ib))),
-                          {"kind": "shifted-right", "y": y, "n": m, "m": mm})
+    ibs = np.array([inverses[m] for m in invertible_ns], dtype=np.intp)
+    bs = np.array([bolds[mm] for mm in ns], dtype=np.intp)
+    mul = ring.mul_table
+    shifts = np.stack([mul[ibs[:, None], bs[None, :]],
+                       mul[bs[None, :], ibs[:, None]]], axis=-1).reshape(-1)
+    ys = np.arange(ring.size)
+    ok = mem.contains(dmap.table[:, None], ring.add_table[ys[:, None], shifts[None, :]])
+
+    def witness(y, col):
+        i, rest = divmod(col, 2 * len(ns))
+        j, side = divmod(rest, 2)
+        return {"kind": ("shifted-left", "shifted-right")[side], "y": y,
+                "n": invertible_ns[i], "m": ns[j]}
+
+    rec.check_all(ok, witness)
     return rec.finish()
 
 
@@ -336,44 +425,42 @@ def verify_combination_rules(ring: FiniteRing, dmap: AdditiveMap,
     _require_map(ring, dmap, "derivation")
     config = config or CheckerConfig()
     rec = _Recorder("combination-rules", ring)
-    ints = _IntegralCache(ring, dmap, "derivation")
-    table = dmap.table
+    mem = _Membership(ring, dmap)
+    add, mul, neg = ring.add_table, ring.mul_table, ring.neg_table
+    d = dmap.table
     n = ring.size
 
-    for y1, y2 in _pair_stream(n, config, rec):
-        x1 = int(table[y1])
-        x2 = int(table[y2])
-        rec.check(ints(ring.add(x1, x2)).contains(ring.add(y1, y2)),
-                  {"kind": "sum-rule", "y1": y1, "y2": y2})
-        target = ring.add(ring.mul(x1, y2), ring.mul(y1, x2))
-        rec.check(ints(target).contains(ring.mul(y1, y2)),
-                  {"kind": "product-rule", "y1": y1, "y2": y2})
+    for y1, y2 in _pair_blocks(n, config, rec):
+        x1, x2 = d[y1], d[y2]
+        ok = np.stack([mem.contains(add[x1, x2], add[y1, y2]),
+                       mem.contains(add[mul[x1, y2], mul[y1, x2]], mul[y1, y2])],
+                      axis=1)
+        rec.check_all(ok, lambda i, j: {"kind": ("sum-rule", "product-rule")[j],
+                                        "y1": int(y1[i]), "y2": int(y2[i])})
 
-    for x in sorted(dmap.preimages):
-        members = dmap.preimages[x]
-        twox = ring.add(x, x)
-        for y in members:
-            for z in members:
-                rec.check(ints(twox).contains(ring.add(y, z)),
-                          {"kind": "same-integral-sum", "x": x, "y": int(y), "z": int(z)})
-                target = ring.add(ring.mul(x, z), ring.mul(y, x))
-                rec.check(ints(target).contains(ring.mul(y, z)),
-                          {"kind": "same-integral-product", "x": x, "y": int(y), "z": int(z)})
+    # y, z in one integral i_d(x): the sum and product rules inside it
+    x, y, z, present = _member_triples(dmap)
+    x, y = x[:, None], y[:, None]
+    ok = np.stack([mem.contains(add[x, x], add[y, z]),
+                   mem.contains(add[mul[x, z], mul[y, x]], mul[y, z])], axis=-1)
+    rec.check_all(ok.reshape(len(ok), -1),
+                  lambda i, j: {"kind": ("same-integral-sum",
+                                         "same-integral-product")[j % 2],
+                                "x": int(x[i, 0]),
+                                "y": int(y[i, 0]), "z": int(z[i, j // 2])},
+                  present=np.repeat(present, 2, axis=1))
 
     if ring.unity is not None:
-        commutative = ring.is_commutative()
-        for y in range(n):
-            yi = ring.invert(y)
-            if yi is None:
-                continue
-            x = int(table[y])
-            target = ring.neg(ring.mul(ring.mul(yi, x), yi))
-            rec.check(ints(target).contains(yi),
-                      {"kind": "inverse-rule", "y": y})
-            if commutative:
-                target2 = ring.neg(ring.mul(ring.mul(yi, yi), x))
-                rec.check(ints(target2).contains(yi),
-                          {"kind": "inverse-rule-commutative", "y": y})
+        inverse = ring.inverse_table()
+        units = np.flatnonzero(inverse >= 0)
+        yi = inverse[units]
+        dy = d[units]
+        checks = [mem.contains(neg[mul[mul[yi, dy], yi]], yi)]
+        kinds = ("inverse-rule", "inverse-rule-commutative")
+        if ring.is_commutative():
+            checks.append(mem.contains(neg[mul[mul[yi, yi], dy]], yi))
+        rec.check_all(np.stack(checks, axis=1),
+                      lambda i, j: {"kind": kinds[j], "y": int(units[i])})
     return rec.finish()
 
 
@@ -389,39 +476,30 @@ def verify_additivity_and_parts(ring: FiniteRing, dmap: AdditiveMap,
     _require_map(ring, dmap, "derivation")
     config = config or CheckerConfig()
     rec = _Recorder("additivity-parts", ring)
-    ints = _IntegralCache(ring, dmap, "derivation")
-    table = dmap.table
-    n = ring.size
+    mem = _Membership(ring, dmap)
+    mul = ring.mul_table
+    d = dmap.table
 
-    img = dmap.image.elements
-    for u in img:
-        for v in img:
-            summed = set_add(ints.as_set(u), ints.as_set(v))
-            expect = ints.as_set(ring.add(u, v))
-            rec.check(summed == expect,
-                      {"kind": "integral-additivity", "x": int(u), "y": int(v)})
+    _check_additivity(rec, mem, dmap.image.elements)
 
-    sum_cache: dict[tuple[int, int], ElementSet] = {}
     empty_witnessed = False
-    for x, y in _pair_stream(n, config, rec):
-        a = ring.mul(int(table[x]), y)
-        b = ring.mul(x, int(table[y]))
-        ia = ints(a)
-        ib = ints(b)
-        if ia.is_empty or ib.is_empty:
-            rec.instances += 1
-            if not empty_witnessed and ia.is_empty and ib.is_empty:
-                rec.note({"kind": "parts-preconditions-empty", "x": x, "y": y,
-                          "dx_times_y": a, "x_times_dy": b})
-                empty_witnessed = True
-            continue
-        key = (ia.representative, ib.representative)
-        total = sum_cache.get(key)
-        if total is None:
-            total = set_add(ia.as_set(), ib.as_set())
-            sum_cache[key] = total
-        rec.check(ring.mul(x, y) in total,
-                  {"kind": "parts-membership", "x": x, "y": y})
+    for x, y in _pair_blocks(ring.size, config, rec):
+        a = mul[d[x], y]
+        b = mul[x, d[y]]
+        empty_a = mem.rep[a] < 0
+        empty_b = mem.rep[b] < 0
+        # a pair with an empty part integral counts as a vacuous instance
+        ok = empty_a | empty_b | mem.in_sum(mul[x, y], a, b)
+        notes = []
+        both = np.flatnonzero(empty_a & empty_b)
+        if not empty_witnessed and len(both):
+            i = int(both[0])
+            notes.append((i, {"kind": "parts-preconditions-empty",
+                              "x": int(x[i]), "y": int(y[i]),
+                              "dx_times_y": int(a[i]), "x_times_dy": int(b[i])}))
+            empty_witnessed = True
+        rec.check_all(ok, lambda i, _: {"kind": "parts-membership",
+                                        "x": int(x[i]), "y": int(y[i])}, notes)
     return rec.finish()
 
 
@@ -442,65 +520,82 @@ def verify_power_rules(ring: FiniteRing, dmap: AdditiveMap,
     if not ring.is_commutative():
         return rec.skip("ring is not commutative")
     N = config.max_exp
-    ints = _IntegralCache(ring, dmap, "derivation")
-    table = dmap.table
-    one = ring.unity
+    mem = _Membership(ring, dmap)
+    mul, neg = ring.mul_table, ring.neg_table
+    d = dmap.table
+    n = ring.size
     exps = list(range(-N, N + 1))
     bolds = {e: ring.bold(e) for e in exps}
     inv_bolds = {e: ring.invert(bolds[e]) for e in exps}
 
-    for x in range(ring.size):
-        dx = int(table[x])
-        powers = [one]
-        for _ in range(N + 1):
-            powers.append(ring.mul(powers[-1], x))
-        for e in range(1, N + 1):
-            target = ring.mul(bolds[e], ring.mul(powers[e - 1], dx))
-            rec.check(ints(target).contains(powers[e]),
-                      {"kind": "power-rule", "x": x, "n": e})
-            ib = inv_bolds[e]
-            if ib is not None:
-                scaled = ring.mul(powers[e - 1], dx)
-                rec.check(ints(scaled).contains(ring.mul(ib, powers[e])),
-                          {"kind": "power-rule-scaled", "x": x, "n": e})
-        xi = ring.invert(x)
-        if xi is None:
-            continue
-        ipowers = [one]
-        for _ in range(N + 1):
-            ipowers.append(ring.mul(ipowers[-1], xi))
+    # one row per x; x^k and x^-k as columns k = 0..N+1 (x^-k is junk
+    # where x is not invertible, and those rows skip its rules)
+    x = np.arange(n)
+    inverse = ring.inverse_table()
+    invertible = inverse >= 0
+    xi = np.where(invertible, inverse, ring.unity)
+    powers = [np.full(n, ring.unity)]
+    ipowers = [np.full(n, ring.unity)]
+    for _ in range(N + 1):
+        powers.append(mul[powers[-1], x])
+        ipowers.append(mul[ipowers[-1], xi])
 
-        def power(e: int) -> int:
-            return powers[e] if e >= 0 else ipowers[-e]
+    def power(e):
+        return powers[e] if e >= 0 else ipowers[-e]
 
-        for e in range(1, N + 1):
-            target = ring.neg(ring.mul(bolds[e], ring.mul(ipowers[e + 1], dx)))
-            rec.check(ints(target).contains(ipowers[e]),
-                      {"kind": "inverse-power-rule", "x": x, "n": e})
-        for e in exps:
-            target = ring.mul(bolds[e], ring.mul(power(e - 1), dx))
-            rec.check(ints(target).contains(power(e)),
-                      {"kind": "integer-power-rule", "x": x, "n": e})
-            ib = inv_bolds[e]
-            if ib is not None:
-                scaled = ring.mul(power(e - 1), dx)
-                rec.check(ints(scaled).contains(ring.mul(ib, power(e))),
-                          {"kind": "integer-power-rule-scaled", "x": x, "n": e})
+    checks, kinds, es, unit_only = [], [], [], []
 
-    # transfer rules: scaling an antiderivative by an invertible integer
+    def add_check(ok, kind, e, units):
+        checks.append(ok)
+        kinds.append(kind)
+        es.append(e)
+        unit_only.append(units)
+
+    for e in range(1, N + 1):
+        add_check(mem.contains(mul[bolds[e], mul[powers[e - 1], d]], powers[e]),
+                  "power-rule", e, False)
+        if inv_bolds[e] is not None:
+            add_check(mem.contains(mul[powers[e - 1], d], mul[inv_bolds[e], powers[e]]),
+                      "power-rule-scaled", e, False)
+    for e in range(1, N + 1):
+        add_check(mem.contains(neg[mul[bolds[e], mul[ipowers[e + 1], d]]], ipowers[e]),
+                  "inverse-power-rule", e, True)
+    for e in exps:
+        add_check(mem.contains(mul[bolds[e], mul[power(e - 1), d]], power(e)),
+                  "integer-power-rule", e, True)
+        if inv_bolds[e] is not None:
+            add_check(mem.contains(mul[power(e - 1), d], mul[inv_bolds[e], power(e)]),
+                      "integer-power-rule-scaled", e, True)
+    if checks:      # none when max_exp < 0
+        rec.check_all(np.stack(checks, axis=1),
+                      lambda row, col: {"kind": kinds[col], "x": row, "n": es[col]},
+                      present=np.where(unit_only, invertible[:, None], True))
+
+    # transfer rules: scaling an antiderivative by an invertible integer.
+    # One row per (n, y): the preimage of n*y, then the transfer-up check.
+    values, members, in_pre = _preimage_rows(dmap)
+    group = np.full(n, -1, dtype=np.intp)
+    group[values] = np.arange(len(values))
+    y = np.arange(n)
     for e in exps:
         ib = inv_bolds[e]
         if ib is None:
             continue
-        b = bolds[e]
-        for y in range(ring.size):
-            ny = ring.mul(b, y)
-            for xx in dmap.preimages.get(ny, ()):
-                rec.check(ints(y).contains(ring.mul(ib, xx)),
-                          {"kind": "transfer-down", "n": e, "y": y, "x": int(xx)})
-            target_y = int(table[ring.mul(b, y)])
-            rec.check(ints(ring.mul(ib, target_y)).contains(y),
-                      {"kind": "transfer-up", "n": e, "x": y})
+        ny = mul[bolds[e], y]
+        g = group[ny]
+        pre = members[g]
+        down = mem.contains(y[:, None], mul[ib, pre])
+        up = mem.contains(mul[ib, d[ny]], y)
+        present = np.column_stack([in_pre[g] & (g >= 0)[:, None],
+                                   np.ones(n, dtype=bool)])
+        last = pre.shape[1]
+
+        def witness(row, col):
+            if col == last:
+                return {"kind": "transfer-up", "n": e, "x": row}
+            return {"kind": "transfer-down", "n": e, "y": row, "x": int(pre[row, col])}
+
+        rec.check_all(np.column_stack([down, up]), witness, present=present)
     return rec.finish()
 
 
@@ -516,83 +611,71 @@ def verify_jordan_suite(ring: FiniteRing, delta: AdditiveMap,
     _require_map(ring, delta, "jordan")
     config = config or CheckerConfig()
     rec = _Recorder("jordan-suite", ring)
-    ints = _IntegralCache(ring, delta, "jordan")
-    table = delta.table
-    kern = delta.kernel
+    mem = _Membership(ring, delta)
+    add, mul = ring.add_table, ring.mul_table
+    d = delta.table
     n = ring.size
+    elems = np.arange(n)
 
-    rec.check(ints(ring.zero).contains(ring.zero), {"kind": "zero-membership"})
+    rec.check(mem.contains(ring.zero, ring.zero), {"kind": "zero-membership"})
 
-    pre = delta.preimages
-    for x in sorted(pre):
-        members = pre[x]
-        for y in members:
-            for z in members:
-                rec.check(ring.sub(y, z) in kern,
-                          {"kind": "difference-not-in-kernel", "x": x,
-                           "y": int(y), "z": int(z)})
+    x, y, z, present = _member_triples(delta)
+    rec.check_all(mem.ker[mem.sub(y[:, None], z)],
+                  lambda i, j: {"kind": "difference-not-in-kernel", "x": int(x[i]),
+                                "y": int(y[i]), "z": int(z[i, j])},
+                  present=present)
 
-    for x in range(n):
-        rec.check(ints(int(table[x])).contains(x),
-                  {"kind": "element-not-in-own-integral", "x": x})
+    rec.check_all(mem.contains(d, elems),
+                  lambda x, _: {"kind": "element-not-in-own-integral", "x": x})
 
-    karr = np.asarray(kern.elements)
-    for x in sorted(pre):
-        members = pre[x]
-        expect = np.asarray(members)
-        for y in members:
-            shifted = ring.add_table[y, karr]
-            rec.check(bool(np.array_equal(np.sort(shifted), expect)),
-                      {"kind": "coset-mismatch", "x": x, "y": int(y)})
-        values = {int(table[y]) for y in members}
-        rec.check(values == {x},
-                  {"kind": "integral-maps-outside", "x": x})
+    # one row per image value x: for each member y, y + Ker equals the
+    # preimage of x; then d maps the preimage onto {x}.  Kernel offsets are
+    # distinct, so the sorted coset equals the preimage exactly when the
+    # sizes agree and every offset stays inside.
+    values, members, in_pre = _preimage_rows(delta)
+    karr = np.flatnonzero(mem.ker)
+    counts = np.bincount(d, minlength=n)
+    stays = (d[add[elems[:, None], karr[None, :]]] == d[:, None]).all(axis=1)
+    coset_ok = (counts[d] == len(karr)) & stays
+    onto = (~in_pre | (d[members] == values[:, None])).all(axis=1)
+    last = members.shape[1]
 
-    img = delta.image.elements
-    for u in img:
-        for v in img:
-            summed = set_add(ints.as_set(u), ints.as_set(v))
-            rec.check(summed == ints.as_set(ring.add(u, v)),
-                      {"kind": "integral-additivity", "x": int(u), "y": int(v)})
+    def coset_witness(g, j):
+        if j == last:
+            return {"kind": "integral-maps-outside", "x": int(values[g])}
+        return {"kind": "coset-mismatch", "x": int(values[g]), "y": int(members[g, j])}
 
-    sum_cache: dict[tuple, ElementSet] = {}
+    rec.check_all(np.column_stack([coset_ok[members], onto]), coset_witness,
+                  present=np.column_stack([in_pre, np.ones(len(values), dtype=bool)]))
 
-    def cached_sum(*integrals) -> ElementSet:
-        key = tuple(i.representative for i in integrals)
-        got = sum_cache.get(key)
-        if got is None:
-            got = integrals[0].as_set()
-            for other in integrals[1:]:
-                got = set_add(got, other.as_set())
-            sum_cache[key] = got
-        return got
+    _check_additivity(rec, mem, delta.image.elements)
 
-    for x, y in _pair_stream(n, config, rec):
-        dx = int(table[x])
-        dy = int(table[y])
-        parts = (ints(ring.mul(dx, y)), ints(ring.mul(x, dy)),
-                 ints(ring.mul(dy, x)), ints(ring.mul(y, dx)))
-        if any(p.is_empty for p in parts):
-            rec.instances += 1
-        else:
-            total = cached_sum(*parts)
-            rec.check(ring.jordan(x, y) in total,
-                      {"kind": "jordan-parts-membership", "x": x, "y": y})
-        x1, x2 = dx, dy
-        rec.check(ints(ring.add(x1, x2)).contains(ring.add(x, y)),
-                  {"kind": "sum-rule", "y1": x, "y2": y})
-        target = ring.add(ring.add(ring.mul(x1, y), ring.mul(x, x2)),
-                          ring.add(ring.mul(x2, x), ring.mul(y, x1)))
-        rec.check(ints(target).contains(ring.jordan(x, y)),
-                  {"kind": "jordan-product-rule", "y1": x, "y2": y})
+    for x, y in _pair_blocks(n, config, rec):
+        dx, dy = d[x], d[y]
+        parts = (mul[dx, y], mul[x, dy], mul[dy, x], mul[y, dx])
+        jxy = add[mul[x, y], mul[y, x]]
+        # a pair with an empty part integral counts as a vacuous instance
+        some_empty = np.logical_or.reduce([mem.rep[p] < 0 for p in parts])
+        target = add[add[parts[0], parts[1]], add[parts[2], parts[3]]]
+        ok = np.stack([some_empty | mem.in_sum(jxy, *parts),
+                       mem.contains(add[dx, dy], add[x, y]),
+                       mem.contains(target, jxy)], axis=1)
+
+        def pair_witness(i, j):
+            if j == 0:
+                return {"kind": "jordan-parts-membership", "x": int(x[i]), "y": int(y[i])}
+            return {"kind": ("sum-rule", "jordan-product-rule")[j - 1],
+                    "y1": int(x[i]), "y2": int(y[i])}
+
+        rec.check_all(ok, pair_witness)
 
     surjective = len(delta.image) == n
-    all_nonempty = all(not ints(x).is_empty for x in range(n))
+    all_nonempty = bool((mem.rep >= 0).all())
     rec.check(surjective == all_nonempty,
               {"kind": "surjectivity-criterion", "surjective": surjective,
                "all_nonempty": all_nonempty})
-    injective = len(kern) == 1
-    all_single = all(len(pre.get(x, ())) == 1 for x in range(n))
+    injective = len(delta.kernel) == 1
+    all_single = bool((counts == 1).all())
     rec.check(injective == all_single,
               {"kind": "injectivity-criterion", "injective": injective,
                "all_singletons": all_single})
@@ -715,7 +798,10 @@ def run_suite(ring: FiniteRing, maps: list[tuple[str, AdditiveMap]],
               jobs: int = 1) -> list[TheoremReport]:
     """Run the selected checkers over each (descriptor, map) pair in the
     fixed order, with the ring-level herstein checker once at the end.
-    Results are deterministic regardless of jobs."""
+
+    jobs is accepted for compatibility and has no effect: the checkers run
+    one after another in the calling thread.  They spend their time in
+    numpy, and a thread pool over them gave no speed-up."""
     config = config or CheckerConfig()
     if checkers == "all" or checkers is None:
         selected = list(CHECKER_ORDER)
@@ -725,25 +811,14 @@ def run_suite(ring: FiniteRing, maps: list[tuple[str, AdditiveMap]],
         if unknown:
             raise RingError(f"unknown checker ids: {', '.join(unknown)}")
 
-    tasks = []
+    reports = []
     for desc, amap in maps:
         for cid in CHECKER_ORDER:
             if cid == "herstein" or cid not in selected:
                 continue
-            tasks.append((desc, amap, cid))
-
-    def run_one(task):
-        desc, amap, cid = task
-        report = _run_checker(ring, amap, cid, config)
-        report.map_desc = desc
-        return report
-
-    if jobs > 1 and len(tasks) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(run_one, tasks))
-    else:
-        reports = [run_one(t) for t in tasks]
+            report = _run_checker(ring, amap, cid, config)
+            report.map_desc = desc
+            reports.append(report)
 
     if "herstein" in selected:
         report = herstein_check(ring, config)

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -176,6 +179,22 @@ def test_enumerate_index_selection(zn4_file, capsys):
     payload = _json_out(capsys)
     assert len(payload["results"]) == 1
     assert payload["results"][0]["map"] == "enumerate:jordan#1"
+
+
+def test_formal_map_not_a_derivation_under_optimize():
+    """Z3[X]/(X^4) has no formal derivation (3 does not divide 4).  The
+    refusal must not rest on an assert, which python -O strips."""
+    argv = ["verify", "--ring", '{"kind":"trunc_poly","p":3,"m":4}',
+            "--map", "formal"]
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = f"import sys; from ringlab.cli import main; sys.exit(main({argv!r}))"
+    got = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert got.returncode == 2, got.stderr
+    assert "Leibniz" in got.stderr
+    assert "Traceback" not in got.stderr
 
 
 def test_usage_errors(zn4_file, tmp_path, capsys):

@@ -3,8 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ringlab import (AdditiveMap, NotAdditiveError, RingError, Zn, build_ring,
-                     check_additive, check_derivation,
+from ringlab import (AdditiveMap, MapLawError, NotAdditiveError, RingError, Zn,
+                     build_ring, check_additive, check_derivation,
                      check_jordan_derivation, enumerate_derivations,
                      enumerate_jordan_derivations, formal_derivative,
                      generator_basis, inner_derivation, zero_map)
@@ -101,6 +101,14 @@ def test_kernel_image_examples(tp33, m2z2):
     assert d.image.elements == (0, 2, 4, 6)         # antidiagonal matrices
     f = formal_derivative(tp33)
     assert len(f.kernel) * len(f.image) == tp33.size
+
+
+def test_kernel_must_hold_zero(zn4):
+    # an unchecked table with d(0) != 0 has an empty zero-preimage, which
+    # is no subgroup
+    forged = AdditiveMap(zn4, [1, 1, 1, 1], _trusted=True)
+    with pytest.raises(MapLawError):
+        forged.kernel
 
 
 def test_preimages_partition(tp33):

@@ -1,0 +1,117 @@
+"""The array checkers of ringlab.theorems against their loop references.
+
+Every report must equal the loop form's report apart from runtime: the
+same status, instance count, witnesses (failures and notes, in loop order,
+capped at MAX_WITNESSES) and seed.
+"""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+
+import reference_checkers as ref
+from conftest import CORPUS_SPECS
+from ringlab import (AdditiveMap, CheckerConfig, Matrix, TriPattern,
+                     TruncPoly, Zn, build_ring, enumerate_derivations,
+                     enumerate_jordan_derivations, formal_derivative,
+                     inner_derivation, spec_name, theorems)
+
+DERIVATION_PAIRS = [
+    (theorems.verify_basic, ref.verify_basic),
+    (theorems.verify_kernel_constants, ref.verify_kernel_constants),
+    (theorems.verify_combination_rules, ref.verify_combination_rules),
+    (theorems.verify_additivity_and_parts, ref.verify_additivity_and_parts),
+    (theorems.verify_power_rules, ref.verify_power_rules),
+]
+
+CONFIGS = {
+    "default": CheckerConfig(),
+    "sampled": CheckerConfig(sample_threshold=50, sample_size=300, seed=3),
+}
+
+SPECS = CORPUS_SPECS + [Matrix(Zn(3), 2)]
+
+
+def _maps(ring):
+    """Every map scripts/run_corpus.py runs the suite on."""
+    maps = list(enumerate_derivations(ring))
+    seen = {m.as_tuple() for m in maps}
+    maps += [m for m in enumerate_jordan_derivations(ring)
+             if m.as_tuple() not in seen]
+    spec = ring.spec
+    if isinstance(spec, TruncPoly):
+        maps.append(formal_derivative(ring))
+    if isinstance(spec, Matrix) and ring.unity is not None:
+        maps.append(inner_derivation(ring, ring.parse("E11")))
+    if isinstance(spec, TriPattern):
+        maps.append(inner_derivation(ring, ring.parse("A")))
+    return maps
+
+
+def _strip(report):
+    """The report JSON without runtime, key order included."""
+    payload = report.to_json()
+    payload.pop("runtime")
+    return json.dumps(payload)
+
+
+def _compare(ring, amap, config):
+    """Compare every applicable checker; return the reference reports."""
+    got = []
+    if amap.is_derivation:
+        for new, old in DERIVATION_PAIRS:
+            got.append((new(ring, amap, config), old(ring, amap, config)))
+    if amap.is_jordan:
+        got.append((theorems.verify_jordan_suite(ring, amap, config),
+                    ref.verify_jordan_suite(ring, amap, config)))
+    for new, old in got:
+        assert _strip(new) == _strip(old), (old.checker, amap.as_tuple())
+    return [old for _, old in got]
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+@pytest.mark.parametrize("spec", SPECS, ids=spec_name)
+def test_corpus_reports_match_reference(spec, config):
+    ring = build_ring(spec)
+    for amap in _maps(ring):
+        _compare(ring, amap, CONFIGS[config])
+
+
+# An additive map of M2(Z2) that fails the Leibniz law.  In additivity-parts
+# its first pair with two empty part integrals falls between
+# parts-membership failures, before the witness cap.
+TANGLED = [0, 4, 1, 5, 8, 12, 9, 13, 9, 13, 8, 12, 1, 5, 0, 4]
+
+
+def _forged(ring, table):
+    """A table flagged as a derivation and a Jordan derivation unchecked."""
+    return AdditiveMap(ring, table, _trusted=True, _derivation=True,
+                       _jordan=True)
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+def test_forged_maps_match_reference(config):
+    zn8 = build_ring(Zn(8))
+    m2z2 = build_ring(Matrix(Zn(2), 2))
+    cases = [(zn8, _forged(zn8, range(8))), (m2z2, _forged(m2z2, TANGLED))]
+    refs = [{r.checker: r for r in _compare(ring, amap, CONFIGS[config])}
+            for ring, amap in cases]
+    assert len(refs[0]["jordan-suite"].witnesses) == theorems.MAX_WITNESSES
+    kinds = [w["kind"] for w in refs[1]["additivity-parts"].witnesses]
+    at = kinds.index("parts-preconditions-empty")
+    assert "parts-membership" in kinds[:at]
+    assert "parts-membership" in kinds[at + 1:]
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+def test_pair_blocks_split_the_stream(config, monkeypatch):
+    """Rings in the corpus fit one block of pairs; with tiny blocks the
+    witness order, the cap and the once-only notes must survive the
+    split."""
+    monkeypatch.setattr(theorems, "_BLOCK", 5)
+    m2z2 = build_ring(Matrix(Zn(2), 2))
+    _compare(m2z2, _forged(m2z2, TANGLED), CONFIGS[config])
+    tp33 = build_ring(TruncPoly(3, 3))
+    _compare(tp33, formal_derivative(tp33), CONFIGS[config])

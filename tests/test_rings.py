@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -27,6 +30,42 @@ def test_zn4_bold_and_invert(zn4):
     assert zn4.invert(3) == 3
     assert zn4.invert(2) is None
     assert zn4.invert(0) is None
+
+
+@pytest.mark.parametrize("spec", [Zn(256), Matrix(Zn(3), 2)], ids=spec_name)
+def test_inverse_table_matches_scan(spec):
+    ring = build_ring(spec)
+    mul, one = ring.mul_table, ring.unity
+    for e in range(ring.size):
+        hits = [y for y in range(ring.size)
+                if mul[e, y] == one and mul[y, e] == one]
+        assert len(hits) <= 1
+        assert ring.invert(e) == (hits[0] if hits else None)
+        assert ring.inverse_table()[e] == (hits[0] if hits else -1)
+
+
+def test_inverse_table_published_whole():
+    """Threads racing on a fresh ring's lazy inverse table all see it full."""
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(8):
+            ring = build_ring(Zn(64))
+            expect = [x for x in range(64) if x % 2]
+            seen = []
+
+            def worker():
+                seen.append([x for x in range(64) if ring.invert(x) is not None])
+
+            threads = [threading.Thread(target=worker) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+            assert seen == [expect] * 4
+    finally:
+        sys.setswitchinterval(old)
 
 
 def test_trunc_poly_structure(tp33):
