@@ -245,6 +245,8 @@ def _report_line(report: TheoremReport) -> str:
 
 
 def _cmd_verify(args) -> tuple[int, str, dict]:
+    if args.max_n is not None and args.max_n < 0:
+        raise CliError(f"--max-n must be 0 or more, got {args.max_n}")
     ring = _load_ring(args.ring)
     progress = _progress_printer("enumerate")
     named = _resolve_maps(ring, args.map, progress)

@@ -11,17 +11,24 @@ everywhere exactly when they hold on pairs of additive generators; the
 checkers support a full quadratic scan and a generator-pair scan, and
 the two are required to agree.
 
-Enumeration of all derivations (or Jordan derivations) walks the
-generator-image search tree, pruning branches by additive order and by
-the pair defects that are already decidable, and verifies each
-completed table before accepting it.  Results come back sorted
-lexicographically by table.
+Derivations are enumerated as the kernel of a linear system over Z/N.
+In a direct-sum generator basis of (R, +) a derivation is fixed by the
+coordinates of its generator images, and the Leibniz law on generator
+pairs is linear in them.  One Howell-form reduction (Howell 1986;
+Storjohann and Mulders 1998) gives a basis of the kernel and so the
+exact count |Der(R)| before anything is listed; a count above
+MAX_LISTED_MAPS is refused with TooManyMapsError.  Jordan derivations
+are still found by a depth-first search over generator images, pruned
+by additive order and by the Jordan pair defects already decidable.
+Every listed table is checked for the laws before it is returned, and
+results come back sorted lexicographically by table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from math import gcd
+from typing import Optional
 
 import numpy as np
 
@@ -319,12 +326,14 @@ def kernel(ring: FiniteRing, f: AdditiveMap) -> ElementSet:
 
 @dataclass(frozen=True)
 class GeneratorBasis:
-    """A spanning sequence for (R, +) with one stored decomposition per element.
+    """A direct-sum basis of (R, +): (R, +) = ⊕ <generators[t]>.
 
-    generators[t] has additive order orders[t]; decomp[e] is a coefficient
-    tuple with decomp[e][t] < orders[t] and sum(decomp[e][t] * generators[t])
-    equal to e.  Generators are chosen greedily: always a maximal-order
-    element outside the current span, ties broken by smallest index.
+    generators[t] has additive order orders[t], and the orders multiply
+    to |R|, so every element e has exactly one coordinate tuple decomp[e]
+    with decomp[e][t] < orders[t] and sum(decomp[e][t] * generators[t])
+    equal to e.  Each step picks the element of largest order modulo the
+    span so far, ties broken by smallest index, and lifts it within its
+    coset of the span so that its own order equals that quotient order.
     """
 
     ring: FiniteRing
@@ -333,41 +342,248 @@ class GeneratorBasis:
     decomp: tuple[tuple[int, ...], ...]
 
 
+def _times(ring: FiniteRing, x: int, c: int) -> int:
+    """c·x by repeated addition."""
+    acc = ring.zero
+    for _ in range(c):
+        acc = int(ring.add_table[acc, x])
+    return acc
+
+
 def generator_basis(ring: FiniteRing) -> GeneratorBasis:
     n = ring.size
-    order = [ring.additive_order(x) for x in range(n)]
-    decomp: dict[int, tuple[int, ...]] = {ring.zero: ()}
+    add = ring.add_table
+    idx = np.arange(n)
+    member = np.zeros(n, dtype=bool)      # in the span so far
+    member[ring.zero] = True
+    coords = np.zeros((n, 0), dtype=np.int64)   # rows of members are valid
     gens: list[int] = []
     gen_orders: list[int] = []
-    while len(decomp) < n:
-        outside = [x for x in range(n) if x not in decomp]
-        g = max(outside, key=lambda x: (order[x], -x))
-        o = order[g]
-        k = len(gens)
-        multiples = [ring.zero]
-        for _ in range(o - 1):
-            multiples.append(int(ring.add_table[multiples[-1], g]))
-        snapshot = sorted(decomp)
+    while not member.all():
+        # quotient[x] = least q >= 1 with q·x in the span
+        quotient = np.zeros(n, dtype=np.int64)
+        pending = np.ones(n, dtype=bool)
+        acc, q = idx, 1
+        while pending.any():
+            done = pending & member[acc]
+            quotient[done] = q
+            pending &= ~done
+            acc, q = add[acc, idx], q + 1
+        x = int(np.argmax(quotient))      # the first maximum: smallest index
+        o = int(quotient[x])
+        # o·x = Σ a_t g_t, and x − Σ (a_t/o)·g_t has order o.  o divides
+        # every a_t because the span is a pure subgroup: each generator had
+        # the largest order modulo the span before it.
+        a = coords[_times(ring, x, o)]
+        for t, g in enumerate(gens):
+            x = int(add[x, ring.neg_table[_times(ring, g, int(a[t]) // o)]])
+        members = np.flatnonzero(member)
+        grown = np.zeros((n, len(gens) + 1), dtype=np.int64)
+        grown[:, :-1] = coords
+        cx = ring.zero
         for c in range(1, o):
-            mg = multiples[c]
-            for e in snapshot:
-                e2 = int(ring.add_table[e, mg])
-                if e2 not in decomp:
-                    base = decomp[e]
-                    decomp[e2] = base + (0,) * (k - len(base)) + (c,)
-        gens.append(g)
+            cx = int(add[cx, x])
+            targets = add[members, cx]
+            grown[targets, :-1] = coords[members]
+            grown[targets, -1] = c
+            member[targets] = True
+        coords = grown
+        gens.append(x)
         gen_orders.append(o)
-    k = len(gens)
-    full = tuple(decomp[e] + (0,) * (k - len(decomp[e])) for e in range(n))
-    return GeneratorBasis(ring, tuple(gens), tuple(gen_orders), full)
+    return GeneratorBasis(ring, tuple(gens), tuple(gen_orders),
+                          tuple(map(tuple, coords.tolist())))
 
 
 # ---------------------------------------------------------------------------
-# Enumeration
+# Derivations: the kernel of a linear system over Z/N
 
 
-def _enumerate_by_law(ring: FiniteRing, law: str,
-                      progress: Optional[Callable[[dict], None]] = None) -> list[AdditiveMap]:
+MAX_LISTED_MAPS = 65536
+_CELLS = 1 << 20      # array cells per listing step, which bounds its memory
+
+
+class TooManyMapsError(RingError):
+    """A listing would hold more than MAX_LISTED_MAPS maps; carries the
+    exact count."""
+
+    def __init__(self, count: int, message: str):
+        super().__init__(message)
+        self.count = count
+
+
+def _leibniz_rows(o: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Rows over Z/N, N = max(o), whose kernel is Der(R); o holds the
+    generator orders.
+
+    Unknown t·k + s is U[t, s] = (N/o_s)·D[t, s], where D[t, s] is
+    coordinate s of d(g_t); multiplying by N/o_s embeds Z/o_s in Z/N.
+    P[i, j] holds the coordinates of g_i·g_j.  The rows state:
+
+    * gcd(o_t, o_s)·U[t, s] ≡ 0, i.e. U[t, s] is such an embedding
+      (o_s) of a coordinate that o_t·d(g_t) = 0 allows (o_t);
+    * for every (i, j, q), coordinate q of d(g_i g_j) = d(g_i) g_j +
+      g_i d(g_j), scaled by N/o_q:
+      Σ_t P[i,j,t]·U[t,q] − Σ_s (o_s/o_q)·(P[s,j,q]·U[i,s] + P[i,s,q]·U[j,s]).
+      o_s·P[s,j,q] and o_s·P[i,s,q] are multiples of o_q because
+      o_s·g_s = 0, so every coefficient is an integer.
+    """
+    k = len(o)
+    A = np.zeros((k, k, k, k, k), dtype=np.int64)      # [i, j, q, t, s]
+    for q in range(k):
+        A[:, :, q, :, q] += P
+    left = o[:, None, None] * P // o                    # [s, j, q]
+    right = o[None, :, None] * P // o                   # [i, s, q]
+    for i in range(k):
+        A[i, :, :, i, :] -= left.transpose(1, 2, 0)
+        A[:, i, :, i, :] -= right.transpose(0, 2, 1)
+    order_rows = np.diag(np.gcd.outer(o, o).ravel())
+    return np.vstack([A.reshape(k ** 3, k * k), order_rows]) % int(o.max(initial=1))
+
+
+def _unit_to_gcd(a: int, N: int) -> int:
+    """A unit u of Z/N with u·a ≡ gcd(a, N)."""
+    g = gcd(a, N)
+    u = pow(a // g, -1, N // g)
+    while gcd(u, N) != 1:
+        u += N // g
+    return u
+
+
+def _howell_form(M: np.ndarray, N: int) -> tuple[np.ndarray, list[int]]:
+    """Howell form of the row span of M over Z/N.
+
+    Returns (H, cols): H's rows are in echelon form, the pivot of row i
+    sits in column cols[i], divides N and has the entries above it
+    reduced modulo it, and for every column c the rows with pivot at or
+    after c span every vector of the span that is zero before c (Howell
+    1986).  So each vector of the span is Σ c_i·H[i] for exactly one
+    choice of 0 ≤ c_i < N/H[i, cols[i]].  For prime N this is row
+    reduction over F_N.
+    """
+    rows = np.asarray(M, dtype=np.int64) % N
+    out: list[np.ndarray] = []
+    cols: list[int] = []
+    for c in range(rows.shape[1]):
+        live = rows[:, c] != 0
+        if not live.any():
+            continue
+        others = rows[live]
+        piv = others[0] * _unit_to_gcd(int(others[0, c]), N) % N
+        others = others[1:]
+        while True:
+            a = int(piv[c])
+            stuck = np.flatnonzero(others[:, c] % a)
+            if not len(stuck):
+                break
+            # gcdex: (piv, row) -> (s·piv + t·row, (b/g)·piv − (a/g)·row)
+            r = int(stuck[0])
+            row = others[r]
+            b = int(row[c])
+            g = gcd(a, b)
+            s = pow(a // g, -1, b // g) if b // g > 1 else 0
+            t = (g - s * a) // b
+            piv, others[r] = ((s * piv + t * row) % N,
+                              ((b // g) * piv - (a // g) * row) % N)
+        a = int(piv[c])
+        others = (others - (others[:, c] // a)[:, None] * piv) % N
+        # the multiple of piv that is zero at c stays in the span to reduce
+        rows = np.vstack([rows[~live], others, (N // a) * piv % N])
+        rows = rows[rows.any(axis=1)]
+        out.append(piv)
+        cols.append(c)
+    H = np.array(out, dtype=np.int64).reshape(len(out), rows.shape[1])
+    for i, c in enumerate(cols):
+        H[:i] = (H[:i] - (H[:i, c] // H[i, c])[:, None] * H[i]) % N
+    return H, cols
+
+
+def _kernel_basis(A: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """(B, radix): the solutions x of A·x ≡ 0 (mod N) are the Σ c_i·B[i]
+    with 0 ≤ c_i < radix[i], each once.  The rows of the Howell form of
+    [Aᵀ | I] whose left block is zero span the kernel, and radix[i] is
+    N over the pivot of B[i]."""
+    m, u = A.shape
+    H, cols = _howell_form(np.hstack([A.T, np.eye(u, dtype=np.int64)]), N)
+    kernel = [(i, c) for i, c in enumerate(cols) if c >= m]
+    radix = np.array([N // int(H[i, c]) for i, c in kernel], dtype=np.int64)
+    return H[[i for i, _ in kernel], m:].reshape(len(kernel), u), radix
+
+
+def _check_listed(ring: FiniteRing, gens: np.ndarray, F: np.ndarray):
+    """Every table of the block F is additive and satisfies the Leibniz
+    law on generator pairs, or the solver is at fault."""
+    add, mul = ring.add_table, ring.mul_table
+    additive = (F[:, add] == add[F[:, :, None], F[:, None, :]]).all(axis=(1, 2))
+    Fg = F[:, gens]
+    lhs = F[:, mul[np.ix_(gens, gens)]]
+    rhs = add[mul[Fg[:, :, None], gens[None, None, :]],
+              mul[gens[None, :, None], Fg[:, None, :]]]
+    leibniz = (lhs == rhs).all(axis=(1, 2))
+    if not (additive & leibniz).all():
+        bad = int(np.flatnonzero(~(additive & leibniz))[0])
+        raise MapLawError(f"the derivation solver listed {F[bad].tolist()}, "
+                          "which fails the additive or Leibniz check")
+
+
+def enumerate_derivations(ring: FiniteRing, progress=None) -> list[AdditiveMap]:
+    """All maps satisfying the Leibniz law, sorted by table.
+
+    Der(R) is counted as the kernel of the linear system of
+    _leibniz_rows before anything is listed; more than MAX_LISTED_MAPS
+    raises TooManyMapsError with the count.  progress, if given, gets
+    one dict with the listed tables as nodes and found, and no pruned.
+    """
+    n = ring.size
+    basis = generator_basis(ring)
+    k = len(basis.generators)
+    o = np.array(basis.orders, dtype=np.int64)
+    N = int(o.max(initial=1))
+    coords = np.array(basis.decomp, dtype=np.int64).reshape(n, k)
+    gens = np.array(basis.generators, dtype=np.intp)
+    A = _leibniz_rows(o, coords[ring.mul_table[np.ix_(gens, gens)]])
+    H, radix = _kernel_basis(np.unique(A[A.any(axis=1)], axis=0), N)
+    total = int(np.prod(radix))
+    if total > MAX_LISTED_MAPS:
+        raise TooManyMapsError(
+            total, f"the ring has {total} derivations, more than the "
+                   f"{MAX_LISTED_MAPS} a listing may hold")
+    # element index from coordinates, by mixed radix over the orders
+    strides = np.cumprod(np.concatenate([[1], o]))[:-1].astype(np.int64)
+    element = np.empty(n, dtype=np.int32)
+    element[coords @ strides] = np.arange(n)
+    digit_strides = np.cumprod(np.concatenate([[1], radix]))[:-1].astype(np.int64)
+    step = max(1, _CELLS // (n * n))
+    blocks = []
+    for start in range(0, total, step):
+        ids = np.arange(start, min(total, start + step), dtype=np.int64)
+        digits = ids[:, None] // digit_strides % radix
+        D = (digits @ H % N).reshape(len(ids), k, k) // (N // o)
+        images = np.einsum("et,bts->bes", coords, D) % o
+        F = element[images @ strides]
+        _check_listed(ring, gens, F)
+        blocks.append(F)
+    tables = np.concatenate(blocks)
+    tables = tables[np.lexsort(tables.T[::-1])]
+    if progress:
+        progress({"nodes": total, "pruned": 0, "found": total})
+    return [AdditiveMap(ring, table, _trusted=True, _derivation=True,
+                        _jordan=True) for table in tables]
+
+
+# ---------------------------------------------------------------------------
+# Jordan derivations: a search over generator images
+
+
+def enumerate_jordan_derivations(ring: FiniteRing,
+                                 progress=None) -> list[AdditiveMap]:
+    """All maps satisfying the Jordan law, sorted by table.
+
+    A depth-first search over generator images: a branch is pruned by
+    additive order and by every Jordan pair defect that its images
+    already decide, and each completed table is checked for additivity.
+    progress, if given, gets the nodes/pruned/found counters every
+    _PROGRESS_EVERY nodes and at the end.
+    """
     basis = generator_basis(ring)
     gens, orders, decomp = basis.generators, basis.orders, basis.decomp
     k = len(gens)
@@ -392,17 +608,12 @@ def _enumerate_by_law(ring: FiniteRing, law: str,
     cover = [max((t for t, c in enumerate(decomp[e]) if c), default=-1)
              for e in range(n)]
 
-    # pair (i, j) with its constrained product element, grouped by the search
-    # depth at which every needed image is known
+    # pair (i, j), i <= j, with its constrained product element, grouped by
+    # the search depth at which every needed image is known
     schedule: list[list[tuple[int, int, int]]] = [[] for _ in range(k)]
     for i in range(k):
-        for j in range(k):
-            if law == "jordan" and j < i:
-                continue
-            if law == "jordan":
-                prod = int(add[mul[gens[i], gens[j]], mul[gens[j], gens[i]]])
-            else:
-                prod = int(mul[gens[i], gens[j]])
+        for j in range(i, k):
+            prod = int(add[mul[gens[i], gens[j]], mul[gens[j], gens[i]]])
             step = max(i, j, cover[prod])
             schedule[step].append((i, j, prod))
 
@@ -420,11 +631,8 @@ def _enumerate_by_law(ring: FiniteRing, law: str,
     def pair_ok(i: int, j: int, prod: int) -> bool:
         gi, gj = gens[i], gens[j]
         fi, fj = images[i], images[j]
-        if law == "jordan":
-            rhs = int(add[add[mul[fi, gj], mul[gj, fi]],
-                          add[mul[gi, fj], mul[fj, gi]]])
-        else:
-            rhs = int(add[mul[fi, gj], mul[gi, fj]])
+        rhs = int(add[add[mul[fi, gj], mul[gj, fi]],
+                      add[mul[gi, fj], mul[fj, gi]]])
         return feval(prod) == rhs
 
     def finalize():
@@ -455,23 +663,6 @@ def _enumerate_by_law(ring: FiniteRing, law: str,
 
     rec(0)
     report(force=True)
-
-    out = []
-    for table in sorted(set(found_tables)):
-        if law == "jordan":
-            out.append(AdditiveMap(ring, np.array(table, dtype=np.int32),
-                                   _trusted=True, _jordan=True))
-        else:
-            out.append(AdditiveMap(ring, np.array(table, dtype=np.int32),
-                                   _trusted=True, _derivation=True, _jordan=True))
-    return out
-
-
-def enumerate_derivations(ring: FiniteRing, progress=None) -> list[AdditiveMap]:
-    """All maps satisfying the Leibniz law, sorted by table."""
-    return _enumerate_by_law(ring, "derivation", progress)
-
-
-def enumerate_jordan_derivations(ring: FiniteRing, progress=None) -> list[AdditiveMap]:
-    """All maps satisfying the Jordan law, sorted by table."""
-    return _enumerate_by_law(ring, "jordan", progress)
+    return [AdditiveMap(ring, np.array(table, dtype=np.int32), _trusted=True,
+                        _jordan=True)
+            for table in sorted(set(found_tables))]

@@ -34,7 +34,6 @@ from typing import Optional
 
 import numpy as np
 
-from .integrals import integrate, jordan_integrate
 from .maps import (AdditiveMap, MapLawError, check_derivation,
                    enumerate_derivations, enumerate_jordan_derivations)
 from .rings import FiniteRing, RingError, spec_to_json
@@ -696,14 +695,19 @@ def verify_separation(ring: FiniteRing, delta: AdditiveMap,
         raise MapLawError("map is not a validated Jordan derivation")
     if delta.is_derivation:
         raise MapLawError("map is a derivation")
+    return _separation(ring, delta, enumerate_derivations(ring))
+
+
+def _separation(ring: FiniteRing, delta: AdditiveMap,
+                derivations: list[AdditiveMap]) -> TheoremReport:
+    """i_d(x) and j_δ(x) differ exactly when some y with d(y) ≠ δ(y) has
+    d(y) = x or δ(y) = x, so the first separating x is the least
+    min(d(y), δ(y)) over those y."""
     rec = _Recorder("separation", ring)
-    derivations = enumerate_derivations(ring)
     for i, d in enumerate(derivations):
-        found = None
-        for x in range(ring.size):
-            if integrate(ring, d, x) != jordan_integrate(ring, delta, x):
-                found = x
-                break
+        differ = d.table != delta.table
+        found = (int(np.minimum(d.table, delta.table)[differ].min())
+                 if differ.any() else None)
         rec.check(found is not None,
                   {"kind": "indistinguishable",
                    "derivation": [int(v) for v in d.table]})
@@ -775,7 +779,10 @@ def _skipped(checker: str, ring: FiniteRing, reason: str) -> TheoremReport:
 
 
 def _run_checker(ring: FiniteRing, amap: AdditiveMap, checker: str,
-                 config: CheckerConfig) -> TheoremReport:
+                 config: CheckerConfig,
+                 derivations: list[AdditiveMap]) -> TheoremReport:
+    """One checker on one map.  derivations is Der(R), or empty until
+    separation first needs it and lists it there."""
     if checker in _DERIVATION_CHECKERS:
         if not amap.is_derivation:
             return _skipped(checker, ring, "map is not a validated derivation")
@@ -789,7 +796,9 @@ def _run_checker(ring: FiniteRing, amap: AdditiveMap, checker: str,
             return _skipped(checker, ring, "map is not a validated Jordan derivation")
         if amap.is_derivation:
             return _skipped(checker, ring, "map is a derivation")
-        return verify_separation(ring, amap, config)
+        if not derivations:     # Der(R) always holds the zero map
+            derivations.extend(enumerate_derivations(ring))
+        return _separation(ring, amap, derivations)
     raise RingError(f"unknown checker {checker!r}")
 
 
@@ -798,6 +807,7 @@ def run_suite(ring: FiniteRing, maps: list[tuple[str, AdditiveMap]],
               jobs: int = 1) -> list[TheoremReport]:
     """Run the selected checkers over each (descriptor, map) pair in the
     fixed order, with the ring-level herstein checker once at the end.
+    Der(R) is listed at most once per call, when separation first needs it.
 
     jobs is accepted for compatibility and has no effect: the checkers run
     one after another in the calling thread.  They spend their time in
@@ -812,11 +822,12 @@ def run_suite(ring: FiniteRing, maps: list[tuple[str, AdditiveMap]],
             raise RingError(f"unknown checker ids: {', '.join(unknown)}")
 
     reports = []
+    derivations: list[AdditiveMap] = []
     for desc, amap in maps:
         for cid in CHECKER_ORDER:
             if cid == "herstein" or cid not in selected:
                 continue
-            report = _run_checker(ring, amap, cid, config)
+            report = _run_checker(ring, amap, cid, config, derivations)
             report.map_desc = desc
             reports.append(report)
 

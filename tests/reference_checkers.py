@@ -1,9 +1,10 @@
 """Loop-form reference checkers, kept as the oracle for ringlab.theorems.
 
 These are the per-element and per-pair loops that ringlab.theorems used
-before its checkers became array identities over the Cayley tables.  They
-call Integral.contains one instance at a time, so they are slow, but each
-reads as the statement of its law.  tests/test_reference_checkers.py
+before its checkers (separation included) became array identities over
+the Cayley tables.  They call Integral.contains or compare Integral values
+one instance at a time, so they are slow, but each reads as the statement
+of its law.  tests/test_reference_checkers.py
 requires the reports of both forms to be equal apart from runtime.
 """
 
@@ -15,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from ringlab.integrals import Integral, integrate, jordan_integrate, set_add
-from ringlab.maps import AdditiveMap
+from ringlab.maps import AdditiveMap, enumerate_derivations
 from ringlab.rings import ElementSet, FiniteRing
 from ringlab.theorems import (CheckerConfig, TheoremReport, _Recorder,
                               _require_map)
@@ -431,4 +432,22 @@ def verify_jordan_suite(ring: FiniteRing, delta: AdditiveMap,
     rec.check(injective == all_single,
               {"kind": "injectivity-criterion", "injective": injective,
                "all_singletons": all_single})
+    return rec.finish()
+
+
+def verify_separation(ring: FiniteRing, delta: AdditiveMap,
+                      config: Optional[CheckerConfig] = None) -> TheoremReport:
+    rec = _Recorder("separation", ring)
+    derivations = enumerate_derivations(ring)
+    for i, d in enumerate(derivations):
+        found = None
+        for x in range(ring.size):
+            if integrate(ring, d, x) != jordan_integrate(ring, delta, x):
+                found = x
+                break
+        rec.check(found is not None,
+                  {"kind": "indistinguishable",
+                   "derivation": [int(v) for v in d.table]})
+        if found is not None:
+            rec.note({"kind": "separated", "derivation_index": i, "x": found})
     return rec.finish()

@@ -171,6 +171,30 @@ def test_verify_max_n_flag(zn4_file, capsys):
     assert main(["verify", "--ring", zn4_file, "--map", "trivial",
                  "--checkers", "kernel-constants,power-rules",
                  "--max-n", "4"]) == 0
+    # a negative window would make kernel-constants and power-rules pass
+    # with no instances
+    capsys.readouterr()
+    assert main(["verify", "--ring", '{"kind":"zn","n":6}', "--map", "trivial",
+                 "--max-n", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert "--max-n" in captured.err
+    assert captured.out == ""
+
+
+def test_derivations_too_many_to_list(tmp_path, capsys):
+    """The zero-multiplication ring on F2^5 has all 2^25 additive maps as
+    derivations: the count is refused before anything is listed."""
+    n = 32
+    spec = {"kind": "tables", "size": n,
+            "add": [[x ^ y for y in range(n)] for x in range(n)],
+            "mul": [[0] * n for _ in range(n)]}
+    path = _spec_file(tmp_path, "zero32.json", spec)
+    assert main(["derivations", "--ring", path]) == 2
+    captured = capsys.readouterr()
+    assert str(2 ** 25) in captured.err
+    assert captured.out == ""
+    assert main(["verify", "--ring", path, "--map", "enumerate#0",
+                 "--checkers", "basic"]) == 2
 
 
 def test_enumerate_index_selection(zn4_file, capsys):

@@ -1,13 +1,76 @@
 from __future__ import annotations
 
+import itertools
+import math
+import random
+
 import numpy as np
 import pytest
 
-from ringlab import (AdditiveMap, MapLawError, NotAdditiveError, RingError, Zn,
+from ringlab import (AdditiveMap, MapLawError, NotAdditiveError, Product,
+                     RingError, Tables, TooManyMapsError, TruncPoly, Zn,
                      build_ring, check_additive, check_derivation,
                      check_jordan_derivation, enumerate_derivations,
                      enumerate_jordan_derivations, formal_derivative,
-                     generator_basis, inner_derivation, zero_map)
+                     generator_basis, inner_derivation, spec_name, zero_map)
+from ringlab.maps import _kernel_basis
+
+
+def _tables(elements, add, mul, unity=None):
+    """A tables spec over the listed elements, by their add and mul."""
+    index = {e: i for i, e in enumerate(elements)}
+    return Tables(len(elements),
+                  [[index[add(x, y)] for y in elements] for x in elements],
+                  [[index[mul(x, y)] for y in elements] for x in elements],
+                  None if unity is None else index[unity])
+
+
+def _gf4():
+    """GF(4) = Z2[a]/(a^2 + a + 1), elements (c0, c1) = c0 + c1·a."""
+    def mul(x, y):
+        c0 = x[0] * y[0] + x[1] * y[1]
+        c1 = x[0] * y[1] + x[1] * y[0] + x[1] * y[1]
+        return (c0 % 2, c1 % 2)
+    return _tables(list(itertools.product(range(2), repeat=2)),
+                   lambda x, y: ((x[0] + y[0]) % 2, (x[1] + y[1]) % 2),
+                   mul, (1, 0))
+
+
+def _z4_dual():
+    """Z4[e]/(e^2), elements (a, b) = a + b·e: Der is 8 maps over Z/4."""
+    return _tables([(a, b) for a in range(4) for b in range(4)],
+                   lambda x, y: ((x[0] + y[0]) % 4, (x[1] + y[1]) % 4),
+                   lambda x, y: (x[0] * y[0] % 4, (x[0] * y[1] + x[1] * y[0]) % 4),
+                   (1, 0))
+
+
+def _zero_ring(moduli, elements=None):
+    """The additive group Z/m1 x ... with the zero product: Der = End.
+    elements fixes the element order (default: lexicographic)."""
+    return _tables(elements or list(itertools.product(*map(range, moduli))),
+                   lambda x, y: tuple((a + b) % m
+                                      for a, b, m in zip(x, y, moduli)),
+                   lambda x, y: tuple(0 for _ in moduli))
+
+
+# Additive groups that are not Z_p^k: mixed orders (the first greedy basis of
+# Z4xZ2 was not a direct sum), a non-prime-power exponent, a field given by
+# tables, Z/4 coefficients with derivations that are not all zero, and an
+# element order that makes the basis lift a generator.
+MIXED_SPECS = [
+    Product((Zn(4), Zn(2))),
+    Product((Zn(2), Zn(2), Zn(4))),
+    Product((TruncPoly(2, 2), Zn(4))),
+    Zn(16),
+    _gf4(),
+    _z4_dual(),
+    _zero_ring((4, 2)),
+    _zero_ring((6, 2)),
+    # (1,1) of order 4 is the first element outside <(1,0)>; the basis must
+    # lift it to (0,1), of order 2
+    _zero_ring((4, 2), [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (3, 0),
+                        (3, 1), (0, 1)]),
+]
 
 
 def test_check_additive(zn4):
@@ -198,9 +261,10 @@ def test_kernel_image_product_invariant(corpus_rings):
 
 
 def test_generator_basis_decomposition(corpus_rings):
-    for ring in corpus_rings:
+    for ring in corpus_rings + [build_ring(spec) for spec in MIXED_SPECS]:
         basis = generator_basis(ring)
         assert len(basis.generators) == len(basis.orders)
+        assert math.prod(basis.orders) == ring.size      # a direct sum
         for g, o in zip(basis.generators, basis.orders):
             assert ring.additive_order(g) == o
         for e in range(ring.size):
@@ -222,7 +286,53 @@ def test_describe_shape(tp33):
 
 
 def test_enumeration_progress_callback(zn4):
-    events = []
-    enumerate_jordan_derivations(zn4, progress=events.append)
-    assert events
-    assert all({"nodes", "pruned", "found"} <= set(e) for e in events)
+    for enumerate_maps in (enumerate_jordan_derivations, enumerate_derivations):
+        events = []
+        enumerate_maps(zn4, progress=events.append)
+        assert events
+        assert all({"nodes", "pruned", "found"} <= set(e) for e in events)
+        assert events[-1]["found"] == len(enumerate_maps(zn4))
+
+
+@pytest.mark.parametrize("spec", MIXED_SPECS, ids=spec_name)
+def test_mixed_groups_match_naive_oracle(spec):
+    from naive_reference import naive_derivations, naive_jordan_derivations
+    ring = build_ring(spec)
+    assert [d.as_tuple() for d in enumerate_derivations(ring)] == \
+        naive_derivations(ring)
+    assert [j.as_tuple() for j in enumerate_jordan_derivations(ring)] == \
+        naive_jordan_derivations(ring)
+
+
+@pytest.mark.parametrize("m", range(4, 9))
+def test_trunc_poly_char2_derivation_counts(m):
+    """d is fixed by d(X), and d(X^m) = m·X^(m-1)·d(X) = 0 forces d(X) into
+    the annihilator of m·X^(m-1): all of R for even m (2^m maps), the ideal
+    (X) for odd m (2^(m-1) maps)."""
+    ring = build_ring(TruncPoly(2, m))
+    assert len(enumerate_derivations(ring)) == 2 ** (m if m % 2 == 0 else m - 1)
+
+
+def test_listing_cap_reports_the_count():
+    zero32 = build_ring(_zero_ring((2,) * 5))
+    with pytest.raises(TooManyMapsError) as err:
+        enumerate_derivations(zero32)
+    assert err.value.count == 2 ** 25
+    # a listing at the cap itself goes through
+    assert len(enumerate_derivations(build_ring(_zero_ring((2,) * 4)))) == 2 ** 16
+
+
+@pytest.mark.parametrize("N", [2, 4, 6, 8, 9, 12])
+def test_kernel_basis_lists_each_solution_once(N):
+    """The Howell basis of the kernel lists every solution of A·x ≡ 0
+    (mod N) once, against a scan of all x."""
+    rng = random.Random(N)
+    for _ in range(20):
+        rows, u = rng.randrange(1, 5), rng.randrange(1, 4)
+        A = np.array([[rng.randrange(N) for _ in range(u)] for _ in range(rows)])
+        basis, radix = _kernel_basis(A, N)
+        listed = [tuple(int(v) for v in np.dot(c, basis) % N)
+                  for c in itertools.product(*map(range, radix))]
+        scan = [x for x in itertools.product(range(N), repeat=u)
+                if not (A @ np.array(x) % N).any()]
+        assert sorted(listed) == scan

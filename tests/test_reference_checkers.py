@@ -66,6 +66,9 @@ def _compare(ring, amap, config):
     if amap.is_jordan:
         got.append((theorems.verify_jordan_suite(ring, amap, config),
                     ref.verify_jordan_suite(ring, amap, config)))
+    if amap.is_jordan and not amap.is_derivation:
+        got.append((theorems.verify_separation(ring, amap, config),
+                    ref.verify_separation(ring, amap, config)))
     for new, old in got:
         assert _strip(new) == _strip(old), (old.checker, amap.as_tuple())
     return [old for _, old in got]

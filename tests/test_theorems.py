@@ -194,6 +194,26 @@ def test_run_suite_non_derivation_jordan_map(zn4):
     assert got["separation"].status == "pass"
 
 
+def test_run_suite_lists_derivations_once(tp22, monkeypatch):
+    """Z2[X]/(X^2) has 12 Jordan maps that are not derivations; separation
+    runs on each, against one listing of Der(R)."""
+    from ringlab import enumerate_jordan_derivations, theorems
+    jordan = [j for j in enumerate_jordan_derivations(tp22)
+              if not j.is_derivation]
+    calls = []
+
+    def counted(ring, progress=None):
+        calls.append(ring)
+        return enumerate_derivations(ring, progress)
+
+    monkeypatch.setattr(theorems, "enumerate_derivations", counted)
+    reports = run_suite(tp22, [(str(i), j) for i, j in enumerate(jordan)],
+                        checkers=["separation"])
+    assert len(jordan) == 12
+    assert [r.status for r in reports] == ["pass"] * 12
+    assert len(calls) == 1
+
+
 def test_report_json_key_order(tp33, zn4):
     d = formal_derivative(tp33)
     payload = verify_basic(tp33, d).to_json()
