@@ -4,25 +4,24 @@ Rings are built from declarative specs: modular integers, full matrix
 rings, truncated polynomial rings, a five-parameter triangular matrix
 pattern, direct products, and raw tables.  Elements are plain ints in
 ``range(size)``; the two tables are the single source of truth for all
-arithmetic.  Construction runs an exhaustive axiom check (abelian
+arithmetic.  Construction runs an exact axiom check (abelian
 addition, associativity, distributivity) unless disabled for trusted
 generated specs.
 
-Element order is deterministic per kind:
-
-* ``Zn``        -- natural order 0..n-1.
-* ``TruncPoly`` -- lexicographic on coefficient tuples, constant term
-                   first (so the constant 1 of Z3[X]/(X^3) has index 9).
-* ``Matrix``    -- lexicographic on row-major entry tuples.
-* ``TriPattern``-- lexicographic on the stored (a, b, c, d, e) tuple.
-* ``Product``   -- lexicographic on factor index tuples.
-* ``Tables``    -- the order the tables were given in.
+Element order is deterministic per kind.  ``Zn`` and ``Tables`` keep
+index order.  The other kinds are tuples of base-ring elements, built by
+one coordinate builder, in lexicographic order of: coefficient tuples,
+constant term first (``TruncPoly``; the constant 1 of Z3[X]/(X^3) has
+index 9); row-major entries (``Matrix``); the stored (a, b, c, d, e)
+(``TriPattern``); factor indices (``Product``).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import math
 import os
 import re
 from dataclasses import dataclass, field
@@ -391,14 +390,12 @@ class FiniteRing:
         """A pair (a, b), both nonzero, with a*R*b = {0}; None if prime."""
         if self._prime_witness == -1:
             witness = None
-            nz = [e for e in range(self.size) if e != self.zero]
-            for a in nz:
-                a_r = self.mul_table[a]  # a*r for all r
-                for b in nz:
-                    if not np.any(self.mul_table[a_r, b] != self.zero):
-                        witness = (a, b)
-                        break
-                if witness:
+            nonzero = np.arange(self.size) != self.zero
+            for a in np.flatnonzero(nonzero):
+                # the b whose column of (a*r)*b is zero for every r
+                killed = nonzero & (self.mul_table[self.mul_table[a]] == self.zero).all(axis=0)
+                if killed.any():
+                    witness = (int(a), int(killed.argmax()))
                     break
             self._prime_witness = witness
         return self._prime_witness
@@ -429,7 +426,7 @@ class FiniteRing:
         out["torsion_free"] = torsion
         if self.unity is not None:
             out["unity_additive_order"] = self.additive_order(self.unity)
-            out["invertible_count"] = sum(1 for x in range(self.size) if self.is_invertible(x))
+            out["invertible_count"] = int((self.inverse_table() >= 0).sum())
         out["labels"] = list(self.labels)
         return out
 
@@ -441,18 +438,57 @@ class FiniteRing:
 # Axiom checking
 
 
-def _first_mismatch3(lhs: np.ndarray, rhs: np.ndarray, x0: int) -> tuple:
-    bad = np.argwhere(lhs != rhs)
-    x, y, z = bad[0]
-    return (int(x) + x0, int(y), int(z))
+def _require_equal(lhs: np.ndarray, rhs: np.ndarray, axiom: str, law: str,
+                   witness) -> None:
+    """Raise RingAxiomError at the first index where lhs and rhs differ;
+    ``witness`` maps that index to the witness tuple."""
+    if not np.array_equal(lhs, rhs):
+        w = witness(*(int(i) for i in np.argwhere(lhs != rhs)[0]))
+        raise RingAxiomError(axiom, w, f"{law} at {w}")
+
+
+def _additive_generators(add: np.ndarray, zero: int) -> list[int]:
+    """Elements a_1 < a_2 < ... such that every element is reached from
+    zero by repeatedly adding some a_i; each a_i is the least element not
+    reached by the earlier ones."""
+    reached = np.zeros(add.shape[0], dtype=bool)
+    reached[zero] = True
+    gens: list[int] = []
+    frontier = np.array([zero])
+    while frontier.size or not reached.all():
+        if not frontier.size:
+            gens.append(int(np.argmin(reached)))
+            frontier = np.flatnonzero(reached)
+        step = add[np.ix_(frontier, gens)].ravel()
+        frontier = np.unique(step[~reached[step]])
+        reached[frontier] = True
+    return gens
 
 
 def check_ring_axioms(add: np.ndarray, mul: np.ndarray, size: int,
                       unity: Optional[int] = None) -> int:
-    """Exhaustively verify the ring axioms; returns the zero element index.
+    """Verify the ring axioms exactly; returns the zero element index.
 
-    Raises RingAxiomError naming the violated axiom with a witness tuple.
-    Cost is O(size^3); the triple loops run chunked through numpy.
+    Raises RingAxiomError naming the violated axiom with a witness tuple
+    that violates it.  An O(size^2) prelude checks shape, closure,
+    additive commutativity, a unique additive identity and additive
+    inverses.  Then A = ``_additive_generators``, and three reductions
+    bring the rest to O(size^2 * |A|) (|A| = 1 for Z256, 8 for
+    Z2[X]/(X^8)), each exact:
+
+    * Additive associativity as (x+a)+y = x+(a+y) for a in A (Light's
+      test).  The a that pass are closed under +, zero passes, and every
+      other element is a left-bracketed sum of generators.
+    * Both distributive laws as x*(y+a) = x*y+x*a and
+      (y+a)*x = y*x+a*x for a in A.  The a that pass are closed under +,
+      and with associativity (R, +) is a finite group generated by A, so
+      every element, zero included, is a nonempty sum of generators.
+    * Multiplicative associativity on A x A x A only.  Given
+      distributivity, (x*y)*z and x*(y*z) are additive in each argument,
+      so agreeing on generators they agree everywhere.
+
+    Every raised witness is a violated instance, so the order of the
+    checks changes only which one is named.
     """
     n = size
     idx = np.arange(n, dtype=_TABLE_DTYPE)
@@ -481,35 +517,22 @@ def check_ring_axioms(add: np.ndarray, mul: np.ndarray, size: int,
         x = int(np.flatnonzero(~has_inverse)[0])
         raise RingAxiomError("additive-inverse", (x,), f"element {x} has no additive inverse")
 
-    chunk = max(1, (1 << 22) // max(1, n * n))
-    for x0 in range(0, n, chunk):
-        rows = slice(x0, min(n, x0 + chunk))
-        lhs = add[add[rows]]                      # (x+y)+z
-        rhs = add[rows][:, add]                   # x+(y+z)
-        if not np.array_equal(lhs, rhs):
-            w = _first_mismatch3(lhs, rhs, x0)
-            raise RingAxiomError("additive-associativity", w,
-                                 f"(x+y)+z != x+(y+z) at {w}")
-        lhs = mul[mul[rows]]                      # (x*y)*z
-        rhs = mul[rows][:, mul]                   # x*(y*z)
-        if not np.array_equal(lhs, rhs):
-            w = _first_mismatch3(lhs, rhs, x0)
-            raise RingAxiomError("multiplicative-associativity", w,
-                                 f"(x*y)*z != x*(y*z) at {w}")
-        lhs = mul[rows][:, add]                   # x*(y+z)
-        rhs = add[mul[rows][:, :, None], mul[rows][:, None, :]]
-        if not np.array_equal(lhs, rhs):
-            w = _first_mismatch3(lhs, rhs, x0)
-            raise RingAxiomError("left-distributivity", w,
-                                 f"x*(y+z) != x*y+x*z at {w}")
-    for y0 in range(0, n, chunk):
-        rows = slice(y0, min(n, y0 + chunk))
-        lhs = mul[add[rows]]                      # (y+z)*x arranged [y,z,x]
-        rhs = add[mul[rows][:, None, :], mul[None, :, :]]
-        if not np.array_equal(lhs, rhs):
-            w = _first_mismatch3(lhs, rhs, y0)
-            raise RingAxiomError("right-distributivity", w,
-                                 f"(y+z)*x != y*x+z*x at {w}")
+    gens = _additive_generators(add, zero)
+    for a in gens:
+        _require_equal(add[add[:, a]], add[:, add[a]],      # (x+a)+y, x+(a+y)
+                       "additive-associativity", "(x+y)+z != x+(y+z)",
+                       lambda x, y: (x, a, y))
+        _require_equal(mul[:, add[:, a]], add[mul, mul[:, a][:, None]],
+                       "left-distributivity", "x*(y+z) != x*y+x*z",
+                       lambda x, y: (x, y, a))
+        _require_equal(mul[add[:, a]], add[mul, mul[a][None, :]],
+                       "right-distributivity", "(y+z)*x != y*x+z*x",
+                       lambda y, x: (y, a, x))
+    g = np.array(gens, dtype=np.intp)
+    gg = mul[np.ix_(g, g)]
+    _require_equal(mul[gg][:, :, g], mul[g][:, gg],         # (a*b)*c, a*(b*c)
+                   "multiplicative-associativity", "(x*y)*z != x*(y*z)",
+                   lambda i, j, k: (gens[i], gens[j], gens[k]))
 
     if unity is not None:
         if not (np.array_equal(mul[unity], idx) and np.array_equal(mul[:, unity], idx)):
@@ -599,6 +622,45 @@ def _build_zn(spec: Zn) -> dict:
                 values=values, labels=labels, parser=parser)
 
 
+# -- The coordinate builder -------------------------------------------------------
+
+def _coordinate_ring(cells: list[tuple[FiniteRing, bool]],
+                     rule: list[list[tuple[int, int]]]) -> dict:
+    """Tables of a ring whose elements are tuples of base-ring elements.
+
+    With ``cells[k] = (base, free)``, coordinate k runs over all of base
+    when free and is held at base.zero otherwise.  An element's value is
+    its tuple of free coordinates, in ``itertools.product`` order.  Sums
+    are coordinatewise; out[k] of a product sums u[i]*v[j] in the base of
+    coordinate k over the pairs (i, j) of ``rule[k]``, left to right.  Both
+    tables come from fancy indexing into the base tables over all pairs.
+    """
+    sizes = [base.size if free else 1 for base, free in cells]
+    n = math.prod(sizes)
+    digits = np.indices(sizes).reshape(len(cells), n)
+    coords = [d if free else np.full(n, base.zero)
+              for d, (base, free) in zip(digits, cells)]
+    sums = [base.add_table[c[:, None], c[None, :]] for c, (base, _) in zip(coords, cells)]
+    products = []
+    for (base, _), pairs in zip(cells, rule):
+        terms = [base.mul_table[coords[i][:, None], coords[j][None, :]] for i, j in pairs]
+        products.append(functools.reduce(lambda acc, t: base.add_table[acc, t], terms))
+    if any((p != base.zero).any() for p, (base, free) in zip(products, cells) if not free):
+        raise RingError("the pattern of held zero entries is not closed under multiplication")
+    # a held coordinate has one value and weight 0 in the element index
+    weights = [math.prod(sizes[k + 1:]) if free else 0 for k, (_, free) in enumerate(cells)]
+    free_digits = np.array([d for d, (_, free) in zip(digits, cells) if free])
+    return dict(size=n, add=sum(w * t for w, t in zip(weights, sums)).astype(_TABLE_DTYPE),
+                mul=sum(w * t for w, t in zip(weights, products)).astype(_TABLE_DTYPE),
+                values=[tuple(v) for v in free_digits.T.tolist()])
+
+
+def _matrix_rule(d: int) -> list[list[tuple[int, int]]]:
+    """Product rule of d x d matrices over row-major cells."""
+    return [[(r * d + k, k * d + c) for k in range(d)]
+            for r in range(d) for c in range(d)]
+
+
 # -- TruncPoly -----------------------------------------------------------------
 
 def _poly_label(coeffs: tuple[int, ...]) -> str:
@@ -650,28 +712,15 @@ def _poly_parse_text(text: str, p: int, m: int) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-def _build_trunc_poly(spec: TruncPoly) -> dict:
+def _build_trunc_poly(spec: TruncPoly, build) -> dict:
     p, m = spec.p, spec.m
     if not _is_prime_int(p):
         raise RingError(f"trunc_poly requires prime p, got {p}")
     if m < 1:
         raise RingError("trunc_poly requires m >= 1")
-    values = [tuple(t) for t in itertools.product(range(p), repeat=m)]
-    index = {v: i for i, v in enumerate(values)}
-    n = len(values)
-    add = np.empty((n, n), dtype=_TABLE_DTYPE)
-    mul = np.empty((n, n), dtype=_TABLE_DTYPE)
-    for i, u in enumerate(values):
-        for j, v in enumerate(values):
-            add[i, j] = index[tuple((a + b) % p for a, b in zip(u, v))]
-            prod = [0] * m
-            for s, a in enumerate(u):
-                if a:
-                    for t, b in enumerate(v):
-                        if s + t < m:
-                            prod[s + t] = (prod[s + t] + a * b) % p
-            mul[i, j] = index[tuple(prod)]
-    labels = [_poly_label(v) for v in values]
+    parts = _coordinate_ring([(build(Zn(p), check=False), True)] * m,
+                             [[(s, k - s) for s in range(k + 1)] for k in range(m)])
+    index = {v: i for i, v in enumerate(parts["values"])}
 
     def parser(ring, text):
         got = _parse_index_or_label(ring, text)
@@ -680,7 +729,8 @@ def _build_trunc_poly(spec: TruncPoly) -> dict:
         coeffs = _poly_parse_text(text, p, m)
         return index[coeffs]
 
-    return dict(size=n, add=add, mul=mul, values=values, labels=labels, parser=parser)
+    parts.update(labels=[_poly_label(v) for v in parts["values"]], parser=parser)
+    return parts
 
 
 # -- Matrix --------------------------------------------------------------------
@@ -691,32 +741,9 @@ def _build_matrix(spec: Matrix, build) -> dict:
     if d < 1:
         raise RingError("matrix requires dim >= 1")
     cells = d * d
-    values = [tuple(t) for t in itertools.product(range(base.size), repeat=cells)]
-    index = {v: i for i, v in enumerate(values)}
-    n = len(values)
-    badd = base.add_table
-    bmul = base.mul_table
-    add = np.empty((n, n), dtype=_TABLE_DTYPE)
-    mul = np.empty((n, n), dtype=_TABLE_DTYPE)
-    for i, u in enumerate(values):
-        for j, v in enumerate(values):
-            add[i, j] = index[tuple(int(badd[a, b]) for a, b in zip(u, v))]
-            prod = []
-            for r in range(d):
-                for c in range(d):
-                    acc = base.zero
-                    for k in range(d):
-                        acc = int(badd[acc, bmul[u[r * d + k], v[k * d + c]]])
-                    prod.append(acc)
-            mul[i, j] = index[tuple(prod)]
+    parts = _coordinate_ring([(base, True)] * cells, _matrix_rule(d))
+    index = {v: i for i, v in enumerate(parts["values"])}
 
-    def label(v):
-        rows = []
-        for r in range(d):
-            rows.append("[" + ",".join(base.label(v[r * d + c]) for c in range(d)) + "]")
-        return "[" + ",".join(rows) + "]"
-
-    labels = [label(v) for v in values]
     unit_re = re.compile(r"^E([1-9])([1-9])$")
 
     def parser(ring, text):
@@ -737,7 +764,13 @@ def _build_matrix(spec: Matrix, build) -> dict:
         rows = _parse_matrix_rows(text, d, base)
         return index[tuple(itertools.chain.from_iterable(rows))]
 
-    return dict(size=n, add=add, mul=mul, values=values, labels=labels, parser=parser)
+    parts.update(labels=[_matrix_label(base, d, v) for v in parts["values"]], parser=parser)
+    return parts
+
+
+def _matrix_label(base: FiniteRing, d: int, cells) -> str:
+    rows = (cells[r * d:(r + 1) * d] for r in range(d))
+    return "[" + ",".join("[" + ",".join(map(base.label, row)) + "]" for row in rows) + "]"
 
 
 def _parse_matrix_rows(text: str, d: int, base: FiniteRing) -> list[list[int]]:
@@ -768,46 +801,15 @@ _TRI_ZERO_POSITIONS = ((1, 0), (1, 1), (2, 0), (2, 1))
 
 def _build_tri_pattern(spec: TriPattern, build) -> dict:
     base = build(spec.base, check=False)
-    values = [tuple(t) for t in itertools.product(range(base.size), repeat=5)]
-    index = {v: i for i, v in enumerate(values)}
-    n = len(values)
-    badd = base.add_table
-    bmul = base.mul_table
-
-    def expand(v):
-        m = [[base.zero] * 3 for _ in range(3)]
-        for (r, c), entry in zip(_TRI_POSITIONS, v):
-            m[r][c] = entry
-        return m
-
-    def compress(m):
-        for r, c in _TRI_ZERO_POSITIONS:
-            if m[r][c] != base.zero:
-                raise RingError("triangular pattern is not closed under multiplication")
-        return tuple(m[r][c] for r, c in _TRI_POSITIONS)
-
-    add = np.empty((n, n), dtype=_TABLE_DTYPE)
-    mul = np.empty((n, n), dtype=_TABLE_DTYPE)
-    for i, u in enumerate(values):
-        mu = expand(u)
-        for j, v in enumerate(values):
-            add[i, j] = index[tuple(int(badd[a, b]) for a, b in zip(u, v))]
-            mv = expand(v)
-            prod = [[base.zero] * 3 for _ in range(3)]
-            for r in range(3):
-                for c in range(3):
-                    acc = base.zero
-                    for k in range(3):
-                        acc = int(badd[acc, bmul[mu[r][k], mv[k][c]]])
-                    prod[r][c] = acc
-            mul[i, j] = index[compress(prod)]
+    parts = _coordinate_ring(
+        [(base, (r, c) in _TRI_POSITIONS) for r in range(3) for c in range(3)],
+        _matrix_rule(3))
+    index = {v: i for i, v in enumerate(parts["values"])}
 
     def label(v):
-        m = expand(v)
-        return "[" + ",".join(
-            "[" + ",".join(base.label(e) for e in row) + "]" for row in m) + "]"
-
-    labels = [label(v) for v in values]
+        at = dict(zip(_TRI_POSITIONS, v))
+        return _matrix_label(base, 3, [at.get((r, c), base.zero)
+                                       for r in range(3) for c in range(3)])
 
     def parser(ring, text):
         text = text.strip()
@@ -827,7 +829,8 @@ def _build_tri_pattern(spec: TriPattern, build) -> dict:
                     f"{text!r} has a nonzero entry outside the stored pattern")
         return index[tuple(flat[r * 3 + c] for r, c in _TRI_POSITIONS)]
 
-    return dict(size=n, add=add, mul=mul, values=values, labels=labels, parser=parser)
+    parts.update(labels=[label(v) for v in parts["values"]], parser=parser)
+    return parts
 
 
 # -- Product ---------------------------------------------------------------------
@@ -836,16 +839,9 @@ def _build_product(spec: Product, build) -> dict:
     if not spec.factors:
         raise RingError("product requires at least one factor")
     factors = [build(f, check=False) for f in spec.factors]
-    values = [tuple(t) for t in itertools.product(*[range(f.size) for f in factors])]
-    index = {v: i for i, v in enumerate(values)}
-    n = len(values)
-    add = np.empty((n, n), dtype=_TABLE_DTYPE)
-    mul = np.empty((n, n), dtype=_TABLE_DTYPE)
-    for i, u in enumerate(values):
-        for j, v in enumerate(values):
-            add[i, j] = index[tuple(int(f.add_table[a, b]) for f, a, b in zip(factors, u, v))]
-            mul[i, j] = index[tuple(int(f.mul_table[a, b]) for f, a, b in zip(factors, u, v))]
-    labels = ["(" + ",".join(f.label(c) for f, c in zip(factors, v)) + ")" for v in values]
+    parts = _coordinate_ring([(f, True) for f in factors],
+                             [[(k, k)] for k in range(len(factors))])
+    index = {v: i for i, v in enumerate(parts["values"])}
 
     def parser(ring, text):
         text = text.strip()
@@ -855,12 +851,14 @@ def _build_product(spec: Product, build) -> dict:
         s = text.replace(" ", "")
         if not (s.startswith("(") and s.endswith(")")):
             raise ElementParseError(f"cannot parse {text!r} as a product element")
-        parts = _split_top(s[1:-1], ",")
-        if len(parts) != len(factors):
+        components = _split_top(s[1:-1], ",")
+        if len(components) != len(factors):
             raise ElementParseError(f"expected {len(factors)} components in {text!r}")
-        return index[tuple(f.parse(p) for f, p in zip(factors, parts))]
+        return index[tuple(f.parse(p) for f, p in zip(factors, components))]
 
-    return dict(size=n, add=add, mul=mul, values=values, labels=labels, parser=parser)
+    parts.update(labels=["(" + ",".join(f.label(c) for f, c in zip(factors, v)) + ")"
+                         for v in parts["values"]], parser=parser)
+    return parts
 
 
 # -- Tables ------------------------------------------------------------------------
@@ -902,7 +900,7 @@ def build_ring(spec: RingSpec, check: bool = True,
                max_size: Optional[int] = None) -> FiniteRing:
     """Construct the ring described by spec.
 
-    check=True (the default) runs the exhaustive axiom scan; pass False
+    check=True (the default) runs the exact axiom check; pass False
     only for trusted generated specs.  Rings larger than the size
     ceiling are refused so suites stay tractable.
     """
@@ -936,7 +934,7 @@ def build_ring(spec: RingSpec, check: bool = True,
         if isinstance(s, Zn):
             parts = _build_zn(s)
         elif isinstance(s, TruncPoly):
-            parts = _build_trunc_poly(s)
+            parts = _build_trunc_poly(s, _build)
         elif isinstance(s, Matrix):
             parts = _build_matrix(s, _build)
         elif isinstance(s, TriPattern):
