@@ -91,7 +91,7 @@ class Integral:
 
 
 def _integrate_with_flag(ring: FiniteRing, dmap: AdditiveMap, x: int,
-                         flag: str, method: str) -> Integral:
+                         flag: str) -> Integral:
     if dmap.ring is not ring:
         raise RingError("map belongs to a different ring")
     if flag == "derivation" and not dmap.is_derivation:
@@ -101,29 +101,20 @@ def _integrate_with_flag(ring: FiniteRing, dmap: AdditiveMap, x: int,
     x = int(x)
     if not 0 <= x < ring.size:
         raise RingError(f"element index {x} out of range for ring of size {ring.size}")
-    if method == "scan":
-        members = [y for y in range(ring.size) if int(dmap.table[y]) == x]
-        rep = members[0] if members else None
-    elif method == "index":
-        pre = dmap.preimages.get(x, ())
-        rep = pre[0] if pre else None
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    if rep is None:
+    rep = int(dmap.fibres.rep[x])
+    if rep < 0:
         return Integral(ring, dmap, x, None, None)
     return Integral(ring, dmap, x, rep, dmap.kernel)
 
 
-def integrate(ring: FiniteRing, dmap: AdditiveMap, x: int,
-              method: str = "index") -> Integral:
+def integrate(ring: FiniteRing, dmap: AdditiveMap, x: int) -> Integral:
     """All y with d(y) = x, for a validated derivation d."""
-    return _integrate_with_flag(ring, dmap, x, "derivation", method)
+    return _integrate_with_flag(ring, dmap, x, "derivation")
 
 
-def jordan_integrate(ring: FiniteRing, dmap: AdditiveMap, x: int,
-                     method: str = "index") -> Integral:
+def jordan_integrate(ring: FiniteRing, dmap: AdditiveMap, x: int) -> Integral:
     """All y with δ(y) = x, for a validated Jordan derivation δ."""
-    return _integrate_with_flag(ring, dmap, x, "jordan", method)
+    return _integrate_with_flag(ring, dmap, x, "jordan")
 
 
 # ---------------------------------------------------------------------------

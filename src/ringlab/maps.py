@@ -26,6 +26,7 @@ results come back sorted lexicographically by table.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from math import gcd
 from typing import Optional
@@ -131,6 +132,45 @@ def check_jordan_derivation(ring: FiniteRing, table, pairs: str = "all"):
 
 
 # ---------------------------------------------------------------------------
+# Fibres
+
+
+@dataclass(frozen=True)
+class Fibres:
+    """The fibres {y : f(y) = x} of one map, as read-only arrays.
+
+    rep[x] is the least element of the fibre of x, or -1 when it is empty,
+    and ker marks the kernel.  values holds the image in increasing order.
+    Row g of members holds the fibre of values[g] in increasing order, in
+    the cells that present marks; the other cells hold valid but
+    meaningless indices.
+    """
+
+    rep: np.ndarray
+    ker: np.ndarray
+    values: np.ndarray
+    members: np.ndarray
+    present: np.ndarray
+
+
+def _fibre_index(table: np.ndarray, kernel: ElementSet) -> Fibres:
+    n = len(table)
+    order = np.argsort(table, kind="stable")
+    values, starts, counts = np.unique(table[order], return_index=True,
+                                       return_counts=True)
+    cols = np.arange(counts.max())
+    present = cols[None, :] < counts[:, None]
+    members = order[np.minimum(starts[:, None] + cols[None, :], n - 1)]
+    rep = np.full(n, -1, dtype=np.intp)
+    rep[values] = order[starts]
+    ker = np.zeros(n, dtype=bool)
+    ker[list(kernel.elements)] = True
+    for arr in (rep, ker, values, members, present):
+        arr.flags.writeable = False
+    return Fibres(rep, ker, values, members, present)
+
+
+# ---------------------------------------------------------------------------
 # The map class
 
 
@@ -138,7 +178,7 @@ class AdditiveMap:
     """A validated additive self-map with lazily computed law flags."""
 
     __slots__ = ("ring", "table", "_derivation", "_jordan", "_inner",
-                 "_kernel", "_image", "_preimages")
+                 "_kernel", "_image", "_fibres", "_preimages")
 
     def __init__(self, ring: FiniteRing, table, *, _trusted: bool = False,
                  _derivation: Optional[bool] = None, _jordan: Optional[bool] = None,
@@ -156,6 +196,7 @@ class AdditiveMap:
         self._inner = _inner      # -1 = unknown, None = not inner, int = witness
         self._kernel = None
         self._image = None
+        self._fibres = None
         self._preimages = None
 
     @classmethod
@@ -212,7 +253,7 @@ class AdditiveMap:
             self._inner = found
         return self._inner
 
-    # -- kernel / image / preimages ------------------------------------------
+    # -- kernel / image / fibres ----------------------------------------------
 
     @property
     def kernel(self) -> ElementSet:
@@ -233,13 +274,22 @@ class AdditiveMap:
         return self._image
 
     @property
+    def fibres(self) -> Fibres:
+        """The fibre index, built once on first use.  It is published by a
+        single assignment, so a reader in another thread sees either no
+        index or a whole one."""
+        if self._fibres is None:
+            self._fibres = _fibre_index(self.table, self.kernel)
+        return self._fibres
+
+    @property
     def preimages(self) -> dict[int, tuple[int, ...]]:
         """value -> sorted tuple of elements mapping to it."""
         if self._preimages is None:
-            buckets: dict[int, list[int]] = {}
-            for x, v in enumerate(self.table):
-                buckets.setdefault(int(v), []).append(x)
-            self._preimages = {v: tuple(xs) for v, xs in buckets.items()}
+            fib = self.fibres
+            self._preimages = {int(v): tuple(row[keep].tolist())
+                               for v, row, keep in zip(fib.values, fib.members,
+                                                       fib.present)}
         return self._preimages
 
     def describe(self) -> dict:
@@ -306,18 +356,6 @@ def formal_derivative(ring: FiniteRing) -> AdditiveMap:
         raise MapLawError(f"the formal derivative of Z{p}[X]/(X^{m}) fails "
                           f"the Leibniz law at {witness}")
     return AdditiveMap(ring, table, _derivation=True, _jordan=True)
-
-
-def image(ring: FiniteRing, f: AdditiveMap) -> ElementSet:
-    if f.ring is not ring:
-        raise RingError("map belongs to a different ring")
-    return f.image
-
-
-def kernel(ring: FiniteRing, f: AdditiveMap) -> ElementSet:
-    if f.ring is not ring:
-        raise RingError("map belongs to a different ring")
-    return f.kernel
 
 
 # ---------------------------------------------------------------------------
@@ -511,10 +549,14 @@ def _kernel_basis(A: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _check_listed(ring: FiniteRing, gens: np.ndarray, F: np.ndarray):
     """Every table of the block F is additive and satisfies the Leibniz
-    law on generator pairs, or the solver is at fault."""
+    law on generator pairs, or the solver is at fault.
+
+    Additivity is checked as f(x + g) = f(x) + f(g) for every x and every
+    generator g, which is exact: x = 0 gives f(0) = 0, and induction on a
+    sum of generators y gives f(x + y) = f(x) + f(y)."""
     add, mul = ring.add_table, ring.mul_table
-    additive = (F[:, add] == add[F[:, :, None], F[:, None, :]]).all(axis=(1, 2))
     Fg = F[:, gens]
+    additive = (F[:, add[:, gens]] == add[F[:, :, None], Fg[:, None, :]]).all(axis=(1, 2))
     lhs = F[:, mul[np.ix_(gens, gens)]]
     rhs = add[mul[Fg[:, :, None], gens[None, None, :]],
               mul[gens[None, :, None], Fg[:, None, :]]]
@@ -542,7 +584,7 @@ def enumerate_derivations(ring: FiniteRing, progress=None) -> list[AdditiveMap]:
     gens = np.array(basis.generators, dtype=np.intp)
     A = _leibniz_rows(o, coords[ring.mul_table[np.ix_(gens, gens)]])
     H, radix = _kernel_basis(np.unique(A[A.any(axis=1)], axis=0), N)
-    total = int(np.prod(radix))
+    total = math.prod(int(r) for r in radix)     # Python ints do not wrap
     if total > MAX_LISTED_MAPS:
         raise TooManyMapsError(
             total, f"the ring has {total} derivations, more than the "
@@ -552,7 +594,8 @@ def enumerate_derivations(ring: FiniteRing, progress=None) -> list[AdditiveMap]:
     element = np.empty(n, dtype=np.int32)
     element[coords @ strides] = np.arange(n)
     digit_strides = np.cumprod(np.concatenate([[1], radix]))[:-1].astype(np.int64)
-    step = max(1, _CELLS // (n * n))
+    # a listed map's largest temporaries are its n×k images and k×k D
+    step = max(1, _CELLS // (max(1, k) * (n + k)))
     blocks = []
     for start in range(0, total, step):
         ids = np.arange(start, min(total, start + step), dtype=np.int64)

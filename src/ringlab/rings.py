@@ -953,6 +953,10 @@ def build_ring(spec: RingSpec, check: bool = True,
         else:
             idx = np.arange(parts["size"], dtype=_TABLE_DTYPE)
             zero_rows = np.flatnonzero((parts["add"] == idx[None, :]).all(axis=1))
+            if len(zero_rows) != 1:
+                # an unchecked nested tables base is still user input
+                raise RingAxiomError("additive-identity", (),
+                                     "addition table has no unique identity row")
             zero = int(zero_rows[0])
         unity = _detect_unity(parts["mul"])
         if declared is not None and unity != declared:

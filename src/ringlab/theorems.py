@@ -176,20 +176,18 @@ def _pair_blocks(n: int, config: CheckerConfig, rec: _Recorder):
 class _Membership:
     """y ∈ i_d(x) for one map, over whole arrays of elements.
 
-    rep[x] is the first preimage of x, or -1 when i_d(x) is empty, and ker
-    is the kernel as a mask.  y ∈ i_d(x) ⇔ rep[x] ≥ 0 and y − rep[x] ∈ Ker,
-    the predicate of Integral.contains.  A sum of nonempty integrals is
+    rep and ker are the map's fibre index (AdditiveMap.fibres): rep[x] is
+    the first preimage of x, or -1 when i_d(x) is empty, and ker is the
+    kernel as a mask.  y ∈ i_d(x) ⇔ rep[x] ≥ 0 and y − rep[x] ∈ Ker, the
+    predicate of Integral.contains.  A sum of nonempty integrals is
     (Σ reps) + Ker, since AdditiveMap.kernel verifies that Ker is a
     subgroup.
     """
 
     def __init__(self, ring: FiniteRing, dmap: AdditiveMap):
         self.ring = ring
-        values, first = np.unique(dmap.table, return_index=True)
-        self.rep = np.full(ring.size, -1, dtype=np.intp)
-        self.rep[values] = first
-        self.ker = np.zeros(ring.size, dtype=bool)
-        self.ker[list(dmap.kernel.elements)] = True
+        self.rep = dmap.fibres.rep
+        self.ker = dmap.fibres.ker
 
     def sub(self, a, b):
         return self.ring.add_table[a, self.ring.neg_table[b]]
@@ -221,30 +219,15 @@ def _check_additivity(rec: _Recorder, mem: _Membership, image):
                                     "x": int(u[i]), "y": int(u[j])})
 
 
-def _preimage_rows(dmap: AdditiveMap):
-    """The preimages of a map as a padded matrix.
-
-    values holds the image in increasing order.  Row g of members holds
-    the preimage of values[g] in increasing order, in the cells that
-    present marks; the other cells hold valid but meaningless indices.
-    """
-    order = np.argsort(dmap.table, kind="stable")
-    values, starts, counts = np.unique(dmap.table[order], return_index=True,
-                                       return_counts=True)
-    cols = np.arange(counts.max())
-    present = cols[None, :] < counts[:, None]
-    members = order[np.minimum(starts[:, None] + cols[None, :], len(order) - 1)]
-    return values, members, present
-
-
 def _member_triples(dmap: AdditiveMap):
     """(x, y, Z, present): for every x in the image in increasing order and
     every y in its preimage, one row whose present cells of Z list that
     preimage again -- the loop order of `for x: for y in pre[x]: for z in
     pre[x]`."""
-    values, members, present = _preimage_rows(dmap)
-    group = np.repeat(np.arange(len(values)), present.sum(axis=1))
-    return values[group], members[present], members[group], present[group]
+    fib = dmap.fibres
+    group = np.repeat(np.arange(len(fib.values)), fib.present.sum(axis=1))
+    return (fib.values[group], fib.members[fib.present], fib.members[group],
+            fib.present[group])
 
 
 # ---------------------------------------------------------------------------
@@ -355,16 +338,26 @@ def verify_coset_structure(ring: FiniteRing, dmap: AdditiveMap,
     with each member reached by exactly one kernel offset."""
     _require_map(ring, dmap, "derivation")
     rec = _Recorder("coset-structure", ring)
-    karr = np.asarray(dmap.kernel.elements)
-    for x in sorted(dmap.preimages):
-        members = dmap.preimages[x]
-        expect = np.asarray(members)
-        for y in members:
-            shifted = ring.add_table[y, karr]
-            rec.check(bool(np.array_equal(np.sort(shifted), expect)),
-                      {"kind": "coset-mismatch", "x": x, "y": int(y)})
-            rec.check(len(np.unique(shifted)) == len(karr),
-                      {"kind": "nonunique-kernel-offset", "x": x, "y": int(y)})
+    fib = dmap.fibres
+    karr = np.flatnonzero(fib.ker)
+    k = len(karr)
+    counts = fib.present.sum(axis=1)
+    # one row per member y of each preimage, x in increasing order: the
+    # sorted coset y + Ker equals the preimage, and its offsets are distinct
+    group = np.repeat(np.arange(len(fib.values)), counts)
+    ys = fib.members[fib.present]
+    kinds = ("coset-mismatch", "nonunique-kernel-offset")
+    rows = max(1, _BLOCK // max(1, k))
+    for s in range(0, len(ys), rows):
+        g, y = group[s:s + rows], ys[s:s + rows]
+        shifted = np.sort(ring.add_table[y[:, None], karr[None, :]], axis=1)
+        same = counts[g] == k
+        if k <= fib.members.shape[1]:
+            same &= (shifted == fib.members[g, :k]).all(axis=1)
+        distinct = (np.diff(shifted, axis=1) != 0).all(axis=1)
+        rec.check_all(np.column_stack([same, distinct]),
+                      lambda i, j: {"kind": kinds[j], "x": int(fib.values[g[i]]),
+                                    "y": int(y[i])})
     return rec.finish()
 
 
@@ -379,37 +372,66 @@ def verify_kernel_scaling(ring: FiniteRing, dmap: AdditiveMap,
     also records one witness that the inclusion can be strict."""
     _require_map(ring, dmap, "derivation")
     rec = _Recorder("kernel-scaling", ring)
-    pre = dmap.preimages
+    fib = dmap.fibres
+    d, mul = dmap.table, ring.mul_table
+    n = ring.size
+    sizes = np.bincount(d, minlength=n)      # |i_d(x)|
+    ws = np.flatnonzero(fib.ker)
+    if ring.unity is not None:
+        invertible = ring.inverse_table()[ws] >= 0
+    else:
+        invertible = np.zeros(len(ws), dtype=bool)
+    # one row per (w, x), x over the image in increasing order; an x with an
+    # empty integral has two vacuously true inclusions and no row.  Columns:
+    # left and right inclusion, both targets nonempty, left and right
+    # equality (a check only for invertible w).
+    x, members, present = fib.values, fib.members, fib.present
+    groups = len(x)
+    kinds = ("left-scaling-escape", "right-scaling-escape",
+             "scaled-integral-empty", "left-scaling-not-equal",
+             "right-scaling-not-equal")
     strict_seen = False
-    for w in dmap.kernel.elements:
-        invertible = ring.unity is not None and ring.invert(w) is not None
-        for x in range(ring.size):
-            members = pre.get(x)
-            wx = ring.mul(w, x)
-            xw = ring.mul(x, w)
-            if members is None:
-                rec.instances += 2  # both inclusions hold vacuously
-                continue
-            arr = np.asarray(members)
-            left = set(map(int, ring.mul_table[w, arr]))
-            right = set(map(int, ring.mul_table[arr, w]))
-            target_l = set(pre.get(wx, ()))
-            target_r = set(pre.get(xw, ()))
-            rec.check(left <= target_l,
-                      {"kind": "left-scaling-escape", "w": int(w), "x": x})
-            rec.check(right <= target_r,
-                      {"kind": "right-scaling-escape", "w": int(w), "x": x})
-            rec.check(bool(target_l) and bool(target_r),
-                      {"kind": "scaled-integral-empty", "w": int(w), "x": x})
-            if invertible:
-                rec.check(left == target_l,
-                          {"kind": "left-scaling-not-equal", "w": int(w), "x": x})
-                rec.check(right == target_r,
-                          {"kind": "right-scaling-not-equal", "w": int(w), "x": x})
-            elif not strict_seen and left < target_l:
-                rec.note({"kind": "strict-inclusion", "w": int(w), "x": x,
-                          "scaled_size": len(left), "integral_size": len(target_l)})
-                strict_seen = True
+    step = max(1, _BLOCK // members.size)
+    for s in range(0, len(ws), step):
+        w = ws[s:s + step, None]
+        inv = invertible[s:s + step, None, None]
+        sides = []
+        for wx, wy in ((mul[w, x], mul[w[:, :, None], members]),
+                       (mul[x, w], mul[members, w[:, :, None]])):
+            # d(w·y) = w·x itself, not the coset predicate: that one equals
+            # it only where the fibres are kernel cosets
+            inside = (~present | (d[wy] == wx[:, :, None])).all(axis=2)
+            # |w·i_d(x)|: distinct cells of the sorted row, with the padding
+            # cells repeating its first member
+            scaled = np.sort(np.where(present, wy, wy[:, :, :1]), axis=2)
+            distinct = 1 + np.count_nonzero(np.diff(scaled, axis=2), axis=2)
+            sides.append((sizes[wx], inside, distinct))
+        (target_l, left_in, left_n), (target_r, right_in, right_n) = sides
+        ok = np.stack([left_in, right_in, (target_l > 0) & (target_r > 0),
+                       left_in & (left_n == target_l),
+                       right_in & (right_n == target_r)], axis=-1)
+        live = np.ones(ok.shape, dtype=bool)
+        live[..., 3:] = inv
+        notes = []
+        strict = (~inv[..., 0] & left_in & (left_n < target_l)).ravel()
+        if not strict_seen and strict.any():
+            row = int(np.argmax(strict))
+            i, g = divmod(row, groups)
+            # the loop records this note after the failures of its own row,
+            # and check_all puts a note ahead of the failures of its row
+            notes.append((row + 1, {"kind": "strict-inclusion", "w": int(w[i, 0]),
+                                    "x": int(x[g]),
+                                    "scaled_size": int(left_n[i, g]),
+                                    "integral_size": int(target_l[i, g])}))
+            strict_seen = True
+
+        def witness(row, col):
+            i, g = divmod(row, groups)
+            return {"kind": kinds[col], "w": int(w[i, 0]), "x": int(x[g])}
+
+        rec.check_all(ok.reshape(-1, 5), witness, notes,
+                      present=live.reshape(-1, 5))
+        rec.instances += 2 * (n - groups) * len(w)
     return rec.finish()
 
 
@@ -572,7 +594,8 @@ def verify_power_rules(ring: FiniteRing, dmap: AdditiveMap,
 
     # transfer rules: scaling an antiderivative by an invertible integer.
     # One row per (n, y): the preimage of n*y, then the transfer-up check.
-    values, members, in_pre = _preimage_rows(dmap)
+    fib = dmap.fibres
+    values, members, in_pre = fib.values, fib.members, fib.present
     group = np.full(n, -1, dtype=np.intp)
     group[values] = np.arange(len(values))
     y = np.arange(n)
@@ -631,7 +654,8 @@ def verify_jordan_suite(ring: FiniteRing, delta: AdditiveMap,
     # preimage of x; then d maps the preimage onto {x}.  Kernel offsets are
     # distinct, so the sorted coset equals the preimage exactly when the
     # sizes agree and every offset stays inside.
-    values, members, in_pre = _preimage_rows(delta)
+    fib = delta.fibres
+    values, members, in_pre = fib.values, fib.members, fib.present
     karr = np.flatnonzero(mem.ker)
     counts = np.bincount(d, minlength=n)
     stays = (d[add[elems[:, None], karr[None, :]]] == d[:, None]).all(axis=1)

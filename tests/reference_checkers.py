@@ -1,11 +1,12 @@
 """Loop-form reference checkers, kept as the oracle for ringlab.theorems.
 
 These are the per-element and per-pair loops that ringlab.theorems used
-before its checkers (separation included) became array identities over
-the Cayley tables.  They call Integral.contains or compare Integral values
-one instance at a time, so they are slow, but each reads as the statement
-of its law.  tests/test_reference_checkers.py
-requires the reports of both forms to be equal apart from runtime.
+before its checkers (separation, coset-structure and kernel-scaling
+included) became array identities over the Cayley tables.  They call
+Integral.contains, compare Integral values or compare preimage sets one
+instance at a time, so they are slow, but each reads as the statement of
+its law.  tests/test_reference_checkers.py requires the reports of both
+forms to be equal apart from runtime.
 """
 
 from __future__ import annotations
@@ -158,6 +159,74 @@ def verify_kernel_constants(ring: FiniteRing, dmap: AdditiveMap,
                           {"kind": "shifted-left", "y": y, "n": m, "m": mm})
                 rec.check(cur.contains(ring.add(y, ring.mul(b, ib))),
                           {"kind": "shifted-right", "y": y, "n": m, "m": mm})
+    return rec.finish()
+
+
+# ---------------------------------------------------------------------------
+# coset-structure
+
+
+def verify_coset_structure(ring: FiniteRing, dmap: AdditiveMap,
+                           config: Optional[CheckerConfig] = None) -> TheoremReport:
+    """Every nonempty integral equals y + Ker(d) for each of its members,
+    with each member reached by exactly one kernel offset."""
+    _require_map(ring, dmap, "derivation")
+    rec = _Recorder("coset-structure", ring)
+    karr = np.asarray(dmap.kernel.elements)
+    for x in sorted(dmap.preimages):
+        members = dmap.preimages[x]
+        expect = np.asarray(members)
+        for y in members:
+            shifted = ring.add_table[y, karr]
+            rec.check(bool(np.array_equal(np.sort(shifted), expect)),
+                      {"kind": "coset-mismatch", "x": x, "y": int(y)})
+            rec.check(len(np.unique(shifted)) == len(karr),
+                      {"kind": "nonunique-kernel-offset", "x": x, "y": int(y)})
+    return rec.finish()
+
+
+# ---------------------------------------------------------------------------
+# kernel-scaling
+
+
+def verify_kernel_scaling(ring: FiniteRing, dmap: AdditiveMap,
+                          config: Optional[CheckerConfig] = None) -> TheoremReport:
+    """Multiplying an integral by a kernel element lands inside the integral
+    of the scaled element, with equality for invertible kernel elements;
+    also records one witness that the inclusion can be strict."""
+    _require_map(ring, dmap, "derivation")
+    rec = _Recorder("kernel-scaling", ring)
+    pre = dmap.preimages
+    strict_seen = False
+    for w in dmap.kernel.elements:
+        invertible = ring.unity is not None and ring.invert(w) is not None
+        for x in range(ring.size):
+            members = pre.get(x)
+            wx = ring.mul(w, x)
+            xw = ring.mul(x, w)
+            if members is None:
+                rec.instances += 2  # both inclusions hold vacuously
+                continue
+            arr = np.asarray(members)
+            left = set(map(int, ring.mul_table[w, arr]))
+            right = set(map(int, ring.mul_table[arr, w]))
+            target_l = set(pre.get(wx, ()))
+            target_r = set(pre.get(xw, ()))
+            rec.check(left <= target_l,
+                      {"kind": "left-scaling-escape", "w": int(w), "x": x})
+            rec.check(right <= target_r,
+                      {"kind": "right-scaling-escape", "w": int(w), "x": x})
+            rec.check(bool(target_l) and bool(target_r),
+                      {"kind": "scaled-integral-empty", "w": int(w), "x": x})
+            if invertible:
+                rec.check(left == target_l,
+                          {"kind": "left-scaling-not-equal", "w": int(w), "x": x})
+                rec.check(right == target_r,
+                          {"kind": "right-scaling-not-equal", "w": int(w), "x": x})
+            elif not strict_seen and left < target_l:
+                rec.note({"kind": "strict-inclusion", "w": int(w), "x": x,
+                          "scaled_size": len(left), "integral_size": len(target_l)})
+                strict_seen = True
     return rec.finish()
 
 

@@ -197,6 +197,31 @@ def test_derivations_too_many_to_list(tmp_path, capsys):
                  "--checkers", "basic"]) == 2
 
 
+@pytest.mark.parametrize("bits", [7, 8])
+def test_derivation_count_beyond_int64_is_refused(tmp_path, capsys, bits):
+    """The zero rings on F2^7 and F2^8 have 2^49 and 2^64 derivations; the
+    count must not wrap in int64 on the way to the refusal."""
+    n = 2 ** bits
+    spec = {"kind": "tables", "size": n,
+            "add": [[x ^ y for y in range(n)] for x in range(n)],
+            "mul": [[0] * n for _ in range(n)]}
+    path = _spec_file(tmp_path, f"zero{n}.json", spec)
+    assert main(["derivations", "--ring", path]) == 2
+    captured = capsys.readouterr()
+    assert str(2 ** (bits * bits)) in captured.err
+    assert captured.out == ""
+
+
+def test_nested_tables_base_without_zero_is_refused(capsys):
+    spec = {"kind": "matrix", "dim": 1,
+            "base": {"kind": "tables", "size": 2, "add": [[1, 1], [1, 1]],
+                     "mul": [[0, 0], [0, 0]]}}
+    assert main(["ring-info", "--ring", json.dumps(spec)]) == 2
+    captured = capsys.readouterr()
+    assert "identity" in captured.err
+    assert captured.out == ""
+
+
 def test_enumerate_index_selection(zn4_file, capsys):
     assert main(["verify", "--ring", zn4_file, "--map", "enumerate:jordan#1",
                  "--checkers", "separation", "--format", "json"]) == 0

@@ -13,7 +13,8 @@ from ringlab import (AdditiveMap, MapLawError, NotAdditiveError, Product,
                      check_jordan_derivation, enumerate_derivations,
                      enumerate_jordan_derivations, formal_derivative,
                      generator_basis, inner_derivation, spec_name, zero_map)
-from ringlab.maps import _kernel_basis
+from ringlab import maps
+from ringlab.maps import _check_listed, _kernel_basis
 
 
 def _tables(elements, add, mul, unity=None):
@@ -320,6 +321,27 @@ def test_listing_cap_reports_the_count():
     assert err.value.count == 2 ** 25
     # a listing at the cap itself goes through
     assert len(enumerate_derivations(build_ring(_zero_ring((2,) * 4)))) == 2 ** 16
+
+
+def test_count_between_2_63_and_2_64_is_refused(zn4, monkeypatch):
+    """A kernel whose radices multiply to 3·2^62, in [2^63, 2^64): the
+    count is exact and refused, not wrapped below the cap."""
+    radix = np.array([2] * 62 + [3], dtype=np.int64)
+    monkeypatch.setattr(maps, "_kernel_basis",
+                        lambda A, N: (np.zeros((len(radix), 1), dtype=np.int64), radix))
+    with pytest.raises(TooManyMapsError) as err:
+        enumerate_derivations(zn4)
+    assert err.value.count == 3 * 2 ** 62
+
+
+def test_listing_check_rejects_a_non_additive_table():
+    """On the zero ring on Z4 every table with f(0) = 0 passes the Leibniz
+    law on generator pairs, so only the additivity check can catch one."""
+    ring = build_ring(_zero_ring((4,)))
+    gens = np.array(generator_basis(ring).generators, dtype=np.intp)
+    _check_listed(ring, gens, np.array([[0, 1, 2, 3], [0, 3, 2, 1]]))
+    with pytest.raises(MapLawError):
+        _check_listed(ring, gens, np.array([[0, 1, 2, 3], [0, 1, 3, 2]]))
 
 
 @pytest.mark.parametrize("N", [2, 4, 6, 8, 9, 12])

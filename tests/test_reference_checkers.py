@@ -8,19 +8,28 @@ capped at MAX_WITNESSES) and seed.
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
 import reference_checkers as ref
 from conftest import CORPUS_SPECS
-from ringlab import (AdditiveMap, CheckerConfig, Matrix, TriPattern,
-                     TruncPoly, Zn, build_ring, enumerate_derivations,
-                     enumerate_jordan_derivations, formal_derivative,
-                     inner_derivation, spec_name, theorems)
+from ringlab import (AdditiveMap, CheckerConfig, MapLawError, Matrix,
+                     Product, Tables, TriPattern, TruncPoly, Zn, build_ring,
+                     enumerate_derivations, enumerate_jordan_derivations,
+                     formal_derivative, inner_derivation, spec_name, theorems,
+                     zero_map)
+
+# the two checkers that read the padded preimage rows of the fibre index
+FIBRE_PAIRS = [
+    (theorems.verify_coset_structure, ref.verify_coset_structure),
+    (theorems.verify_kernel_scaling, ref.verify_kernel_scaling),
+]
 
 DERIVATION_PAIRS = [
     (theorems.verify_basic, ref.verify_basic),
     (theorems.verify_kernel_constants, ref.verify_kernel_constants),
+    *FIBRE_PAIRS,
     (theorems.verify_combination_rules, ref.verify_combination_rules),
     (theorems.verify_additivity_and_parts, ref.verify_additivity_and_parts),
     (theorems.verify_power_rules, ref.verify_power_rules),
@@ -118,3 +127,73 @@ def test_pair_blocks_split_the_stream(config, monkeypatch):
     _compare(m2z2, _forged(m2z2, TANGLED), CONFIGS[config])
     tp33 = build_ring(TruncPoly(3, 3))
     _compare(tp33, formal_derivative(tp33), CONFIGS[config])
+
+
+# Rings of up to 256 elements, where the two fibre checkers scale kernels
+# of up to 256 elements; the other loop forms are too slow here.
+LARGE_SPECS = [TriPattern(Zn(3)), TruncPoly(2, 8), Zn(256),
+               Product((Zn(16), Zn(16)))]
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+@pytest.mark.parametrize("spec", LARGE_SPECS, ids=spec_name)
+def test_large_rings_fibre_checkers_match_reference(spec, config):
+    ring = build_ring(spec)
+    maps = [zero_map(ring)]
+    if isinstance(spec, TruncPoly):
+        maps.append(formal_derivative(ring))
+    if isinstance(spec, TriPattern):
+        maps.append(inner_derivation(ring, ring.parse("A")))
+    for amap in maps:
+        for new, old in FIBRE_PAIRS:
+            assert (_strip(new(ring, amap, CONFIGS[config]))
+                    == _strip(old(ring, amap, CONFIGS[config])))
+
+
+def _relabelled(spec, perm):
+    """spec's ring as a tables ring whose element i is element perm[i]."""
+    base = build_ring(spec)
+    back = {p: i for i, p in enumerate(perm)}
+    n = len(perm)
+    return build_ring(Tables(
+        n, [[back[base.add(perm[i], perm[j])] for j in range(n)] for i in range(n)],
+        [[back[base.mul(perm[i], perm[j])] for j in range(n)] for i in range(n)],
+        back[base.unity]))
+
+
+def test_strict_inclusion_note_follows_the_failures_of_its_row():
+    """With zero relabelled away from index 0, a forged map's first strict
+    inclusion falls on a (w, x) row that also fails: the loop records the
+    note after that row's failures."""
+    ring = _relabelled(Matrix(Zn(2), 2),
+                       [3, 8, 10, 14, 6, 12, 13, 9, 1, 4, 5, 7, 15, 0, 11, 2])
+    amap = _forged(ring, [1, 5, 9, 9, 1, 5, 5, 5, 13, 13, 13, 1, 9, 13, 9, 1])
+    got = theorems.verify_kernel_scaling(ring, amap)
+    assert _strip(got) == _strip(ref.verify_kernel_scaling(ring, amap))
+    kinds = [(w["kind"], w["w"], w["x"]) for w in got.witnesses]
+    at = kinds.index(("strict-inclusion", 8, 5))
+    assert kinds[at - 1] == ("right-scaling-escape", 8, 5)
+
+
+def test_forged_tables_with_non_coset_fibres_match_reference():
+    """Tables that are not additive but whose zero fibre is a subgroup, so
+    the kernel check passes while the fibres need not be kernel cosets:
+    coset-structure fails on them, and kernel-scaling must read
+    d(w·y) = w·x as the loop does, not the coset predicate."""
+    rng = random.Random(6)
+    failed = 0
+    for spec in (Zn(6), Matrix(Zn(2), 2), TriPattern(Zn(2))):
+        ring = build_ring(spec)
+        tried = 0
+        while tried < 40:
+            amap = _forged(ring, [ring.zero] + [rng.randrange(ring.size)
+                                                for _ in range(ring.size - 1)])
+            try:
+                amap.kernel
+            except MapLawError:
+                continue
+            tried += 1
+            for new, old in FIBRE_PAIRS:
+                assert _strip(new(ring, amap)) == _strip(old(ring, amap))
+            failed += theorems.verify_coset_structure(ring, amap).status == "fail"
+    assert failed
