@@ -7,8 +7,8 @@ special maps (formal derivative, inner maps at distinguished elements),
 and writes a JSON report plus a text summary.
 
 Usage:
-    python3 scripts/run_corpus.py [--out results/corpus.json] [--jobs N]
-            [--seed N] [--skip-herstein-flagship]
+    python3 scripts/run_corpus.py [--out results/corpus.json] [--seed N]
+            [--skip-herstein-flagship]
 """
 
 from __future__ import annotations
@@ -92,9 +92,6 @@ def run_ring(ring, config):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="results/corpus.json")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="accepted for compatibility; the checkers run "
-                             "in one thread")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--skip-herstein-flagship", action="store_true",
                         help="skip the 2x2 matrix ring over Z3")

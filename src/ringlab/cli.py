@@ -415,9 +415,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkers", default="all",
                    help=f"comma-separated ids or 'all' "
                         f"({', '.join(CHECKER_ORDER)})")
-    p.add_argument("--jobs", type=int, default=0,
-                   help="accepted for compatibility; the checkers run in "
-                        "one thread")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for sampled instance spaces")
     p.add_argument("--max-n", type=int, default=None, dest="max_n",

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .maps import AdditiveMap, MapLawError
+from .maps import AdditiveMap, MapLawError, _require_map, ring_check
 from .rings import ElementSet, FiniteRing, RingError
 
 
@@ -92,15 +92,8 @@ class Integral:
 
 def _integrate_with_flag(ring: FiniteRing, dmap: AdditiveMap, x: int,
                          flag: str) -> Integral:
-    if dmap.ring is not ring:
-        raise RingError("map belongs to a different ring")
-    if flag == "derivation" and not dmap.is_derivation:
-        raise MapLawError("map is not a validated derivation")
-    if flag == "jordan" and not dmap.is_jordan:
-        raise MapLawError("map is not a validated Jordan derivation")
-    x = int(x)
-    if not 0 <= x < ring.size:
-        raise RingError(f"element index {x} out of range for ring of size {ring.size}")
+    _require_map(ring, dmap, flag)
+    x = ring_check(ring, x)
     rep = int(dmap.fibres.rep[x])
     if rep < 0:
         return Integral(ring, dmap, x, None, None)
@@ -153,15 +146,13 @@ def is_proper(ring: FiniteRing, dmap: AdditiveMap) -> tuple[bool, Optional[tuple
     so multiplicative closure is the whole question.  On failure the
     witness is the first (u, v, u*v) with u, v in the image and u*v not.
     """
-    img = dmap.image
-    arr = np.asarray(img.elements)
-    for u in img.elements:
-        row = ring.mul_table[u, arr]
-        outside = ~np.isin(row, arr)
-        if outside.any():
-            v = int(arr[int(np.argmax(outside))])
-            return False, (int(u), v, int(ring.mul_table[u, v]))
-    return True, None
+    img = np.asarray(dmap.image.elements)
+    products = ring.mul_table[np.ix_(img, img)]
+    outside = ~np.isin(products, img)
+    if not outside.any():
+        return True, None
+    i, j = np.unravel_index(int(np.argmax(outside)), outside.shape)
+    return False, (int(img[i]), int(img[j]), int(products[i, j]))
 
 
 @dataclass(frozen=True)
@@ -184,32 +175,24 @@ class QuotientView:
 def quotient_view(ring: FiniteRing, dmap: AdditiveMap) -> QuotientView:
     if dmap.ring is not ring:
         raise RingError("map belongs to a different ring")
-    kernel = dmap.kernel
-    karr = np.asarray(kernel.elements)
-    index_map = [-1] * ring.size
-    cosets: list[ElementSet] = []
-    images: list[int] = []
-    for e in range(ring.size):
-        if index_map[e] != -1:
-            continue
-        members = np.sort(ring.add_table[e, karr])
-        cid = len(cosets)
-        for m in members:
-            if index_map[int(m)] != -1:
-                raise MapLawError("kernel cosets do not partition the ring")
-            index_map[int(m)] = cid
-        values = {int(dmap.table[int(m)]) for m in members}
-        if len(values) != 1:
-            raise MapLawError("induced map is not well defined on a coset")
-        cosets.append(ElementSet(ring, members))
-        images.append(values.pop())
-    if len(set(images)) != len(cosets) or len(cosets) != len(dmap.image):
+    d, add = dmap.table, ring.add_table
+    fib = dmap.fibres
+    karr = np.flatnonzero(fib.ker)
+    # the kernel passed the subgroup check, so its cosets partition the ring
+    if not (d[add[:, karr]] == d[:, None]).all():
+        raise MapLawError("induced map is not well defined on a coset")
+    # the induced map is onto the image, so it is a bijection when the
+    # image has as many elements as there are cosets; each fibre is then
+    # one coset
+    if len(fib.values) * len(karr) != ring.size:
         raise MapLawError("induced map is not a bijection onto the image")
-    for i, ci in enumerate(cosets):
-        ri = ci.elements[0]
-        for j, cj in enumerate(cosets):
-            rj = cj.elements[0]
-            k = index_map[ring.add(ri, rj)]
-            if ring.add(images[i], images[j]) != images[k]:
-                raise MapLawError("induced map is not additive on cosets")
-    return QuotientView(ring, dmap, tuple(cosets), tuple(index_map), tuple(images))
+    order = np.argsort(fib.rep[fib.values])       # cosets by representative
+    images = fib.values[order]
+    reps = fib.rep[images]
+    if not (d[add[np.ix_(reps, reps)]] == add[np.ix_(images, images)]).all():
+        raise MapLawError("induced map is not additive on cosets")
+    position = np.empty(ring.size, dtype=np.intp)
+    position[images] = np.arange(len(images))
+    return QuotientView(ring, dmap,
+                        tuple(ElementSet(ring, fib.members[g]) for g in order),
+                        tuple(position[d].tolist()), tuple(images.tolist()))

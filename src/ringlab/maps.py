@@ -7,9 +7,9 @@ On top of plain additivity the module recognizes two laws:
 * Jordan derivation: f(x∘y) = f(x)∘y + x∘f(y)   with  x∘y = x*y + y*x
 
 Both defects are biadditive once f is additive, so the laws hold
-everywhere exactly when they hold on pairs of additive generators; the
-checkers support a full quadratic scan and a generator-pair scan, and
-the two are required to agree.
+everywhere exactly when they hold on pairs of additive generators.
+One evaluator, _law_holds, states additivity and both laws, for one
+table or a block of tables, on every pair or on given pairs.
 
 Derivations are enumerated as the kernel of a linear system over Z/N.
 In a direct-sum generator basis of (R, +) a derivation is fixed by the
@@ -65,70 +65,72 @@ def _as_table(ring: FiniteRing, table) -> np.ndarray:
     return arr
 
 
-def check_additive(ring: FiniteRing, table) -> tuple[bool, Optional[tuple[int, int]]]:
-    """Does the table satisfy f(x+y) = f(x) + f(y)?  Returns (ok, witness)."""
-    f = _as_table(ring, table)
-    add = ring.add_table
-    lhs = f[add]
-    rhs = add[f[:, None], f[None, :]]
-    bad = np.argwhere(lhs != rhs)
-    if len(bad):
-        x, y = (int(v) for v in bad[0])
-        return False, (x, y)
-    return True, None
+def _law_holds(ring: FiniteRing, F: np.ndarray, law: str,
+               xs: Optional[np.ndarray] = None,
+               ys: Optional[np.ndarray] = None) -> np.ndarray:
+    """Where a law holds for the table F, or for each table of a block F,
+    at the pairs of the index arrays xs and ys, which broadcast against
+    each other with equal ndim, as (n, 1) and (1, k) do; the result has
+    shape F.shape[:-1] + their broadcast shape.  xs = ys = None means
+    every pair, row-major, with the operation table itself as the pair
+    table x ⋆ y rather than one gathered through index arrays.
 
+    With x ⋆ y the sum for "additive", the product for "derivation" and
+    x∘y = xy + yx for "jordan", the laws are
 
-def _pair_defect_ok(ring, f, x, y, law):
+        additive:            f(x + y) = f(x) + f(y)
+        derivation, jordan:  f(x ⋆ y) = f(x) ⋆ y + x ⋆ f(y)
+    """
     add, mul = ring.add_table, ring.mul_table
-    if law == "derivation":
-        lhs = f[mul[x, y]]
-        rhs = add[mul[f[x], y], mul[x, f[y]]]
+    op = (add if law == "additive" else mul if law == "derivation"
+          else add[mul, mul.T])
+    if xs is None:
+        xs = np.arange(ring.size)[:, None]
+        ys, xy = xs.T, op
+        Fx, Fy = F[..., :, None], F[..., None, :]     # F[..., xs], F[..., ys]
     else:
-        jxy = add[mul[x, y], mul[y, x]]
-        lhs = f[jxy]
-        rhs = add[add[mul[f[x], y], mul[y, f[x]]], add[mul[x, f[y]], mul[f[y], x]]]
-    return int(lhs) == int(rhs)
+        xy = op[xs, ys]
+        Fx, Fy = F[..., xs], F[..., ys]
+    if law == "additive":
+        return F[..., xy] == add[Fx, Fy]
+    return F[..., xy] == add[op[Fx, ys], op[xs, Fy]]
 
 
-def _check_law(ring, table, law, pairs):
+def _first_failure(holds: np.ndarray) -> tuple[bool, Optional[tuple[int, int]]]:
+    """(ok, witness), the witness the first failing pair in row-major order."""
+    if holds.all():
+        return True, None
+    x, y = np.unravel_index(int(np.argmin(holds)), holds.shape)
+    return False, (int(x), int(y))
+
+
+def _additive_table(ring: FiniteRing, table) -> np.ndarray:
+    """The table as an array; NotAdditiveError if it is not additive."""
     f = _as_table(ring, table)
-    ok, witness = check_additive(ring, f)
+    ok, witness = _first_failure(_law_holds(ring, f, "additive"))
     if not ok:
         raise NotAdditiveError(witness, f"map is not additive at {witness}")
-    if pairs == "generators":
-        basis = generator_basis(ring)
-        gens = basis.generators
-        for i, x in enumerate(gens):
-            for j, y in enumerate(gens):
-                if law == "jordan" and j < i:
-                    continue
-                if not _pair_defect_ok(ring, f, x, y, law):
-                    return False, (int(x), int(y))
-        return True, None
-    add, mul = ring.add_table, ring.mul_table
-    if law == "derivation":
-        lhs = f[mul]
-        rhs = add[mul[f][:, :], mul[:, f]]
-    else:
-        jt = add[mul, mul.T]          # symmetric: jt[x, y] = x∘y
-        lhs = f[jt]
-        rhs = add[jt[f], jt[:, f]]
-    bad = np.argwhere(lhs != rhs)
-    if len(bad):
-        x, y = (int(v) for v in bad[0])
-        return False, (x, y)
-    return True, None
+    return f
 
 
-def check_derivation(ring: FiniteRing, table, pairs: str = "all"):
-    """Leibniz check; pairs='all' scans every pair, 'generators' only
-    generator pairs (equivalent for additive maps)."""
-    return _check_law(ring, table, "derivation", pairs)
+def check_additive(ring: FiniteRing, table) -> tuple[bool, Optional[tuple[int, int]]]:
+    """Does the table satisfy f(x+y) = f(x) + f(y)?  Returns (ok, witness),
+    the witness the first failing pair (x, y) in row-major order."""
+    return _first_failure(_law_holds(ring, _as_table(ring, table), "additive"))
 
 
-def check_jordan_derivation(ring: FiniteRing, table, pairs: str = "all"):
-    """Jordan-law check over the symmetrized product."""
-    return _check_law(ring, table, "jordan", pairs)
+def check_derivation(ring: FiniteRing, table) -> tuple[bool, Optional[tuple[int, int]]]:
+    """Does the table satisfy f(xy) = f(x)y + xf(y)?  Returns (ok, witness)
+    as check_additive does; a table that is not additive raises
+    NotAdditiveError."""
+    return _first_failure(_law_holds(ring, _additive_table(ring, table), "derivation"))
+
+
+def check_jordan_derivation(ring: FiniteRing,
+                            table) -> tuple[bool, Optional[tuple[int, int]]]:
+    """Does the table satisfy f(x∘y) = f(x)∘y + x∘f(y), x∘y = xy + yx?
+    Returns (ok, witness) as check_derivation does."""
+    return _first_failure(_law_holds(ring, _additive_table(ring, table), "jordan"))
 
 
 # ---------------------------------------------------------------------------
@@ -183,11 +185,8 @@ class AdditiveMap:
     def __init__(self, ring: FiniteRing, table, *, _trusted: bool = False,
                  _derivation: Optional[bool] = None, _jordan: Optional[bool] = None,
                  _inner=-1):
-        arr = _as_table(ring, table).astype(np.int32)
-        if not _trusted:
-            ok, witness = check_additive(ring, arr)
-            if not ok:
-                raise NotAdditiveError(witness, f"map is not additive at {witness}")
+        arr = _as_table(ring, table) if _trusted else _additive_table(ring, table)
+        arr = arr.astype(np.int32)
         arr.flags.writeable = False
         self.ring = ring
         self.table = arr
@@ -229,15 +228,15 @@ class AdditiveMap:
     @property
     def is_derivation(self) -> bool:
         if self._derivation is None:
-            ok, _ = check_derivation(self.ring, self.table)
-            self._derivation = ok
+            holds = _law_holds(self.ring, self.table, "derivation")
+            self._derivation = bool(holds.all())
         return self._derivation
 
     @property
     def is_jordan(self) -> bool:
         if self._jordan is None:
-            ok, _ = check_jordan_derivation(self.ring, self.table)
-            self._jordan = ok
+            holds = _law_holds(self.ring, self.table, "jordan")
+            self._jordan = bool(holds.all())
         return self._jordan
 
     @property
@@ -308,6 +307,17 @@ class AdditiveMap:
         return out
 
 
+def _require_map(ring: FiniteRing, dmap: AdditiveMap, law: str) -> None:
+    """Raise unless dmap belongs to ring and satisfies law, "derivation"
+    or "jordan"."""
+    if dmap.ring is not ring:
+        raise RingError("map belongs to a different ring")
+    if law == "derivation" and not dmap.is_derivation:
+        raise MapLawError("map is not a validated derivation")
+    if law == "jordan" and not dmap.is_jordan:
+        raise MapLawError("map is not a validated Jordan derivation")
+
+
 def ring_check(ring: FiniteRing, x: int) -> int:
     x = int(x)
     if not 0 <= x < ring.size:
@@ -337,7 +347,8 @@ def inner_derivation(ring: FiniteRing, a: int) -> AdditiveMap:
     ok, witness = check_derivation(ring, table)
     if not ok:
         raise MapLawError(f"inner map failed the Leibniz law at {witness}")
-    return AdditiveMap(ring, table, _derivation=True, _jordan=True, _inner=a)
+    return AdditiveMap(ring, table, _trusted=True, _derivation=True,
+                       _jordan=True, _inner=a)
 
 
 def formal_derivative(ring: FiniteRing) -> AdditiveMap:
@@ -355,7 +366,8 @@ def formal_derivative(ring: FiniteRing) -> AdditiveMap:
     if not ok:
         raise MapLawError(f"the formal derivative of Z{p}[X]/(X^{m}) fails "
                           f"the Leibniz law at {witness}")
-    return AdditiveMap(ring, table, _derivation=True, _jordan=True)
+    return AdditiveMap(ring, table, _trusted=True, _derivation=True,
+                       _jordan=True)
 
 
 # ---------------------------------------------------------------------------
@@ -554,15 +566,12 @@ def _check_listed(ring: FiniteRing, gens: np.ndarray, F: np.ndarray):
     Additivity is checked as f(x + g) = f(x) + f(g) for every x and every
     generator g, which is exact: x = 0 gives f(0) = 0, and induction on a
     sum of generators y gives f(x + y) = f(x) + f(y)."""
-    add, mul = ring.add_table, ring.mul_table
-    Fg = F[:, gens]
-    additive = (F[:, add[:, gens]] == add[F[:, :, None], Fg[:, None, :]]).all(axis=(1, 2))
-    lhs = F[:, mul[np.ix_(gens, gens)]]
-    rhs = add[mul[Fg[:, :, None], gens[None, None, :]],
-              mul[gens[None, :, None], Fg[:, None, :]]]
-    leibniz = (lhs == rhs).all(axis=(1, 2))
-    if not (additive & leibniz).all():
-        bad = int(np.flatnonzero(~(additive & leibniz))[0])
+    ys = gens[None, :]
+    additive = _law_holds(ring, F, "additive", np.arange(ring.size)[:, None], ys)
+    leibniz = _law_holds(ring, F, "derivation", gens[:, None], ys)
+    listed = additive.all(axis=(1, 2)) & leibniz.all(axis=(1, 2))
+    if not listed.all():
+        bad = int(np.argmin(listed))
         raise MapLawError(f"the derivation solver listed {F[bad].tolist()}, "
                           "which fails the additive or Leibniz check")
 

@@ -496,10 +496,9 @@ def check_ring_axioms(add: np.ndarray, mul: np.ndarray, size: int,
         if t.shape != (n, n):
             raise RingAxiomError("shape", (t.shape,), f"{name} table must be {n}x{n}")
         if t.min() < 0 or t.max() >= n:
-            bad = np.argwhere((t < 0) | (t >= n))[0]
-            raise RingAxiomError(
-                "closure", (int(bad[0]), int(bad[1])),
-                f"{name} table entry out of range at {tuple(bad)}")
+            bad = tuple(int(v) for v in np.argwhere((t < 0) | (t >= n))[0])
+            raise RingAxiomError("closure", bad,
+                                 f"{name} table entry out of range at {bad}")
 
     if not np.array_equal(add, add.T):
         bad = np.argwhere(add != add.T)[0]

@@ -34,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .maps import (AdditiveMap, MapLawError, check_derivation,
+from .maps import (AdditiveMap, MapLawError, _require_map, check_derivation,
                    enumerate_derivations, enumerate_jordan_derivations)
 from .rings import FiniteRing, RingError, spec_to_json
 
@@ -142,15 +142,6 @@ class _Recorder:
                              self.witnesses, self.seed,
                              time.perf_counter() - self.t0,
                              ring_spec=spec_to_json(self.ring.spec))
-
-
-def _require_map(ring: FiniteRing, dmap: AdditiveMap, law: str):
-    if dmap.ring is not ring:
-        raise RingError("map belongs to a different ring")
-    if law == "derivation" and not dmap.is_derivation:
-        raise MapLawError("map is not a validated derivation")
-    if law == "jordan" and not dmap.is_jordan:
-        raise MapLawError("map is not a validated Jordan derivation")
 
 
 def _pair_blocks(n: int, config: CheckerConfig, rec: _Recorder):
@@ -713,10 +704,7 @@ def verify_separation(ring: FiniteRing, delta: AdditiveMap,
                       config: Optional[CheckerConfig] = None) -> TheoremReport:
     """The given Jordan non-derivation is distinguished from every
     derivation of the ring by some integral value."""
-    if delta.ring is not ring:
-        raise RingError("map belongs to a different ring")
-    if not delta.is_jordan:
-        raise MapLawError("map is not a validated Jordan derivation")
+    _require_map(ring, delta, "jordan")
     if delta.is_derivation:
         raise MapLawError("map is a derivation")
     return _separation(ring, delta, enumerate_derivations(ring))
@@ -833,9 +821,10 @@ def run_suite(ring: FiniteRing, maps: list[tuple[str, AdditiveMap]],
     fixed order, with the ring-level herstein checker once at the end.
     Der(R) is listed at most once per call, when separation first needs it.
 
-    jobs is accepted for compatibility and has no effect: the checkers run
-    one after another in the calling thread.  They spend their time in
-    numpy, and a thread pool over them gave no speed-up."""
+    jobs has no effect: the checkers run one after another in the calling
+    thread.  They spend their time in numpy, and a thread pool over them
+    gave no speed-up.  The argument stays only while the benchmark harness
+    passes it, and goes with the next change to the benchmark."""
     config = config or CheckerConfig()
     if checkers == "all" or checkers is None:
         selected = list(CHECKER_ORDER)

@@ -1,12 +1,15 @@
-"""Loop-form reference checkers, kept as the oracle for ringlab.theorems.
+"""Loop-form reference checkers, kept as the oracle for ringlab.theorems
+and for the image structure of ringlab.integrals.
 
 These are the per-element and per-pair loops that ringlab.theorems used
 before its checkers (separation, coset-structure and kernel-scaling
-included) became array identities over the Cayley tables.  They call
-Integral.contains, compare Integral values or compare preimage sets one
-instance at a time, so they are slow, but each reads as the statement of
-its law.  tests/test_reference_checkers.py requires the reports of both
-forms to be equal apart from runtime.
+included) became array identities over the Cayley tables, and the loops
+of is_proper and quotient_view.  They call Integral.contains, compare
+Integral values or compare preimage sets one instance at a time, so they
+are slow, but each reads as the statement of its law.
+tests/test_reference_checkers.py requires the reports of both forms to
+be equal apart from runtime, and the two forms of is_proper and
+quotient_view to give equal results and raise the same errors.
 """
 
 from __future__ import annotations
@@ -16,11 +19,12 @@ from typing import Optional
 
 import numpy as np
 
-from ringlab.integrals import Integral, integrate, jordan_integrate, set_add
-from ringlab.maps import AdditiveMap, enumerate_derivations
-from ringlab.rings import ElementSet, FiniteRing
-from ringlab.theorems import (CheckerConfig, TheoremReport, _Recorder,
-                              _require_map)
+from ringlab.integrals import (Integral, QuotientView, integrate,
+                               jordan_integrate, set_add)
+from ringlab.maps import (AdditiveMap, MapLawError, _require_map,
+                          enumerate_derivations)
+from ringlab.rings import ElementSet, FiniteRing, RingError
+from ringlab.theorems import CheckerConfig, TheoremReport, _Recorder
 
 
 def _pair_stream(n: int, config: CheckerConfig, rec: _Recorder):
@@ -520,3 +524,49 @@ def verify_separation(ring: FiniteRing, delta: AdditiveMap,
         if found is not None:
             rec.note({"kind": "separated", "derivation_index": i, "x": found})
     return rec.finish()
+
+
+def is_proper(ring: FiniteRing, dmap: AdditiveMap) -> tuple[bool, Optional[tuple]]:
+    img = dmap.image
+    arr = np.asarray(img.elements)
+    for u in img.elements:
+        row = ring.mul_table[u, arr]
+        outside = ~np.isin(row, arr)
+        if outside.any():
+            v = int(arr[int(np.argmax(outside))])
+            return False, (int(u), v, int(ring.mul_table[u, v]))
+    return True, None
+
+
+def quotient_view(ring: FiniteRing, dmap: AdditiveMap) -> QuotientView:
+    if dmap.ring is not ring:
+        raise RingError("map belongs to a different ring")
+    kernel = dmap.kernel
+    karr = np.asarray(kernel.elements)
+    index_map = [-1] * ring.size
+    cosets: list[ElementSet] = []
+    images: list[int] = []
+    for e in range(ring.size):
+        if index_map[e] != -1:
+            continue
+        members = np.sort(ring.add_table[e, karr])
+        cid = len(cosets)
+        for m in members:
+            if index_map[int(m)] != -1:
+                raise MapLawError("kernel cosets do not partition the ring")
+            index_map[int(m)] = cid
+        values = {int(dmap.table[int(m)]) for m in members}
+        if len(values) != 1:
+            raise MapLawError("induced map is not well defined on a coset")
+        cosets.append(ElementSet(ring, members))
+        images.append(values.pop())
+    if len(set(images)) != len(cosets) or len(cosets) != len(dmap.image):
+        raise MapLawError("induced map is not a bijection onto the image")
+    for i, ci in enumerate(cosets):
+        ri = ci.elements[0]
+        for j, cj in enumerate(cosets):
+            rj = cj.elements[0]
+            k = index_map[ring.add(ri, rj)]
+            if ring.add(images[i], images[j]) != images[k]:
+                raise MapLawError("induced map is not additive on cosets")
+    return QuotientView(ring, dmap, tuple(cosets), tuple(index_map), tuple(images))

@@ -195,7 +195,7 @@ def test_criterion_10_determinism(tmp_path):
     commands = [
         ["verify", "--ring", '{"kind": "zn", "n": 4}',
          "--map", "enumerate:jordan", "--checkers", "all",
-         "--format", "json", "--seed", "3", "--jobs", "2"],
+         "--format", "json", "--seed", "3"],
         ["verify", "--ring", '{"kind": "trunc_poly", "p": 3, "m": 3}',
          "--map", "formal", "--checkers", "all",
          "--format", "json", "--seed", "11"],

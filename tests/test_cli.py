@@ -222,6 +222,16 @@ def test_nested_tables_base_without_zero_is_refused(capsys):
     assert captured.out == ""
 
 
+def test_out_of_range_table_entry_names_plain_indices(capsys):
+    spec = {"kind": "tables", "size": 2, "add": [[0, 1], [1, 0]],
+            "mul": [[0, 0], [0, 5]]}
+    assert main(["ring-info", "--ring", json.dumps(spec)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("error: multiplication table entry out of range "
+                            "at (1, 1)\n")
+    assert captured.out == ""
+
+
 def test_enumerate_index_selection(zn4_file, capsys):
     assert main(["verify", "--ring", zn4_file, "--map", "enumerate:jordan#1",
                  "--checkers", "separation", "--format", "json"]) == 0
@@ -333,7 +343,7 @@ def test_verify_json_deterministic(zn4_file, tmp_path, capsys):
     for path in (first, second):
         assert main(["verify", "--ring", zn4_file, "--map", "enumerate:jordan",
                      "--checkers", "all", "--format", "json", "--seed", "3",
-                     "--jobs", "2", "--out", str(path)]) == 0
+                     "--out", str(path)]) == 0
 
     def normalize(text):
         return re.sub(r'"runtime": [0-9.e+-]+', '"runtime": 0', text)

@@ -1,14 +1,17 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from ringlab import (ElementSet, Matrix, Product, TriPattern, TruncPoly, Zn,
-                     build_ring, check_additive, check_derivation,
-                     check_jordan_derivation, enumerate_jordan_derivations,
+from ringlab import (ElementSet, Matrix, NotAdditiveError, Product,
+                     TriPattern, TruncPoly, Zn, build_ring, check_additive,
+                     check_derivation, check_jordan_derivation,
+                     enumerate_jordan_derivations, generator_basis,
                      inner_derivation, integrate, jordan_integrate, set_add,
                      set_mul, spec_from_json, spec_to_json, subring_closure,
                      zero_map)
+from ringlab.maps import _law_holds
 
 RINGS = [build_ring(spec) for spec in (
     Zn(2), Zn(3), Zn(4), Zn(6), Zn(8),
@@ -90,30 +93,96 @@ def test_spec_json_round_trip(data):
     assert spec_from_json(spec_to_json(spec)) == spec
 
 
+def _first_failure(ring, holds):
+    """The (ok, witness) of a law by its definition: the first pair (x, y)
+    in row-major order at which holds(x, y) is false."""
+    for x in range(ring.size):
+        for y in range(ring.size):
+            if not holds(x, y):
+                return False, (x, y)
+    return True, None
+
+
+def _additivity(ring, f):
+    return lambda x, y: f[ring.add(x, y)] == ring.add(f[x], f[y])
+
+
+def _leibniz(ring, f, prod):
+    return lambda x, y: f[prod(x, y)] == ring.add(prod(f[x], y), prod(x, f[y]))
+
+
+def _jordan_product(ring):
+    return lambda x, y: ring.add(ring.mul(x, y), ring.mul(y, x))
+
+
+@st.composite
+def additive_tables(draw, ring):
+    """Any additive self-map, from the images of a generator basis: the
+    image of a generator of order o is any element that o kills."""
+    basis = generator_basis(ring)
+    images = [draw(st.sampled_from([x for x in range(ring.size)
+                                    if o % ring.additive_order(x) == 0]))
+              for o in basis.orders]
+    table = []
+    for coords in basis.decomp:
+        v = ring.zero
+        for c, image in zip(coords, images):
+            for _ in range(c):
+                v = ring.add(v, image)
+        table.append(v)
+    return table
+
+
+def _tables(data, ring):
+    """An additive table, or, one time in three, any table."""
+    if data.draw(st.integers(0, 2)) == 0:
+        return data.draw(st.lists(st.integers(0, ring.size - 1),
+                                  min_size=ring.size, max_size=ring.size))
+    return data.draw(additive_tables(ring))
+
+
 @given(data=st.data())
 @settings(max_examples=50)
 def test_check_additive_matches_definition(data):
-    ring = data.draw(st.sampled_from(RINGS[:5]))      # the cyclic rings
-    table = data.draw(st.lists(st.integers(0, ring.size - 1),
-                               min_size=ring.size, max_size=ring.size))
-    ok, witness = check_additive(ring, table)
-    truth = all(table[ring.add(x, y)] == ring.add(table[x], table[y])
-                for x in range(ring.size) for y in range(ring.size))
-    assert ok == truth
-    if not ok:
-        x, y = witness
-        assert table[ring.add(x, y)] != ring.add(table[x], table[y])
+    ring = data.draw(rings_st)
+    table = _tables(data, ring)
+    assert check_additive(ring, table) == _first_failure(ring, _additivity(ring, table))
+
+
+@pytest.mark.parametrize("law", ["derivation", "jordan"])
+@given(data=st.data())
+@settings(max_examples=50)
+def test_law_checks_match_definition(law, data):
+    """(ok, witness) of check_derivation and check_jordan_derivation is the
+    first failing pair of the definitional loop, and a table that is not
+    additive raises NotAdditiveError at the first failing pair of
+    additivity."""
+    ring = data.draw(rings_st)
+    table = _tables(data, ring)
+    check = check_derivation if law == "derivation" else check_jordan_derivation
+    prod = ring.mul if law == "derivation" else _jordan_product(ring)
+    additive, witness = _first_failure(ring, _additivity(ring, table))
+    if not additive:
+        with pytest.raises(NotAdditiveError) as err:
+            check(ring, table)
+        assert err.value.witness == witness
+        return
+    assert check(ring, table) == _first_failure(ring, _leibniz(ring, table, prod))
 
 
 @given(data=st.data())
 @settings(max_examples=50)
 def test_generator_pairs_match_all_pairs(data):
+    """On an additive map both laws hold on every pair exactly when they
+    hold on generator pairs."""
     ring = data.draw(rings_st)
-    dmap = data.draw(st.sampled_from(_jordan_maps(ring)))
-    table = dmap.table
-    assert (check_derivation(ring, table, pairs="generators")[0]
-            == check_derivation(ring, table, pairs="all")[0])
-    assert check_jordan_derivation(ring, table, pairs="generators")[0]
+    jordan_tables = st.sampled_from(_jordan_maps(ring)).map(lambda m: m.table)
+    table = np.array(data.draw(st.one_of(additive_tables(ring), jordan_tables)))
+    gens = np.array(generator_basis(ring).generators)
+    for law, check in (("derivation", check_derivation),
+                       ("jordan", check_jordan_derivation)):
+        on_gens = _law_holds(ring, table, law, gens[:, None], gens[None, :])
+        assert on_gens.all() == check(ring, table)[0]
 
 
 @given(data=st.data())

@@ -17,8 +17,8 @@ from conftest import CORPUS_SPECS
 from ringlab import (AdditiveMap, CheckerConfig, MapLawError, Matrix,
                      Product, Tables, TriPattern, TruncPoly, Zn, build_ring,
                      enumerate_derivations, enumerate_jordan_derivations,
-                     formal_derivative, inner_derivation, spec_name, theorems,
-                     zero_map)
+                     formal_derivative, inner_derivation, integrals,
+                     spec_name, theorems, zero_map)
 
 # the two checkers that read the padded preimage rows of the fibre index
 FIBRE_PAIRS = [
@@ -197,3 +197,51 @@ def test_forged_tables_with_non_coset_fibres_match_reference():
                 assert _strip(new(ring, amap)) == _strip(old(ring, amap))
             failed += theorems.verify_coset_structure(ring, amap).status == "fail"
     assert failed
+
+
+def _image_structure(module, ring, amap):
+    """is_proper and quotient_view of one form, with a MapLawError of
+    quotient_view as its message."""
+    try:
+        view = module.quotient_view(ring, amap)
+    except MapLawError as exc:
+        view = str(exc)
+    return module.is_proper(ring, amap), view
+
+
+@pytest.mark.parametrize("spec", SPECS + LARGE_SPECS, ids=spec_name)
+def test_image_structure_matches_reference(spec):
+    """The array forms of is_proper and quotient_view against their loops:
+    every map of the corpus, and on the larger rings the zero and identity
+    maps, the named maps and a spread of derivations."""
+    ring = build_ring(spec)
+    if spec in SPECS:
+        maps = _maps(ring)
+    else:
+        ders = enumerate_derivations(ring)
+        maps = ders[::max(1, len(ders) // 4)] + [
+            zero_map(ring), AdditiveMap(ring, range(ring.size))]
+        if isinstance(spec, TruncPoly):
+            maps.append(formal_derivative(ring))
+        if isinstance(spec, TriPattern):
+            maps.append(inner_derivation(ring, ring.parse("A")))
+    for amap in maps:
+        assert (_image_structure(integrals, ring, amap)
+                == _image_structure(ref, ring, amap)), amap.as_tuple()
+
+
+@pytest.mark.parametrize("table, message", [
+    ([0, 0, 1, 1], "kernel failed the subgroup check"),
+    ([0, 1, 0, 3], "induced map is not well defined on a coset"),
+    ([0, 1, 1, 1], "induced map is not a bijection onto the image"),
+    ([0, 1, 3, 2], "induced map is not additive on cosets"),
+])
+def test_forged_maps_fail_quotient_view_as_the_reference_does(table, message):
+    """Tables of Z4 that are not additive, flagged unchecked, reach each
+    self-check of quotient_view in turn; is_proper still answers."""
+    zn4 = build_ring(Zn(4))
+    amap = _forged(zn4, table)
+    for module in (integrals, ref):
+        with pytest.raises(MapLawError, match=message):
+            module.quotient_view(zn4, amap)
+    assert integrals.is_proper(zn4, amap) == ref.is_proper(zn4, amap)
