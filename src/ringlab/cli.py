@@ -17,6 +17,7 @@ or search miss, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import re
@@ -25,10 +26,10 @@ from typing import Optional
 
 import numpy as np
 
-from .integrals import Integral, integrate, is_proper, jordan_integrate
-from .maps import (AdditiveMap, enumerate_derivations,
-                   enumerate_jordan_derivations, formal_derivative,
-                   inner_derivation, zero_map)
+from .integrals import integrate, is_proper, jordan_integrate
+from .maps import (AdditiveMap, MapLawError, check_derivation,
+                   enumerate_derivations, enumerate_jordan_derivations,
+                   formal_derivative, inner_derivation, zero_map)
 from .rings import (FiniteRing, RingError, Zn, build_ring, spec_from_json,
                     spec_name, spec_to_json)
 from .theorems import (CHECKER_ORDER, CheckerConfig, TheoremReport,
@@ -98,13 +99,11 @@ def _resolve_maps(ring: FiniteRing, desc: str,
             raise CliError(f"cannot read map table {path}: {exc}")
         except json.JSONDecodeError as exc:
             raise CliError(f"malformed map table {path}: {exc}")
+        # bool is a subclass of int, and numpy would read true as 1
+        if not isinstance(data, list) or not all(type(v) is int for v in data):
+            raise CliError(f"map table {path} must be a JSON list of element indices")
         return [(desc, AdditiveMap.from_table(ring, data))]
     raise CliError(f"unknown map descriptor {desc!r}")
-
-
-def parse_element(ring: FiniteRing, text: str) -> int:
-    """Resolve an element given as an index, a label, or a literal."""
-    return ring.parse(text)
 
 
 def _set_text(ring: FiniteRing, elements) -> str:
@@ -153,22 +152,16 @@ def _cmd_ring_info(args) -> tuple[int, str, dict]:
 def _cmd_derivations(args) -> tuple[int, str, dict]:
     ring = _load_ring(args.ring)
     law = "jordan" if args.jordan else "derivation"
-    progress = _progress_printer(f"enumerate {law}s")
-    if args.jordan:
-        maps = enumerate_jordan_derivations(ring, progress)
-        base = "enumerate:jordan"
-    else:
-        maps = enumerate_derivations(ring, progress)
-        base = "enumerate"
+    named = _resolve_maps(ring, "enumerate:jordan" if args.jordan else "enumerate",
+                          _progress_printer(f"enumerate {law}s"))
     payload = {
         "ring": spec_to_json(ring.spec),
         "law": law,
-        "count": len(maps),
-        "maps": [dict(desc=f"{base}#{i}", **m.describe())
-                 for i, m in enumerate(maps)],
+        "count": len(named),
+        "maps": [dict(desc=desc, **m.describe()) for desc, m in named],
     }
     lines = [f"ring: {spec_name(ring.spec)} (size {ring.size})",
-             f"law: {law}", f"count: {len(maps)}"]
+             f"law: {law}", f"count: {len(named)}"]
     for entry in payload["maps"]:
         flags = []
         if entry["derivation"]:
@@ -189,7 +182,7 @@ def _cmd_integrate(args) -> tuple[int, str, dict]:
             f"descriptor {args.map!r} resolves to {len(named)} maps; "
             "select one with a #k suffix")
     desc, amap = named[0]
-    x = parse_element(ring, args.element)
+    x = ring.parse(args.element)
     if amap.is_derivation:
         law, symbol = "derivation", "i_d"
         result = integrate(ring, amap, x)
@@ -294,7 +287,6 @@ def _search_ring(ring: FiniteRing, target: str) -> Optional[dict]:
         witness = find_jordan_not_derivation(ring, progress)
         if witness is None:
             return None
-        from .maps import MapLawError, check_derivation
         ok, pair = check_derivation(ring, witness.table)
         if ok:
             raise MapLawError("the Jordan witness satisfies the Leibniz law")
@@ -338,32 +330,23 @@ def _search_ring(ring: FiniteRing, target: str) -> Optional[dict]:
 
 
 def _cmd_search(args) -> tuple[int, str, dict]:
-    specs: list = []
-    for entry in args.ring or []:
-        specs.append(entry)
+    specs = args.ring or []
     zn_values = _zn_range(args.zn) if args.zn else []
     if not specs and not zn_values:
         raise CliError("search needs at least one --ring or a --zn range")
 
+    # rings are built one at a time, and none after the first hit
+    rings = itertools.chain((_load_ring(entry) for entry in specs),
+                            (build_ring(Zn(n)) for n in zn_values))
     searched = []
     found = None
-    for entry in specs:
-        ring = _load_ring(entry)
+    for ring in rings:
         searched.append(spec_to_json(ring.spec))
         print(f"[search] ring {spec_name(ring.spec)} (size {ring.size})",
               file=sys.stderr)
         found = _search_ring(ring, args.target)
         if found:
             break
-    if found is None:
-        for n in zn_values:
-            ring = build_ring(Zn(n))
-            searched.append(spec_to_json(ring.spec))
-            print(f"[search] ring {spec_name(ring.spec)} (size {ring.size})",
-                  file=sys.stderr)
-            found = _search_ring(ring, args.target)
-            if found:
-                break
 
     payload = {"target": args.target, "rings_searched": searched,
                "found": found}

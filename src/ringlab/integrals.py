@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .maps import AdditiveMap, MapLawError, _require_map, ring_check
+from .maps import AdditiveMap, MapLawError, _require_map
 from .rings import ElementSet, FiniteRing, RingError
 
 
@@ -24,6 +24,7 @@ class Integral:
     """Empty, or the coset representative + kernel of one integral value.
 
     Keeps its provenance: the ring, the map, and the integrated element.
+    Membership is read from the map itself: y is a member when d(y) = x.
     """
 
     __slots__ = ("ring", "map", "x", "representative", "kernel")
@@ -44,9 +45,8 @@ class Integral:
         return 0 if self.is_empty else len(self.kernel)
 
     def contains(self, y: int) -> bool:
-        if self.is_empty:
-            return False
-        return self.ring.sub(y, self.representative) in self.kernel
+        """d(y) = x; RingError if y is not an element of the ring."""
+        return self.map(y) == self.x
 
     __contains__ = contains
 
@@ -93,7 +93,7 @@ class Integral:
 def _integrate_with_flag(ring: FiniteRing, dmap: AdditiveMap, x: int,
                          flag: str) -> Integral:
     _require_map(ring, dmap, flag)
-    x = ring_check(ring, x)
+    x = ring._check_index(x)
     rep = int(dmap.fibres.rep[x])
     if rep < 0:
         return Integral(ring, dmap, x, None, None)

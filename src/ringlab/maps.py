@@ -57,12 +57,14 @@ class NotAdditiveError(MapLawError):
 def _as_table(ring: FiniteRing, table) -> np.ndarray:
     if isinstance(table, AdditiveMap):
         table = table.table
-    arr = np.asarray(table, dtype=np.int64)
+    arr = np.asarray(table)
     if arr.shape != (ring.size,):
         raise RingError(f"map table must have length {ring.size}")
+    if arr.dtype.kind not in "iu":
+        raise RingError("map table entries must be integers")
     if arr.min() < 0 or arr.max() >= ring.size:
         raise RingError("map table entry out of range")
-    return arr
+    return arr.astype(np.intp)      # numpy indexes fastest with intp
 
 
 def _law_holds(ring: FiniteRing, F: np.ndarray, law: str,
@@ -203,7 +205,7 @@ class AdditiveMap:
         return cls(ring, table)
 
     def __call__(self, x: int) -> int:
-        return int(self.table[ring_check(self.ring, x)])
+        return int(self.table[self.ring._check_index(x)])
 
     def as_tuple(self) -> tuple[int, ...]:
         return tuple(int(v) for v in self.table)
@@ -318,13 +320,6 @@ def _require_map(ring: FiniteRing, dmap: AdditiveMap, law: str) -> None:
         raise MapLawError("map is not a validated Jordan derivation")
 
 
-def ring_check(ring: FiniteRing, x: int) -> int:
-    x = int(x)
-    if not 0 <= x < ring.size:
-        raise RingError(f"element index {x} out of range for ring of size {ring.size}")
-    return x
-
-
 # ---------------------------------------------------------------------------
 # Standard maps
 
@@ -342,7 +337,7 @@ def zero_map(ring: FiniteRing) -> AdditiveMap:
 
 def inner_derivation(ring: FiniteRing, a: int) -> AdditiveMap:
     """The map x -> x*a - a*x; always a derivation."""
-    a = ring_check(ring, a)
+    a = ring._check_index(a)
     table = _inner_table(ring, a)
     ok, witness = check_derivation(ring, table)
     if not ok:

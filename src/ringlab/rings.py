@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
 import numpy as np
@@ -966,13 +965,6 @@ def build_ring(spec: RingSpec, check: bool = True,
                           unity, parts["labels"], parts["values"], parts["parser"])
 
     return _build(spec, check)
-
-
-def load_ring(path: str, check: bool = True) -> FiniteRing:
-    """Build a ring from a JSON spec file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return build_ring(spec_from_json(data), check=check)
 
 
 # ---------------------------------------------------------------------------

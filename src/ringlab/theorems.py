@@ -9,7 +9,11 @@ stratified sample is drawn and the seed recorded in the report.
 The membership checks are array identities over the Cayley tables: a
 checker evaluates one law on a whole block of instances at once and
 records its instances and witnesses in the order of the loop that states
-the law (see _Recorder.check_all).
+the law (see _Recorder.check_all).  Membership is the definition:
+y ∈ i_d(x) is d[y] == x, and z ∈ i_d(a) + i_d(b), both nonempty, is
+d[z] == a + b, since d is additive.  Only the checks that the fibres are
+kernel cosets read the coset form: coset-structure, basic's
+integral-maps-outside and jordan-suite's coset-mismatch.
 
 Checker ids, in the fixed order run_suite uses:
 
@@ -164,50 +168,32 @@ def _pair_blocks(n: int, config: CheckerConfig, rec: _Recorder):
         yield xs[s:s + _BLOCK], ys[s:s + _BLOCK]
 
 
-class _Membership:
-    """y ∈ i_d(x) for one map, over whole arrays of elements.
-
-    rep and ker are the map's fibre index (AdditiveMap.fibres): rep[x] is
-    the first preimage of x, or -1 when i_d(x) is empty, and ker is the
-    kernel as a mask.  y ∈ i_d(x) ⇔ rep[x] ≥ 0 and y − rep[x] ∈ Ker, the
-    predicate of Integral.contains.  A sum of nonempty integrals is
-    (Σ reps) + Ker, since AdditiveMap.kernel verifies that Ker is a
-    subgroup.
-    """
-
-    def __init__(self, ring: FiniteRing, dmap: AdditiveMap):
-        self.ring = ring
-        self.rep = dmap.fibres.rep
-        self.ker = dmap.fibres.ker
-
-    def sub(self, a, b):
-        return self.ring.add_table[a, self.ring.neg_table[b]]
-
-    def contains(self, x, y):
-        """Elementwise y ∈ i_d(x)."""
-        r = self.rep[x]
-        return (r >= 0) & self.ker[self.sub(y, r)]
-
-    def in_sum(self, z, *xs):
-        """Elementwise z ∈ i_d(x1) + ... + i_d(xk), where every i_d(xj) is
-        nonempty; elsewhere the result is meaningless."""
-        add = self.ring.add_table
-        total = self.rep[xs[0]]
-        for x in xs[1:]:
-            total = add[total, self.rep[x]]
-        return self.ker[self.sub(z, total)]
-
-
-def _check_additivity(rec: _Recorder, mem: _Membership, image):
-    """i_d(u) + i_d(v) = i_d(u + v) for all u, v in the image.  The left
-    side is the coset (rep[u] + rep[v]) + Ker, so the two are equal exactly
-    when rep[u] + rep[v] ∈ i_d(u + v)."""
-    add = mem.ring.add_table
-    u = np.asarray(image)
-    r = mem.rep[u]
-    ok = mem.contains(add[u[:, None], u[None, :]], add[r[:, None], r[None, :]])
+def _check_additivity(rec: _Recorder, ring: FiniteRing, dmap: AdditiveMap):
+    """i_d(u) + i_d(v) = i_d(u + v) for all u, v in the image.  Where the
+    fibres are kernel cosets (coset-structure checks that), the left side
+    is (rep[u] + rep[v]) + Ker, so the two are equal exactly when
+    d(rep[u] + rep[v]) = u + v."""
+    add = ring.add_table
+    u = dmap.fibres.values
+    r = dmap.fibres.rep[u]
+    ok = dmap.table[add[r[:, None], r[None, :]]] == add[u[:, None], u[None, :]]
     rec.check_all(ok, lambda i, j: {"kind": "integral-additivity",
                                     "x": int(u[i]), "y": int(u[j])})
+
+
+def _check_criteria(rec: _Recorder, ring: FiniteRing, dmap: AdditiveMap):
+    """d is onto iff no integral is empty, and one-to-one iff every
+    integral of an element is a singleton."""
+    surjective = len(dmap.image) == ring.size
+    all_nonempty = bool((dmap.fibres.rep >= 0).all())
+    rec.check(surjective == all_nonempty,
+              {"kind": "surjectivity-criterion", "surjective": surjective,
+               "all_nonempty": all_nonempty})
+    injective = len(dmap.kernel) == 1
+    all_single = bool((np.bincount(dmap.table, minlength=ring.size) == 1).all())
+    rec.check(injective == all_single,
+              {"kind": "injectivity-criterion", "injective": injective,
+               "all_singletons": all_single})
 
 
 def _member_triples(dmap: AdditiveMap):
@@ -230,30 +216,20 @@ def verify_basic(ring: FiniteRing, dmap: AdditiveMap,
     """Membership facts and the surjectivity/injectivity criteria."""
     _require_map(ring, dmap, "derivation")
     rec = _Recorder("basic", ring)
-    mem = _Membership(ring, dmap)
+    fib = dmap.fibres
     d = dmap.table
-    n = ring.size
-    elems = np.arange(n)
+    elems = np.arange(ring.size)
 
-    rec.check(mem.contains(ring.zero, ring.zero), {"kind": "zero-membership"})
-    rec.check_all(mem.contains(d, elems),
+    rec.check(d[ring.zero] == ring.zero, {"kind": "zero-membership"})
+    rec.check_all(d[elems] == d,
                   lambda x, _: {"kind": "element-not-in-own-integral", "x": x})
-    # d maps i_d(x) = rep[x] + Ker onto {x}; an empty integral holds vacuously
-    values = d[ring.add_table[mem.rep[:, None], np.flatnonzero(mem.ker)[None, :]]]
+    # d maps the coset rep[x] + Ker onto {x}; an empty integral holds vacuously
+    values = d[ring.add_table[fib.rep[:, None], np.flatnonzero(fib.ker)[None, :]]]
     onto = (values == elems[:, None]).all(axis=1)
-    rec.check_all((mem.rep < 0) | onto,
+    rec.check_all((fib.rep < 0) | onto,
                   lambda x, _: {"kind": "integral-maps-outside", "x": x,
                                 "values": sorted({int(v) for v in values[x]})})
-    surjective = len(dmap.image) == n
-    all_nonempty = bool((mem.rep >= 0).all())
-    rec.check(surjective == all_nonempty,
-              {"kind": "surjectivity-criterion", "surjective": surjective,
-               "all_nonempty": all_nonempty})
-    injective = len(dmap.kernel) == 1
-    all_single = bool((np.bincount(d, minlength=n) == 1).all())
-    rec.check(injective == all_single,
-              {"kind": "injectivity-criterion", "injective": injective,
-               "all_singletons": all_single})
+    _check_criteria(rec, ring, dmap)
     return rec.finish()
 
 
@@ -299,15 +275,15 @@ def verify_kernel_constants(ring: FiniteRing, dmap: AdditiveMap,
 
     # y + ib*b and y + b*ib stay in i_d(d(y)): one row per y, columns in
     # the order (n, m, left/right)
-    mem = _Membership(ring, dmap)
     invertible_ns = [m for m in ns if inverses[m] is not None]
     ibs = np.array([inverses[m] for m in invertible_ns], dtype=np.intp)
     bs = np.array([bolds[mm] for mm in ns], dtype=np.intp)
     mul = ring.mul_table
     shifts = np.stack([mul[ibs[:, None], bs[None, :]],
                        mul[bs[None, :], ibs[:, None]]], axis=-1).reshape(-1)
+    d = dmap.table
     ys = np.arange(ring.size)
-    ok = mem.contains(dmap.table[:, None], ring.add_table[ys[:, None], shifts[None, :]])
+    ok = d[ring.add_table[ys[:, None], shifts[None, :]]] == d[:, None]
 
     def witness(y, col):
         i, rest = divmod(col, 2 * len(ns))
@@ -389,8 +365,6 @@ def verify_kernel_scaling(ring: FiniteRing, dmap: AdditiveMap,
         sides = []
         for wx, wy in ((mul[w, x], mul[w[:, :, None], members]),
                        (mul[x, w], mul[members, w[:, :, None]])):
-            # d(w·y) = w·x itself, not the coset predicate: that one equals
-            # it only where the fibres are kernel cosets
             inside = (~present | (d[wy] == wx[:, :, None])).all(axis=2)
             # |w·i_d(x)|: distinct cells of the sorted row, with the padding
             # cells repeating its first member
@@ -437,24 +411,22 @@ def verify_combination_rules(ring: FiniteRing, dmap: AdditiveMap,
     _require_map(ring, dmap, "derivation")
     config = config or CheckerConfig()
     rec = _Recorder("combination-rules", ring)
-    mem = _Membership(ring, dmap)
     add, mul, neg = ring.add_table, ring.mul_table, ring.neg_table
     d = dmap.table
     n = ring.size
 
     for y1, y2 in _pair_blocks(n, config, rec):
         x1, x2 = d[y1], d[y2]
-        ok = np.stack([mem.contains(add[x1, x2], add[y1, y2]),
-                       mem.contains(add[mul[x1, y2], mul[y1, x2]], mul[y1, y2])],
-                      axis=1)
+        ok = np.stack([d[add[y1, y2]] == add[x1, x2],
+                       d[mul[y1, y2]] == add[mul[x1, y2], mul[y1, x2]]], axis=1)
         rec.check_all(ok, lambda i, j: {"kind": ("sum-rule", "product-rule")[j],
                                         "y1": int(y1[i]), "y2": int(y2[i])})
 
     # y, z in one integral i_d(x): the sum and product rules inside it
     x, y, z, present = _member_triples(dmap)
     x, y = x[:, None], y[:, None]
-    ok = np.stack([mem.contains(add[x, x], add[y, z]),
-                   mem.contains(add[mul[x, z], mul[y, x]], mul[y, z])], axis=-1)
+    ok = np.stack([d[add[y, z]] == add[x, x],
+                   d[mul[y, z]] == add[mul[x, z], mul[y, x]]], axis=-1)
     rec.check_all(ok.reshape(len(ok), -1),
                   lambda i, j: {"kind": ("same-integral-sum",
                                          "same-integral-product")[j % 2],
@@ -467,10 +439,10 @@ def verify_combination_rules(ring: FiniteRing, dmap: AdditiveMap,
         units = np.flatnonzero(inverse >= 0)
         yi = inverse[units]
         dy = d[units]
-        checks = [mem.contains(neg[mul[mul[yi, dy], yi]], yi)]
+        checks = [d[yi] == neg[mul[mul[yi, dy], yi]]]
         kinds = ("inverse-rule", "inverse-rule-commutative")
         if ring.is_commutative():
-            checks.append(mem.contains(neg[mul[mul[yi, yi], dy]], yi))
+            checks.append(d[yi] == neg[mul[mul[yi, yi], dy]])
         rec.check_all(np.stack(checks, axis=1),
                       lambda i, j: {"kind": kinds[j], "y": int(units[i])})
     return rec.finish()
@@ -488,20 +460,21 @@ def verify_additivity_and_parts(ring: FiniteRing, dmap: AdditiveMap,
     _require_map(ring, dmap, "derivation")
     config = config or CheckerConfig()
     rec = _Recorder("additivity-parts", ring)
-    mem = _Membership(ring, dmap)
-    mul = ring.mul_table
+    add, mul = ring.add_table, ring.mul_table
     d = dmap.table
+    rep = dmap.fibres.rep
 
-    _check_additivity(rec, mem, dmap.image.elements)
+    _check_additivity(rec, ring, dmap)
 
     empty_witnessed = False
     for x, y in _pair_blocks(ring.size, config, rec):
         a = mul[d[x], y]
         b = mul[x, d[y]]
-        empty_a = mem.rep[a] < 0
-        empty_b = mem.rep[b] < 0
-        # a pair with an empty part integral counts as a vacuous instance
-        ok = empty_a | empty_b | mem.in_sum(mul[x, y], a, b)
+        empty_a = rep[a] < 0
+        empty_b = rep[b] < 0
+        # a pair with an empty part integral counts as a vacuous instance;
+        # otherwise i_d(a) + i_d(b) = i_d(a + b), as d is additive
+        ok = empty_a | empty_b | (d[mul[x, y]] == add[a, b])
         notes = []
         both = np.flatnonzero(empty_a & empty_b)
         if not empty_witnessed and len(both):
@@ -532,7 +505,6 @@ def verify_power_rules(ring: FiniteRing, dmap: AdditiveMap,
     if not ring.is_commutative():
         return rec.skip("ring is not commutative")
     N = config.max_exp
-    mem = _Membership(ring, dmap)
     mul, neg = ring.mul_table, ring.neg_table
     d = dmap.table
     n = ring.size
@@ -564,19 +536,19 @@ def verify_power_rules(ring: FiniteRing, dmap: AdditiveMap,
         unit_only.append(units)
 
     for e in range(1, N + 1):
-        add_check(mem.contains(mul[bolds[e], mul[powers[e - 1], d]], powers[e]),
+        add_check(d[powers[e]] == mul[bolds[e], mul[powers[e - 1], d]],
                   "power-rule", e, False)
         if inv_bolds[e] is not None:
-            add_check(mem.contains(mul[powers[e - 1], d], mul[inv_bolds[e], powers[e]]),
+            add_check(d[mul[inv_bolds[e], powers[e]]] == mul[powers[e - 1], d],
                       "power-rule-scaled", e, False)
     for e in range(1, N + 1):
-        add_check(mem.contains(neg[mul[bolds[e], mul[ipowers[e + 1], d]]], ipowers[e]),
+        add_check(d[ipowers[e]] == neg[mul[bolds[e], mul[ipowers[e + 1], d]]],
                   "inverse-power-rule", e, True)
     for e in exps:
-        add_check(mem.contains(mul[bolds[e], mul[power(e - 1), d]], power(e)),
+        add_check(d[power(e)] == mul[bolds[e], mul[power(e - 1), d]],
                   "integer-power-rule", e, True)
         if inv_bolds[e] is not None:
-            add_check(mem.contains(mul[power(e - 1), d], mul[inv_bolds[e], power(e)]),
+            add_check(d[mul[inv_bolds[e], power(e)]] == mul[power(e - 1), d],
                       "integer-power-rule-scaled", e, True)
     if checks:      # none when max_exp < 0
         rec.check_all(np.stack(checks, axis=1),
@@ -597,8 +569,8 @@ def verify_power_rules(ring: FiniteRing, dmap: AdditiveMap,
         ny = mul[bolds[e], y]
         g = group[ny]
         pre = members[g]
-        down = mem.contains(y[:, None], mul[ib, pre])
-        up = mem.contains(mul[ib, d[ny]], y)
+        down = d[mul[ib, pre]] == y[:, None]
+        up = d[y] == mul[ib, d[ny]]
         present = np.column_stack([in_pre[g] & (g >= 0)[:, None],
                                    np.ones(n, dtype=bool)])
         last = pre.shape[1]
@@ -624,21 +596,20 @@ def verify_jordan_suite(ring: FiniteRing, delta: AdditiveMap,
     _require_map(ring, delta, "jordan")
     config = config or CheckerConfig()
     rec = _Recorder("jordan-suite", ring)
-    mem = _Membership(ring, delta)
-    add, mul = ring.add_table, ring.mul_table
+    add, mul, neg = ring.add_table, ring.mul_table, ring.neg_table
     d = delta.table
     n = ring.size
     elems = np.arange(n)
 
-    rec.check(mem.contains(ring.zero, ring.zero), {"kind": "zero-membership"})
+    rec.check(d[ring.zero] == ring.zero, {"kind": "zero-membership"})
 
     x, y, z, present = _member_triples(delta)
-    rec.check_all(mem.ker[mem.sub(y[:, None], z)],
+    rec.check_all(d[add[y[:, None], neg[z]]] == ring.zero,
                   lambda i, j: {"kind": "difference-not-in-kernel", "x": int(x[i]),
                                 "y": int(y[i]), "z": int(z[i, j])},
                   present=present)
 
-    rec.check_all(mem.contains(d, elems),
+    rec.check_all(d[elems] == d,
                   lambda x, _: {"kind": "element-not-in-own-integral", "x": x})
 
     # one row per image value x: for each member y, y + Ker equals the
@@ -647,7 +618,7 @@ def verify_jordan_suite(ring: FiniteRing, delta: AdditiveMap,
     # sizes agree and every offset stays inside.
     fib = delta.fibres
     values, members, in_pre = fib.values, fib.members, fib.present
-    karr = np.flatnonzero(mem.ker)
+    karr = np.flatnonzero(fib.ker)
     counts = np.bincount(d, minlength=n)
     stays = (d[add[elems[:, None], karr[None, :]]] == d[:, None]).all(axis=1)
     coset_ok = (counts[d] == len(karr)) & stays
@@ -662,18 +633,19 @@ def verify_jordan_suite(ring: FiniteRing, delta: AdditiveMap,
     rec.check_all(np.column_stack([coset_ok[members], onto]), coset_witness,
                   present=np.column_stack([in_pre, np.ones(len(values), dtype=bool)]))
 
-    _check_additivity(rec, mem, delta.image.elements)
+    _check_additivity(rec, ring, delta)
 
     for x, y in _pair_blocks(n, config, rec):
         dx, dy = d[x], d[y]
         parts = (mul[dx, y], mul[x, dy], mul[dy, x], mul[y, dx])
         jxy = add[mul[x, y], mul[y, x]]
-        # a pair with an empty part integral counts as a vacuous instance
-        some_empty = np.logical_or.reduce([mem.rep[p] < 0 for p in parts])
+        # a pair with an empty part integral counts as a vacuous instance;
+        # otherwise the sum of the four part integrals is i_d(target)
+        some_empty = np.logical_or.reduce([fib.rep[p] < 0 for p in parts])
         target = add[add[parts[0], parts[1]], add[parts[2], parts[3]]]
-        ok = np.stack([some_empty | mem.in_sum(jxy, *parts),
-                       mem.contains(add[dx, dy], add[x, y]),
-                       mem.contains(target, jxy)], axis=1)
+        product_rule = d[jxy] == target
+        ok = np.stack([some_empty | product_rule, d[add[x, y]] == add[dx, dy],
+                       product_rule], axis=1)
 
         def pair_witness(i, j):
             if j == 0:
@@ -683,16 +655,7 @@ def verify_jordan_suite(ring: FiniteRing, delta: AdditiveMap,
 
         rec.check_all(ok, pair_witness)
 
-    surjective = len(delta.image) == n
-    all_nonempty = bool((mem.rep >= 0).all())
-    rec.check(surjective == all_nonempty,
-              {"kind": "surjectivity-criterion", "surjective": surjective,
-               "all_nonempty": all_nonempty})
-    injective = len(delta.kernel) == 1
-    all_single = bool((counts == 1).all())
-    rec.check(injective == all_single,
-              {"kind": "injectivity-criterion", "injective": injective,
-               "all_singletons": all_single})
+    _check_criteria(rec, ring, delta)
     return rec.finish()
 
 

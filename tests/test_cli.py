@@ -284,6 +284,16 @@ def test_table_descriptor_rejects_non_additive(zn4_file, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("table", [[0, 1.5, 2, 3], ["0", "1", "2", "3"],
+                                   [0, True, 2, 3], {"a": 1}],
+                         ids=["float", "strings", "boolean", "object"])
+def test_table_descriptor_rejects_non_integer_tables(zn4_file, tmp_path, capsys,
+                                                     table):
+    path = _spec_file(tmp_path, "map.json", table)
+    assert main(["verify", "--ring", zn4_file, "--map", f"table:{path}"]) == 2
+    assert "must be a JSON list of element indices" in capsys.readouterr().err
+
+
 def test_out_flag_writes_file(zn4_file, tmp_path, capsys):
     out_path = tmp_path / "report.json"
     assert main(["ring-info", "--ring", zn4_file, "--format", "json",

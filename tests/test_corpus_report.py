@@ -2,7 +2,8 @@
 
 A change that keeps every verdict, count and witness of
 scripts/run_corpus.py keeps this digest.  A change that alters the report
-on purpose must say so and record the new digest.
+on purpose must say so and record the new digest.  The report must not
+change under python -O either: no assert may decide anything in it.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_corpus.py"
 
@@ -27,9 +30,10 @@ def _strip(value):
     return value
 
 
-def test_seed0_corpus_report_digest(tmp_path):
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_seed0_corpus_report_digest(tmp_path, flags):
     out = tmp_path / "corpus.json"
-    subprocess.run([sys.executable, str(SCRIPT), "--seed", "0", "--out", str(out)],
+    subprocess.run([sys.executable, *flags, str(SCRIPT), "--seed", "0", "--out", str(out)],
                    check=True, capture_output=True, timeout=600)
     report = _strip(json.loads(out.read_text()))
     digest = hashlib.sha256(json.dumps(report, indent=2).encode()).hexdigest()

@@ -66,6 +66,9 @@ def test_index_agrees_with_a_scan(tp33, m2z2):
             assert got == scan
             assert got.representative == scan.representative
             assert got.as_set() == scan.as_set()
+            # d(y) = x and membership of the coset rep + Ker agree
+            for y in range(ring.size):
+                assert got.contains(y) == (y in got.as_set())
 
 
 def test_integrate_guards(zn4, tp33):
@@ -79,6 +82,13 @@ def test_integrate_guards(zn4, tp33):
         integrate(tp33, zero_map(zn4), 0)
     with pytest.raises(RingError):
         integrate(zn4, zero_map(zn4), 9)
+
+
+def test_contains_range_checks_empty_and_nonempty_integrals(zn4):
+    z = zero_map(zn4)
+    for x in (0, 1):        # i_0(0) is the whole ring, i_0(1) is empty
+        with pytest.raises(RingError):
+            integrate(zn4, z, x).contains(99)
 
 
 def test_integral_identity(tp33):

@@ -125,6 +125,9 @@ def test_additive_map_basic_api(zn4):
     assert f.is_jordan
     with pytest.raises(RingError):
         f(7)
+    for table in ([0, 1.5, 2, 3], ["0", "1", "2", "3"]):
+        with pytest.raises(RingError, match="must be integers"):
+            AdditiveMap.from_table(zn4, table)
 
 
 def test_zero_map_flags(zn4):
