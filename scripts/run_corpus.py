@@ -8,7 +8,6 @@ and writes a JSON report plus a text summary.
 
 Usage:
     python3 scripts/run_corpus.py [--out results/corpus.json] [--seed N]
-            [--skip-herstein-flagship]
 """
 
 from __future__ import annotations
@@ -93,14 +92,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="results/corpus.json")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--skip-herstein-flagship", action="store_true",
-                        help="skip the 2x2 matrix ring over Z3")
     args = parser.parse_args(argv)
 
     config = CheckerConfig(seed=args.seed)
-    specs = list(CORPUS)
-    if not args.skip_herstein_flagship:
-        specs.append(FLAGSHIP)
+    specs = CORPUS + [FLAGSHIP]
 
     results = []
     overall = "pass"

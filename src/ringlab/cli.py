@@ -51,19 +51,20 @@ def _load_ring(text: str) -> FiniteRing:
         try:
             with open(text) as fh:
                 data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:   # bad JSON, or an int of over 4300 digits
             raise CliError(f"malformed ring spec file {text}: {exc}")
     elif stripped.startswith("{"):
         try:
             data = json.loads(stripped)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise CliError(f"malformed inline ring spec: {exc}")
     else:
         raise CliError(f"ring spec file not found: {text}")
     return build_ring(spec_from_json(data))
 
 
-_ENUM_RE = re.compile(r"^enumerate(:jordan)?(?:#(\d+))?$")
+# at most 9 digits: no listing reaches 10^9 maps; int() refuses 4301+ digits
+_ENUM_RE = re.compile(r"^enumerate(:jordan)?(?:#(\d{1,9}))?$")
 
 
 def _resolve_maps(ring: FiniteRing, desc: str,
@@ -97,7 +98,7 @@ def _resolve_maps(ring: FiniteRing, desc: str,
                 data = json.load(fh)
         except OSError as exc:
             raise CliError(f"cannot read map table {path}: {exc}")
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise CliError(f"malformed map table {path}: {exc}")
         # bool is a subclass of int, and numpy would read true as 1
         if not isinstance(data, list) or not all(type(v) is int for v in data):
@@ -272,7 +273,7 @@ def _cmd_verify(args) -> tuple[int, str, dict]:
 
 
 def _zn_range(text: str) -> list[int]:
-    got = re.match(r"^(\d+)\.\.(\d+)$", text.strip())
+    got = re.match(r"^(\d{1,9})\.\.(\d{1,9})$", text.strip())    # as _ENUM_RE
     if not got:
         raise CliError(f"bad --zn range {text!r}; expected like 2..12")
     lo, hi = int(got.group(1)), int(got.group(2))
@@ -410,8 +411,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ring", action="append",
                    help="ring spec path or inline JSON (repeatable)")
     p.add_argument("--zn", help="also scan cyclic rings Z_n for n in A..B")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--out", help="write the result to this file")
+    common(p, ring=False)
     return parser
 
 

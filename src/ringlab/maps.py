@@ -57,7 +57,10 @@ class NotAdditiveError(MapLawError):
 def _as_table(ring: FiniteRing, table) -> np.ndarray:
     if isinstance(table, AdditiveMap):
         table = table.table
-    arr = np.asarray(table)
+    try:
+        arr = np.asarray(table)
+    except ValueError:      # ragged nesting
+        raise RingError(f"map table must have length {ring.size}") from None
     if arr.shape != (ring.size,):
         raise RingError(f"map table must have length {ring.size}")
     if arr.dtype.kind not in "iu":
@@ -245,13 +248,10 @@ class AdditiveMap:
     def inner_witness(self) -> Optional[int]:
         """An element a with self = (x -> x*a - a*x), if one exists."""
         if self._inner == -1:
-            ring = self.ring
-            found = None
-            for a in range(ring.size):
-                if np.array_equal(self.table, _inner_table(ring, a)):
-                    found = a
-                    break
-            self._inner = found
+            mul, add, neg = self.ring.mul_table, self.ring.add_table, self.ring.neg_table
+            inner = add[mul.T, neg[mul]]        # row a: x -> x*a - a*x
+            hits = np.flatnonzero((inner == self.table).all(axis=1))
+            self._inner = int(hits[0]) if len(hits) else None
         return self._inner
 
     # -- kernel / image / fibres ----------------------------------------------

@@ -5,8 +5,8 @@ rings, truncated polynomial rings, a five-parameter triangular matrix
 pattern, direct products, and raw tables.  Elements are plain ints in
 ``range(size)``; the two tables are the single source of truth for all
 arithmetic.  Construction runs an exact axiom check (abelian
-addition, associativity, distributivity) unless disabled for trusted
-generated specs.
+addition, associativity, distributivity).  Only rings generated from
+their parameters may skip it; ``tables`` input is always checked.
 
 Element order is deterministic per kind.  ``Zn`` and ``Tables`` keep
 index order.  The other kinds are tuples of base-ring elements, built by
@@ -32,6 +32,7 @@ DEFAULT_MAX_SIZE = 256
 MAX_SIZE_ENV = "RINGLAB_MAX_SIZE"
 
 _TABLE_DTYPE = np.int32
+_MAX_COORDINATES = 63       # np.indices stacks one more axis, and numpy has 64
 
 
 class RingError(Exception):
@@ -149,7 +150,7 @@ def spec_from_json(data) -> RingSpec:
                 tuple(tuple(int(v) for v in row) for row in data["mul"]),
                 None if unity is None else int(unity),
             )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise RingError(f"malformed '{kind}' spec: {exc}") from exc
     raise RingError(f"unknown ring spec kind: {kind!r}")
 
@@ -236,6 +237,7 @@ class FiniteRing:
         self.unity = None if unity is None else int(unity)
         self.labels = tuple(labels)
         self._values = list(values)
+        self._value_index = {v: i for i, v in enumerate(self._values)}
         self._parser = parser
         for t in (self.add_table, self.mul_table):
             t.flags.writeable = False
@@ -295,8 +297,8 @@ class FiniteRing:
 
     def index_of_value(self, value) -> int:
         try:
-            return self._values.index(value)
-        except ValueError:
+            return self._value_index[value]
+        except (KeyError, TypeError):       # TypeError: an unhashable value
             raise RingError(f"value {value!r} is not an element of this ring") from None
 
     def label(self, x: int) -> str:
@@ -304,7 +306,10 @@ class FiniteRing:
 
     def parse(self, text: str) -> int:
         """Resolve element text: an index, a label, or kind-specific syntax."""
-        return self._parser(self, text)
+        try:
+            return self._parser(self, text)
+        except ValueError:      # int() refuses strings of over 4300 digits
+            raise ElementParseError(f"cannot parse {text[:40]!r}...") from None
 
     # -- unity-dependent helpers ---------------------------------------------
 
@@ -533,7 +538,8 @@ def check_ring_axioms(add: np.ndarray, mul: np.ndarray, size: int,
                    lambda i, j, k: (gens[i], gens[j], gens[k]))
 
     if unity is not None:
-        if not (np.array_equal(mul[unity], idx) and np.array_equal(mul[:, unity], idx)):
+        if not (0 <= unity < n and np.array_equal(mul[unity], idx)
+                and np.array_equal(mul[:, unity], idx)):
             raise RingAxiomError("unity", (unity,),
                                  f"declared unity {unity} is not a two-sided identity")
     return zero
@@ -643,8 +649,6 @@ def _coordinate_ring(cells: list[tuple[FiniteRing, bool]],
     for (base, _), pairs in zip(cells, rule):
         terms = [base.mul_table[coords[i][:, None], coords[j][None, :]] for i, j in pairs]
         products.append(functools.reduce(lambda acc, t: base.add_table[acc, t], terms))
-    if any((p != base.zero).any() for p, (base, free) in zip(products, cells) if not free):
-        raise RingError("the pattern of held zero entries is not closed under multiplication")
     # a held coordinate has one value and weight 0 in the element index
     weights = [math.prod(sizes[k + 1:]) if free else 0 for k, (_, free) in enumerate(cells)]
     free_digits = np.array([d for d, (_, free) in zip(digits, cells) if free])
@@ -712,20 +716,18 @@ def _poly_parse_text(text: str, p: int, m: int) -> tuple[int, ...]:
 
 def _build_trunc_poly(spec: TruncPoly, build) -> dict:
     p, m = spec.p, spec.m
+    if m < 1:       # first: with m >= 1 the size ceiling bounds p
+        raise RingError("trunc_poly requires m >= 1")
     if not _is_prime_int(p):
         raise RingError(f"trunc_poly requires prime p, got {p}")
-    if m < 1:
-        raise RingError("trunc_poly requires m >= 1")
     parts = _coordinate_ring([(build(Zn(p), check=False), True)] * m,
                              [[(s, k - s) for s in range(k + 1)] for k in range(m)])
-    index = {v: i for i, v in enumerate(parts["values"])}
 
     def parser(ring, text):
         got = _parse_index_or_label(ring, text)
         if got is not None:
             return got
-        coeffs = _poly_parse_text(text, p, m)
-        return index[coeffs]
+        return ring.index_of_value(_poly_parse_text(text, p, m))
 
     parts.update(labels=[_poly_label(v) for v in parts["values"]], parser=parser)
     return parts
@@ -736,11 +738,10 @@ def _build_trunc_poly(spec: TruncPoly, build) -> dict:
 def _build_matrix(spec: Matrix, build) -> dict:
     base = build(spec.base, check=False)
     d = spec.dim
-    if d < 1:
-        raise RingError("matrix requires dim >= 1")
+    if not 1 <= d <= math.isqrt(_MAX_COORDINATES):
+        raise RingError(f"matrix requires 1 <= dim <= {math.isqrt(_MAX_COORDINATES)}")
     cells = d * d
     parts = _coordinate_ring([(base, True)] * cells, _matrix_rule(d))
-    index = {v: i for i, v in enumerate(parts["values"])}
 
     unit_re = re.compile(r"^E([1-9])([1-9])$")
 
@@ -758,9 +759,9 @@ def _build_matrix(spec: Matrix, build) -> dict:
                 raise ElementParseError("matrix-unit syntax needs a base ring with unity")
             v = [base.zero] * cells
             v[r * d + c] = base.unity
-            return index[tuple(v)]
+            return ring.index_of_value(tuple(v))
         rows = _parse_matrix_rows(text, d, base)
-        return index[tuple(itertools.chain.from_iterable(rows))]
+        return ring.index_of_value(tuple(itertools.chain.from_iterable(rows)))
 
     parts.update(labels=[_matrix_label(base, d, v) for v in parts["values"]], parser=parser)
     return parts
@@ -802,7 +803,6 @@ def _build_tri_pattern(spec: TriPattern, build) -> dict:
     parts = _coordinate_ring(
         [(base, (r, c) in _TRI_POSITIONS) for r in range(3) for c in range(3)],
         _matrix_rule(3))
-    index = {v: i for i, v in enumerate(parts["values"])}
 
     def label(v):
         at = dict(zip(_TRI_POSITIONS, v))
@@ -818,14 +818,14 @@ def _build_tri_pattern(spec: TriPattern, build) -> dict:
             # the all-ones pattern matrix, the canonical inner-map witness here
             if base.unity is None:
                 raise ElementParseError("'A' needs a base ring with unity")
-            return index[(base.unity,) * 5]
+            return ring.index_of_value((base.unity,) * 5)
         rows = _parse_matrix_rows(text, 3, base)
         flat = [rows[r][c] for r in range(3) for c in range(3)]
         for r, c in _TRI_ZERO_POSITIONS:
             if flat[r * 3 + c] != base.zero:
                 raise ElementParseError(
                     f"{text!r} has a nonzero entry outside the stored pattern")
-        return index[tuple(flat[r * 3 + c] for r, c in _TRI_POSITIONS)]
+        return ring.index_of_value(tuple(flat[r * 3 + c] for r, c in _TRI_POSITIONS))
 
     parts.update(labels=[label(v) for v in parts["values"]], parser=parser)
     return parts
@@ -834,12 +834,11 @@ def _build_tri_pattern(spec: TriPattern, build) -> dict:
 # -- Product ---------------------------------------------------------------------
 
 def _build_product(spec: Product, build) -> dict:
-    if not spec.factors:
-        raise RingError("product requires at least one factor")
+    if not 1 <= len(spec.factors) <= _MAX_COORDINATES:
+        raise RingError(f"product requires 1 to {_MAX_COORDINATES} factors")
     factors = [build(f, check=False) for f in spec.factors]
     parts = _coordinate_ring([(f, True) for f in factors],
                              [[(k, k)] for k in range(len(factors))])
-    index = {v: i for i, v in enumerate(parts["values"])}
 
     def parser(ring, text):
         text = text.strip()
@@ -852,7 +851,7 @@ def _build_product(spec: Product, build) -> dict:
         components = _split_top(s[1:-1], ",")
         if len(components) != len(factors):
             raise ElementParseError(f"expected {len(factors)} components in {text!r}")
-        return index[tuple(f.parse(p) for f, p in zip(factors, components))]
+        return ring.index_of_value(tuple(f.parse(p) for f, p in zip(factors, components)))
 
     parts.update(labels=["(" + ",".join(f.label(c) for f, c in zip(factors, v)) + ")"
                          for v in parts["values"]], parser=parser)
@@ -865,8 +864,12 @@ def _build_tables(spec: Tables) -> dict:
     n = spec.size
     if n < 1:
         raise RingError("tables requires size >= 1")
-    add = np.array(spec.add, dtype=_TABLE_DTYPE)
-    mul = np.array(spec.mul, dtype=_TABLE_DTYPE)
+    try:
+        add, mul = (np.array(t, dtype=_TABLE_DTYPE) for t in (spec.add, spec.mul))
+    except ValueError:      # ragged rows, or entries that are not numbers
+        raise RingAxiomError("shape", (), f"tables must be {n}x{n}") from None
+    except OverflowError:
+        raise RingAxiomError("closure", (), "table entry out of range") from None
     values = list(range(n))
     labels = [str(i) for i in range(n)]
 
@@ -894,39 +897,57 @@ def max_suite_size() -> int:
     return DEFAULT_MAX_SIZE
 
 
-def build_ring(spec: RingSpec, check: bool = True,
-               max_size: Optional[int] = None) -> FiniteRing:
+def build_ring(spec: RingSpec, check: bool = True) -> FiniteRing:
     """Construct the ring described by spec.
 
-    check=True (the default) runs the exact axiom check; pass False
-    only for trusted generated specs.  Rings larger than the size
-    ceiling are refused so suites stay tractable.
+    ``tables`` input is never trusted: a Tables spec, at the top or nested
+    as a base or factor, always passes the exact axiom check, with its
+    declared unity.  check=True (the default) checks the generated kinds
+    too; check=False skips that only for rings generated from their
+    parameters (zn, trunc_poly, matrix, tri_pattern, product).  A ring
+    larger than the size ceiling, or holding a larger ring as base or
+    factor, is refused before anything is built, so suites stay tractable.
     """
-    limit = max_suite_size() if max_size is None else max_size
+    limit = max_suite_size()
 
-    def _expected_size(s: RingSpec) -> int:
+    def _power(b: int, e: int) -> int:
+        if b < 2 or e < 1:      # at most one element, or refused by the builder
+            return min(b, 1)
+        out = 1
+        for _ in range(e):
+            out *= b
+            if out > limit:
+                break
+        return out
+
+    def _size(s: RingSpec) -> int:
+        """The size of s, or a lower bound on it once that passes limit.
+        Every ring inside s is held to limit too, as it is built first."""
         if isinstance(s, Zn):
-            return s.n
-        if isinstance(s, TruncPoly):
-            return s.p ** s.m
-        if isinstance(s, Matrix):
-            return _expected_size(s.base) ** (s.dim * s.dim)
-        if isinstance(s, TriPattern):
-            return _expected_size(s.base) ** 5
-        if isinstance(s, Product):
-            total = 1
+            size = s.n
+        elif isinstance(s, TruncPoly):
+            size = _power(s.p, s.m)
+        elif isinstance(s, Matrix):
+            size = _power(_size(s.base), s.dim * s.dim)
+        elif isinstance(s, TriPattern):
+            size = _power(_size(s.base), 5)
+        elif isinstance(s, Product):
+            size = 1
             for f in s.factors:
-                total *= _expected_size(f)
-            return total
-        if isinstance(s, Tables):
-            return s.size
-        raise RingError(f"unknown ring spec: {s!r}")
+                size *= _size(f)
+                if size > limit:
+                    break
+        elif isinstance(s, Tables):
+            size = s.size
+        else:
+            raise RingError(f"unknown ring spec: {s!r}")
+        if size > limit:
+            raise RingError(
+                f"ring of at least {size} elements exceeds the ceiling {limit} "
+                f"(set {MAX_SIZE_ENV} to raise it)")
+        return size
 
-    expected = _expected_size(spec)
-    if expected > limit:
-        raise RingError(
-            f"ring of size {expected} exceeds the ceiling {limit} "
-            f"(set {MAX_SIZE_ENV} to raise it)")
+    _size(spec)
 
     def _build(s: RingSpec, check: bool) -> FiniteRing:
         if isinstance(s, Zn):
@@ -944,25 +965,15 @@ def build_ring(spec: RingSpec, check: bool = True,
         else:
             raise RingError(f"unknown ring spec: {s!r}")
 
-        declared = s.unity if isinstance(s, Tables) else None
-        if check:
+        if check or isinstance(s, Tables):
             zero = check_ring_axioms(parts["add"], parts["mul"], parts["size"],
-                                     unity=declared)
+                                     unity=getattr(s, "unity", None))
         else:
-            idx = np.arange(parts["size"], dtype=_TABLE_DTYPE)
-            zero_rows = np.flatnonzero((parts["add"] == idx[None, :]).all(axis=1))
-            if len(zero_rows) != 1:
-                # an unchecked nested tables base is still user input
-                raise RingAxiomError("additive-identity", (),
-                                     "addition table has no unique identity row")
-            zero = int(zero_rows[0])
-        unity = _detect_unity(parts["mul"])
-        if declared is not None and unity != declared:
-            raise RingAxiomError(
-                "unity", (declared,),
-                f"declared unity {declared} does not match detected {unity}")
+            # in a group x + a = a only for x = 0; take a = element 0
+            zero = int(np.argmax(parts["add"][:, 0] == 0))
         return FiniteRing(s, parts["size"], parts["add"], parts["mul"], zero,
-                          unity, parts["labels"], parts["values"], parts["parser"])
+                          _detect_unity(parts["mul"]), parts["labels"],
+                          parts["values"], parts["parser"])
 
     return _build(spec, check)
 

@@ -40,7 +40,7 @@ import numpy as np
 
 from .maps import (AdditiveMap, MapLawError, _require_map, check_derivation,
                    enumerate_derivations, enumerate_jordan_derivations)
-from .rings import FiniteRing, RingError, spec_to_json
+from .rings import FiniteRing, RingError
 
 MAX_WITNESSES = 25
 _BLOCK = 1 << 16    # pairs per array step, which bounds a pair check's memory
@@ -64,7 +64,6 @@ class TheoremReport:
     witnesses: list
     seed: Optional[int]
     runtime: float
-    ring_spec: Optional[dict] = None
     map_desc: Optional[str] = None
 
     def to_json(self) -> dict:
@@ -135,8 +134,7 @@ class _Recorder:
     def skip(self, reason: str) -> TheoremReport:
         return TheoremReport(self.checker, "skipped", reason, self.instances,
                              self.witnesses, self.seed,
-                             time.perf_counter() - self.t0,
-                             ring_spec=spec_to_json(self.ring.spec))
+                             time.perf_counter() - self.t0)
 
     def finish(self) -> TheoremReport:
         status = "fail" if self.failed else "pass"
@@ -144,8 +142,7 @@ class _Recorder:
             assert self.witnesses, "failing reports must carry witnesses"
         return TheoremReport(self.checker, status, None, self.instances,
                              self.witnesses, self.seed,
-                             time.perf_counter() - self.t0,
-                             ring_spec=spec_to_json(self.ring.spec))
+                             time.perf_counter() - self.t0)
 
 
 def _pair_blocks(n: int, config: CheckerConfig, rec: _Recorder):
@@ -703,8 +700,8 @@ def find_jordan_not_derivation(ring: FiniteRing, progress=None) -> Optional[Addi
 # herstein
 
 
-def herstein_check(ring: FiniteRing, config: Optional[CheckerConfig] = None,
-                   progress=None) -> TheoremReport:
+def herstein_check(ring: FiniteRing,
+                   config: Optional[CheckerConfig] = None) -> TheoremReport:
     """On a 2-torsion-free prime ring, every Jordan derivation satisfies
     the Leibniz law."""
     rec = _Recorder("herstein", ring)
@@ -712,7 +709,7 @@ def herstein_check(ring: FiniteRing, config: Optional[CheckerConfig] = None,
         return rec.skip("not 2-torsion-free")
     if not ring.is_prime():
         return rec.skip("not prime")
-    for jmap in enumerate_jordan_derivations(ring, progress):
+    for jmap in enumerate_jordan_derivations(ring):
         ok, witness = check_derivation(ring, jmap.table)
         rec.check(ok, {"kind": "jordan-not-derivation",
                        "table": [int(v) for v in jmap.table],
@@ -748,29 +745,25 @@ _DERIVATION_CHECKERS = {
 }
 
 
-def _skipped(checker: str, ring: FiniteRing, reason: str) -> TheoremReport:
-    return TheoremReport(checker, "skipped", reason, 0, [], None, 0.0,
-                         ring_spec=spec_to_json(ring.spec))
-
-
 def _run_checker(ring: FiniteRing, amap: AdditiveMap, checker: str,
                  config: CheckerConfig,
                  derivations: list[AdditiveMap]) -> TheoremReport:
     """One checker on one map.  derivations is Der(R), or empty until
     separation first needs it and lists it there."""
+    skip = _Recorder(checker, ring).skip
     if checker in _DERIVATION_CHECKERS:
         if not amap.is_derivation:
-            return _skipped(checker, ring, "map is not a validated derivation")
+            return skip("map is not a validated derivation")
         return _DERIVATION_CHECKERS[checker](ring, amap, config)
     if checker == "jordan-suite":
         if not amap.is_jordan:
-            return _skipped(checker, ring, "map is not a validated Jordan derivation")
+            return skip("map is not a validated Jordan derivation")
         return verify_jordan_suite(ring, amap, config)
     if checker == "separation":
         if not amap.is_jordan:
-            return _skipped(checker, ring, "map is not a validated Jordan derivation")
+            return skip("map is not a validated Jordan derivation")
         if amap.is_derivation:
-            return _skipped(checker, ring, "map is a derivation")
+            return skip("map is a derivation")
         if not derivations:     # Der(R) always holds the zero map
             derivations.extend(enumerate_derivations(ring))
         return _separation(ring, amap, derivations)

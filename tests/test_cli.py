@@ -222,6 +222,41 @@ def test_nested_tables_base_without_zero_is_refused(capsys):
     assert captured.out == ""
 
 
+def _tables2(mul, **extra):
+    return {"kind": "tables", "size": 2, "add": [[0, 1], [1, 0]], "mul": mul, **extra}
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "tables", "size": 2, "add": [[0, 1], [1]], "mul": [[0, 0], [0, 0]]},
+    _tables2([[0, 0], [0, 0]], unity=5),
+    {"kind": "matrix", "dim": 2, "base": _tables2([[0, 0], [0, 7]])},
+    {"kind": "matrix", "dim": 2, "base": _tables2([[0, 0], [0, -1]])},
+    {"kind": "tri_pattern", "base": _tables2([[0, 0], [0, -1]])},
+    {"kind": "product", "factors": [_tables2([[0, 0]])]},
+    {"kind": "product", "factors": [_tables2([[0, 0], [0, 2 ** 40]])]},
+    '{"kind": "zn", "n": 1e400}',
+    {"kind": "matrix", "base": {"kind": "zn", "n": 2}, "dim": 1e9},
+    {"kind": "trunc_poly", "p": 2, "m": 100000000000},
+    {"kind": "trunc_poly", "p": 2 ** 61 - 1, "m": 0},
+    {"kind": "matrix", "base": {"kind": "zn", "n": 10 ** 9}, "dim": 0},
+    {"kind": "matrix", "base": {"kind": "zn", "n": 1}, "dim": 8},
+    {"kind": "matrix", "base": {"kind": "zn", "n": 1}, "dim": 100000},
+    {"kind": "product", "factors": [{"kind": "zn", "n": 1}] * 64},
+], ids=["ragged", "unity-out-of-range", "nested-out-of-range", "nested-negative",
+        "tri-negative", "product-non-square", "beyond-int32", "zn-1e400",
+        "matrix-dim-1e9", "trunc-poly-m-1e11", "trunc-poly-prime-p-m-0",
+        "matrix-dim-0-over-z1e9", "matrix-over-z1-dim-8",
+        "matrix-over-z1-dim-100000", "product-of-64"])
+def test_malformed_spec_is_refused(spec, capsys):
+    """Each spec once crashed the CLI, was accepted, or never ended."""
+    text = spec if isinstance(spec, str) else json.dumps(spec)
+    assert main(["ring-info", "--ring", text]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_out_of_range_table_entry_names_plain_indices(capsys):
     spec = {"kind": "tables", "size": 2, "add": [[0, 1], [1, 0]],
             "mul": [[0, 0], [0, 5]]}
@@ -273,6 +308,14 @@ def test_usage_errors(zn4_file, tmp_path, capsys):
     assert main(["verify", "--ring", zn4_file, "--map", "enumerate#7",
                  "--checkers", "basic"]) == 2
     assert main(["search", "--target", "non-proper"]) == 2           # no rings
+    digits = "1" * 5000     # int() refuses strings of over 4300 digits
+    assert main(["integrate", "--ring", zn4_file, "--map", "trivial",
+                 "--element", digits]) == 2
+    assert main(["integrate", "--ring", '{"kind":"trunc_poly","p":2,"m":2}',
+                 "--map", "trivial", "--element", f"X^{digits}"]) == 2
+    assert main(["ring-info", "--ring", f'{{"kind":"zn","n":{digits}}}']) == 2
+    assert main(["verify", "--ring", zn4_file, "--map", f"enumerate#{digits}"]) == 2
+    assert main(["search", "--target", "non-proper", "--zn", f"2..{digits}"]) == 2
     capsys.readouterr()
 
 

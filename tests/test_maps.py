@@ -128,6 +128,8 @@ def test_additive_map_basic_api(zn4):
     for table in ([0, 1.5, 2, 3], ["0", "1", "2", "3"]):
         with pytest.raises(RingError, match="must be integers"):
             AdditiveMap.from_table(zn4, table)
+    with pytest.raises(RingError, match="must have length"):
+        AdditiveMap.from_table(zn4, [[0], [1, 2], 3, 4])
 
 
 def test_zero_map_flags(zn4):
@@ -234,7 +236,8 @@ def test_m2z2_derivations_all_inner(m2z2):
     inner = {inner_derivation(m2z2, a).as_tuple() for a in range(m2z2.size)}
     assert inner == {d.as_tuple() for d in ders}
     for d in ders:
-        assert d.inner_witness is not None
+        assert d.inner_witness == next(a for a in range(m2z2.size)
+                                       if inner_derivation(m2z2, a) == d)
 
 
 def test_m2z3_jordan_equals_derivations(m2z3):

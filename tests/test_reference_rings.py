@@ -69,7 +69,8 @@ def test_coordinate_builder_matches_loop_builders(spec):
 
 
 def test_tri_pattern_closure_error_kept():
-    """Over a base where 0*x != 0 the pattern's zero cells fill in."""
+    """A base where 0*x != 0 would fill in the pattern's zero cells, but
+    it is not a ring: its tables fail the axiom check first."""
     ones = Tables(2, ((0, 1), (1, 0)), ((1, 1), (1, 1)))
     with pytest.raises(RingError):
         reference_build(TriPattern(ones))

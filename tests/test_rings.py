@@ -74,6 +74,9 @@ def test_trunc_poly_structure(tp33):
     # constant-term-first coefficient order: indices are base-p digits
     assert tp33.value(tp33.parse("X")) == (0, 1, 0)
     assert tp33.parse("1+2X") == tp33.index_of_value((1, 2, 0))
+    for value in ((1, 2), [1, 2, 0]):       # not an element, and unhashable
+        with pytest.raises(RingError):
+            tp33.index_of_value(value)
     assert tp33.bold(5) == tp33.parse("2")
     inv = tp33.invert(tp33.parse("1+X"))
     assert tp33.label(inv) == "1+2X+X^2"
@@ -127,6 +130,21 @@ def test_tables_axiom_failure_reports_witness():
         build_ring(Tables(2, add, bad_mul))
     assert err.value.axiom
     assert err.value.witness is not None
+
+
+@pytest.mark.parametrize("wrap", [lambda t: t, lambda t: Matrix(t, 1),
+                                  lambda t: TriPattern(t), lambda t: Product((t,))],
+                         ids=["top", "matrix", "tri_pattern", "product"])
+def test_tables_are_checked_even_unchecked(wrap):
+    """check=False trusts only generated rings: a tables spec, at the top
+    or nested, fails the same axiom check as with check=True."""
+    bad = Tables(2, ((0, 1), (1, 0)), ((0, 1), (0, 0)))
+    errors = []
+    for check in (True, False):
+        with pytest.raises(RingAxiomError) as err:
+            build_ring(wrap(bad), check=check)
+        errors.append((err.value.axiom, err.value.witness, str(err.value)))
+    assert errors[0] == errors[1]
 
 
 def test_tables_unity_mismatch(zn4):
