@@ -51,12 +51,13 @@ def _load_ring(text: str) -> FiniteRing:
         try:
             with open(text) as fh:
                 data = json.load(fh)
-        except ValueError as exc:   # bad JSON, or an int of over 4300 digits
+        # bad JSON, an int of over 4300 digits, or nesting too deep to decode
+        except (ValueError, RecursionError) as exc:
             raise CliError(f"malformed ring spec file {text}: {exc}")
     elif stripped.startswith("{"):
         try:
             data = json.loads(stripped)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise CliError(f"malformed inline ring spec: {exc}")
     else:
         raise CliError(f"ring spec file not found: {text}")
@@ -238,9 +239,13 @@ def _report_line(report: TheoremReport) -> str:
     return line
 
 
+# power-rules builds one column per exponent in [-max_n, max_n]
+_MAX_N = 1024
+
+
 def _cmd_verify(args) -> tuple[int, str, dict]:
-    if args.max_n is not None and args.max_n < 0:
-        raise CliError(f"--max-n must be 0 or more, got {args.max_n}")
+    if args.max_n is not None and not 0 <= args.max_n <= _MAX_N:
+        raise CliError(f"--max-n must be in 0..{_MAX_N}, got {args.max_n}")
     ring = _load_ring(args.ring)
     progress = _progress_printer("enumerate")
     named = _resolve_maps(ring, args.map, progress)
@@ -311,11 +316,10 @@ def _search_ring(ring: FiniteRing, target: str) -> Optional[dict]:
         mul = ring.mul_table
         for i, dmap in enumerate(enumerate_derivations(ring, progress)):
             f = dmap.table
-            image = np.asarray(dmap.image.elements)
-            left = mul[f][:, :]           # d(x)*y
+            rep = dmap.fibres.rep         # rep[z] < 0: z is not in the image
+            left = mul[f]                 # d(x)*y
             right = mul[:, f]             # x*d(y)
-            bad = ~np.isin(left, image) & ~np.isin(right, image)
-            hits = np.argwhere(bad)
+            hits = np.argwhere((rep[left] < 0) & (rep[right] < 0))
             if len(hits):
                 x, y = (int(v) for v in hits[0])
                 return {"ring": spec_to_json(ring.spec),
@@ -432,13 +436,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         code, text, payload = _HANDLERS[args.command](args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (CliError, RingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     body = (json.dumps(payload, indent=2) + "\n" if args.format == "json"

@@ -2,11 +2,16 @@
 
 Rings are built from declarative specs: modular integers, full matrix
 rings, truncated polynomial rings, a five-parameter triangular matrix
-pattern, direct products, and raw tables.  Elements are plain ints in
-``range(size)``; the two tables are the single source of truth for all
-arithmetic.  Construction runs an exact axiom check (abelian
-addition, associativity, distributivity).  Only rings generated from
-their parameters may skip it; ``tables`` input is always checked.
+pattern, direct products, and raw tables.  A wire spec takes one checked
+path to tables: ``spec_from_json`` accepts only JSON integers in integer
+fields and at most 32 levels of nesting, and each builder refuses a ring
+above the size ceiling where its tables would be made.  Elements are
+plain ints in ``range(size)``; the two tables are the single source of
+truth for all arithmetic.  Construction runs an exact axiom check
+(abelian addition, associativity, distributivity).  Only rings generated
+from their parameters may skip it; ``tables`` input is always checked.
+``FiniteRing.parse`` reads an index or a label for every kind, then the
+kind's own syntax, if any.
 
 Element order is deterministic per kind.  ``Zn`` and ``Tables`` keep
 index order.  The other kinds are tuples of base-ring elements, built by
@@ -33,6 +38,7 @@ MAX_SIZE_ENV = "RINGLAB_MAX_SIZE"
 
 _TABLE_DTYPE = np.int32
 _MAX_COORDINATES = 63       # np.indices stacks one more axis, and numpy has 64
+_MAX_DEPTH = 32             # nesting levels of base and factor specs
 
 
 class RingError(Exception):
@@ -127,30 +133,46 @@ def spec_to_json(spec: RingSpec) -> dict:
 
 
 def spec_from_json(data) -> RingSpec:
-    """Parse a spec from its wire dict form."""
+    """Parse a spec from its wire dict form.
+
+    Every integer field and table entry must be a JSON integer, not a
+    bool, and a spec may nest at most ``_MAX_DEPTH`` levels of base or
+    factor specs.
+    """
+    return _spec_from_json(data, 0)
+
+
+def _integer(value, field: str) -> int:
+    if type(value) is not int:      # bool is a subclass of int
+        raise TypeError(f"{field} must be an integer, not {type(value).__name__}")
+    return value
+
+
+def _spec_from_json(data, depth: int) -> RingSpec:
+    if depth > _MAX_DEPTH:
+        raise RingError(f"ring spec nested more than {_MAX_DEPTH} levels deep")
     if not isinstance(data, dict) or "kind" not in data:
         raise RingError("ring spec must be an object with a 'kind' field")
     kind = data["kind"]
     try:
         if kind == "zn":
-            return Zn(int(data["n"]))
+            return Zn(_integer(data["n"], "n"))
         if kind == "trunc_poly":
-            return TruncPoly(int(data["p"]), int(data["m"]))
+            return TruncPoly(_integer(data["p"], "p"), _integer(data["m"], "m"))
         if kind == "matrix":
-            return Matrix(spec_from_json(data["base"]), int(data["dim"]))
+            return Matrix(_spec_from_json(data["base"], depth + 1),
+                          _integer(data["dim"], "dim"))
         if kind == "tri_pattern":
-            return TriPattern(spec_from_json(data["base"]))
+            return TriPattern(_spec_from_json(data["base"], depth + 1))
         if kind == "product":
-            return Product(tuple(spec_from_json(f) for f in data["factors"]))
+            return Product(tuple(_spec_from_json(f, depth + 1) for f in data["factors"]))
         if kind == "tables":
+            add, mul = (tuple(tuple(_integer(v, "table entry") for v in row)
+                              for row in data[t]) for t in ("add", "mul"))
             unity = data.get("unity")
-            return Tables(
-                int(data["size"]),
-                tuple(tuple(int(v) for v in row) for row in data["add"]),
-                tuple(tuple(int(v) for v in row) for row in data["mul"]),
-                None if unity is None else int(unity),
-            )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            return Tables(_integer(data["size"], "size"), add, mul,
+                          None if unity is None else _integer(unity, "unity"))
+    except (KeyError, TypeError) as exc:
         raise RingError(f"malformed '{kind}' spec: {exc}") from exc
     raise RingError(f"unknown ring spec kind: {kind!r}")
 
@@ -211,9 +233,6 @@ class ElementSet:
 
     def labels(self) -> tuple[str, ...]:
         return tuple(self.ring.label(e) for e in self.elements)
-
-    def issubset(self, other: "ElementSet") -> bool:
-        return self._members <= other._members
 
 
 # ---------------------------------------------------------------------------
@@ -307,9 +326,15 @@ class FiniteRing:
     def parse(self, text: str) -> int:
         """Resolve element text: an index, a label, or kind-specific syntax."""
         try:
-            return self._parser(self, text)
+            got = _parse_index_or_label(self, text)
+            if got is None and self._parser is not None:
+                got = self._parser(self, text.strip())
         except ValueError:      # int() refuses strings of over 4300 digits
             raise ElementParseError(f"cannot parse {text[:40]!r}...") from None
+        if got is None:
+            raise ElementParseError(
+                f"cannot parse {text!r} as an element of {spec_name(self.spec)}")
+        return got
 
     # -- unity-dependent helpers ---------------------------------------------
 
@@ -610,20 +635,10 @@ def _build_zn(spec: Zn) -> dict:
     n = spec.n
     if n < 1:
         raise RingError("zn requires n >= 1")
-    idx = np.arange(n, dtype=_TABLE_DTYPE)
-    add = (idx[:, None] + idx[None, :]) % n
-    mul = (idx[:, None] * idx[None, :]) % n
-    values = list(range(n))
-    labels = [str(i) for i in range(n)]
-
-    def parser(ring, text):
-        got = _parse_index_or_label(ring, text)
-        if got is None:
-            raise ElementParseError(f"cannot parse {text!r} as an element of {spec_name(spec)}")
-        return got
-
-    return dict(size=n, add=add.astype(_TABLE_DTYPE), mul=mul.astype(_TABLE_DTYPE),
-                values=values, labels=labels, parser=parser)
+    idx = np.arange(_within_ceiling(n), dtype=_TABLE_DTYPE)
+    return dict(size=n, add=(idx[:, None] + idx[None, :]) % n,
+                mul=(idx[:, None] * idx[None, :]) % n,
+                values=list(range(n)), labels=[str(i) for i in range(n)], parser=None)
 
 
 # -- The coordinate builder -------------------------------------------------------
@@ -640,7 +655,7 @@ def _coordinate_ring(cells: list[tuple[FiniteRing, bool]],
     tables come from fancy indexing into the base tables over all pairs.
     """
     sizes = [base.size if free else 1 for base, free in cells]
-    n = math.prod(sizes)
+    n = _within_ceiling(math.prod(sizes))
     digits = np.indices(sizes).reshape(len(cells), n)
     coords = [d if free else np.full(n, base.zero)
               for d, (base, free) in zip(digits, cells)]
@@ -714,42 +729,34 @@ def _poly_parse_text(text: str, p: int, m: int) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-def _build_trunc_poly(spec: TruncPoly, build) -> dict:
+def _build_trunc_poly(spec: TruncPoly) -> dict:
     p, m = spec.p, spec.m
-    if m < 1:       # first: with m >= 1 the size ceiling bounds p
-        raise RingError("trunc_poly requires m >= 1")
+    if not 1 <= m <= _MAX_COORDINATES:
+        raise RingError(f"trunc_poly requires 1 <= m <= {_MAX_COORDINATES}")
+    base = build_ring(Zn(p), check=False)   # first: the size ceiling bounds p
     if not _is_prime_int(p):
         raise RingError(f"trunc_poly requires prime p, got {p}")
-    parts = _coordinate_ring([(build(Zn(p), check=False), True)] * m,
+    parts = _coordinate_ring([(base, True)] * m,
                              [[(s, k - s) for s in range(k + 1)] for k in range(m)])
-
-    def parser(ring, text):
-        got = _parse_index_or_label(ring, text)
-        if got is not None:
-            return got
-        return ring.index_of_value(_poly_parse_text(text, p, m))
-
-    parts.update(labels=[_poly_label(v) for v in parts["values"]], parser=parser)
+    parts.update(labels=[_poly_label(v) for v in parts["values"]],
+                 parser=lambda ring, text: ring.index_of_value(
+                     _poly_parse_text(text, p, m)))
     return parts
 
 
 # -- Matrix --------------------------------------------------------------------
 
-def _build_matrix(spec: Matrix, build) -> dict:
-    base = build(spec.base, check=False)
+def _build_matrix(spec: Matrix) -> dict:
     d = spec.dim
     if not 1 <= d <= math.isqrt(_MAX_COORDINATES):
         raise RingError(f"matrix requires 1 <= dim <= {math.isqrt(_MAX_COORDINATES)}")
+    base = build_ring(spec.base, check=False)
     cells = d * d
     parts = _coordinate_ring([(base, True)] * cells, _matrix_rule(d))
 
     unit_re = re.compile(r"^E([1-9])([1-9])$")
 
     def parser(ring, text):
-        text = text.strip()
-        got = _parse_index_or_label(ring, text)
-        if got is not None:
-            return got
         match = unit_re.fullmatch(text)
         if match:
             r, c = int(match.group(1)) - 1, int(match.group(2)) - 1
@@ -798,8 +805,8 @@ _TRI_POSITIONS = ((0, 0), (0, 1), (0, 2), (1, 2), (2, 2))
 _TRI_ZERO_POSITIONS = ((1, 0), (1, 1), (2, 0), (2, 1))
 
 
-def _build_tri_pattern(spec: TriPattern, build) -> dict:
-    base = build(spec.base, check=False)
+def _build_tri_pattern(spec: TriPattern) -> dict:
+    base = build_ring(spec.base, check=False)
     parts = _coordinate_ring(
         [(base, (r, c) in _TRI_POSITIONS) for r in range(3) for c in range(3)],
         _matrix_rule(3))
@@ -810,10 +817,6 @@ def _build_tri_pattern(spec: TriPattern, build) -> dict:
                                        for r in range(3) for c in range(3)])
 
     def parser(ring, text):
-        text = text.strip()
-        got = _parse_index_or_label(ring, text)
-        if got is not None:
-            return got
         if text == "A":
             # the all-ones pattern matrix, the canonical inner-map witness here
             if base.unity is None:
@@ -833,18 +836,14 @@ def _build_tri_pattern(spec: TriPattern, build) -> dict:
 
 # -- Product ---------------------------------------------------------------------
 
-def _build_product(spec: Product, build) -> dict:
+def _build_product(spec: Product) -> dict:
     if not 1 <= len(spec.factors) <= _MAX_COORDINATES:
         raise RingError(f"product requires 1 to {_MAX_COORDINATES} factors")
-    factors = [build(f, check=False) for f in spec.factors]
+    factors = [build_ring(f, check=False) for f in spec.factors]
     parts = _coordinate_ring([(f, True) for f in factors],
                              [[(k, k)] for k in range(len(factors))])
 
     def parser(ring, text):
-        text = text.strip()
-        got = _parse_index_or_label(ring, text)
-        if got is not None:
-            return got
         s = text.replace(" ", "")
         if not (s.startswith("(") and s.endswith(")")):
             raise ElementParseError(f"cannot parse {text!r} as a product element")
@@ -864,22 +863,15 @@ def _build_tables(spec: Tables) -> dict:
     n = spec.size
     if n < 1:
         raise RingError("tables requires size >= 1")
+    _within_ceiling(n)
     try:
         add, mul = (np.array(t, dtype=_TABLE_DTYPE) for t in (spec.add, spec.mul))
     except ValueError:      # ragged rows, or entries that are not numbers
         raise RingAxiomError("shape", (), f"tables must be {n}x{n}") from None
     except OverflowError:
         raise RingAxiomError("closure", (), "table entry out of range") from None
-    values = list(range(n))
-    labels = [str(i) for i in range(n)]
-
-    def parser(ring, text):
-        got = _parse_index_or_label(ring, text)
-        if got is None:
-            raise ElementParseError(f"cannot parse {text!r}: tables rings use indices")
-        return got
-
-    return dict(size=n, add=add, mul=mul, values=values, labels=labels, parser=parser)
+    return dict(size=n, add=add, mul=mul, values=list(range(n)),
+                labels=[str(i) for i in range(n)], parser=None)
 
 
 # ---------------------------------------------------------------------------
@@ -897,6 +889,15 @@ def max_suite_size() -> int:
     return DEFAULT_MAX_SIZE
 
 
+def _within_ceiling(n: int) -> int:
+    """n, once a ring of n elements is known to fit under the size ceiling."""
+    limit = max_suite_size()
+    if n > limit:
+        raise RingError(f"ring of {n} elements exceeds the ceiling {limit} "
+                        f"(set {MAX_SIZE_ENV} to raise it)")
+    return n
+
+
 def build_ring(spec: RingSpec, check: bool = True) -> FiniteRing:
     """Construct the ring described by spec.
 
@@ -905,95 +906,30 @@ def build_ring(spec: RingSpec, check: bool = True) -> FiniteRing:
     declared unity.  check=True (the default) checks the generated kinds
     too; check=False skips that only for rings generated from their
     parameters (zn, trunc_poly, matrix, tri_pattern, product).  A ring
-    larger than the size ceiling, or holding a larger ring as base or
-    factor, is refused before anything is built, so suites stay tractable.
+    larger than the size ceiling is refused before its tables are made;
+    bases and factors are built first, each under the ceiling.
     """
-    limit = max_suite_size()
+    if isinstance(spec, Zn):
+        parts = _build_zn(spec)
+    elif isinstance(spec, TruncPoly):
+        parts = _build_trunc_poly(spec)
+    elif isinstance(spec, Matrix):
+        parts = _build_matrix(spec)
+    elif isinstance(spec, TriPattern):
+        parts = _build_tri_pattern(spec)
+    elif isinstance(spec, Product):
+        parts = _build_product(spec)
+    elif isinstance(spec, Tables):
+        parts = _build_tables(spec)
+    else:
+        raise RingError(f"unknown ring spec: {spec!r}")
 
-    def _power(b: int, e: int) -> int:
-        if b < 2 or e < 1:      # at most one element, or refused by the builder
-            return min(b, 1)
-        out = 1
-        for _ in range(e):
-            out *= b
-            if out > limit:
-                break
-        return out
-
-    def _size(s: RingSpec) -> int:
-        """The size of s, or a lower bound on it once that passes limit.
-        Every ring inside s is held to limit too, as it is built first."""
-        if isinstance(s, Zn):
-            size = s.n
-        elif isinstance(s, TruncPoly):
-            size = _power(s.p, s.m)
-        elif isinstance(s, Matrix):
-            size = _power(_size(s.base), s.dim * s.dim)
-        elif isinstance(s, TriPattern):
-            size = _power(_size(s.base), 5)
-        elif isinstance(s, Product):
-            size = 1
-            for f in s.factors:
-                size *= _size(f)
-                if size > limit:
-                    break
-        elif isinstance(s, Tables):
-            size = s.size
-        else:
-            raise RingError(f"unknown ring spec: {s!r}")
-        if size > limit:
-            raise RingError(
-                f"ring of at least {size} elements exceeds the ceiling {limit} "
-                f"(set {MAX_SIZE_ENV} to raise it)")
-        return size
-
-    _size(spec)
-
-    def _build(s: RingSpec, check: bool) -> FiniteRing:
-        if isinstance(s, Zn):
-            parts = _build_zn(s)
-        elif isinstance(s, TruncPoly):
-            parts = _build_trunc_poly(s, _build)
-        elif isinstance(s, Matrix):
-            parts = _build_matrix(s, _build)
-        elif isinstance(s, TriPattern):
-            parts = _build_tri_pattern(s, _build)
-        elif isinstance(s, Product):
-            parts = _build_product(s, _build)
-        elif isinstance(s, Tables):
-            parts = _build_tables(s)
-        else:
-            raise RingError(f"unknown ring spec: {s!r}")
-
-        if check or isinstance(s, Tables):
-            zero = check_ring_axioms(parts["add"], parts["mul"], parts["size"],
-                                     unity=getattr(s, "unity", None))
-        else:
-            # in a group x + a = a only for x = 0; take a = element 0
-            zero = int(np.argmax(parts["add"][:, 0] == 0))
-        return FiniteRing(s, parts["size"], parts["add"], parts["mul"], zero,
-                          _detect_unity(parts["mul"]), parts["labels"],
-                          parts["values"], parts["parser"])
-
-    return _build(spec, check)
-
-
-# ---------------------------------------------------------------------------
-# Subring closure
-
-
-def subring_closure(ring: FiniteRing, seed: Iterable[int]) -> ElementSet:
-    """Smallest subring containing the seed: fixed point of sums,
-    additive inverses, and products, always containing zero."""
-    current = {ring.zero}
-    for e in seed:
-        current.add(ring._check_index(e))
-    while True:
-        arr = np.fromiter(sorted(current), dtype=np.int64)
-        nxt = set(map(int, ring.neg_table[arr]))
-        nxt.update(map(int, ring.add_table[np.ix_(arr, arr)].ravel()))
-        nxt.update(map(int, ring.mul_table[np.ix_(arr, arr)].ravel()))
-        nxt.update(current)
-        if nxt == current:
-            return ElementSet(ring, current)
-        current = nxt
+    if check or isinstance(spec, Tables):
+        zero = check_ring_axioms(parts["add"], parts["mul"], parts["size"],
+                                 unity=getattr(spec, "unity", None))
+    else:
+        # in a group x + a = a only for x = 0; take a = element 0
+        zero = int(np.argmax(parts["add"][:, 0] == 0))
+    return FiniteRing(spec, parts["size"], parts["add"], parts["mul"], zero,
+                      _detect_unity(parts["mul"]), parts["labels"],
+                      parts["values"], parts["parser"])

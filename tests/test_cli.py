@@ -171,14 +171,19 @@ def test_verify_max_n_flag(zn4_file, capsys):
     assert main(["verify", "--ring", zn4_file, "--map", "trivial",
                  "--checkers", "kernel-constants,power-rules",
                  "--max-n", "4"]) == 0
-    # a negative window would make kernel-constants and power-rules pass
-    # with no instances
+    assert main(["verify", "--ring", zn4_file, "--map", "trivial",
+                 "--checkers", "kernel-constants,power-rules",
+                 "--max-n", "1024"]) == 0
     capsys.readouterr()
-    assert main(["verify", "--ring", '{"kind":"zn","n":6}', "--map", "trivial",
-                 "--max-n", "-1"]) == 2
-    captured = capsys.readouterr()
-    assert "--max-n" in captured.err
-    assert captured.out == ""
+    # a negative window would make kernel-constants and power-rules pass
+    # with no instances; power-rules builds one column per exponent in
+    # [-N, N], so an unbounded N would run for hours
+    for bad in ("-1", "1025"):
+        assert main(["verify", "--ring", '{"kind":"zn","n":6}', "--map", "trivial",
+                     "--max-n", bad]) == 2
+        captured = capsys.readouterr()
+        assert "--max-n" in captured.err
+        assert captured.out == ""
 
 
 def test_derivations_too_many_to_list(tmp_path, capsys):
@@ -226,6 +231,14 @@ def _tables2(mul, **extra):
     return {"kind": "tables", "size": 2, "add": [[0, 1], [1, 0]], "mul": mul, **extra}
 
 
+def _nested(levels: int) -> dict:
+    """levels of 1x1 matrix specs around Z2."""
+    spec = {"kind": "zn", "n": 2}
+    for _ in range(levels):
+        spec = {"kind": "matrix", "dim": 1, "base": spec}
+    return spec
+
+
 @pytest.mark.parametrize("spec", [
     {"kind": "tables", "size": 2, "add": [[0, 1], [1]], "mul": [[0, 0], [0, 0]]},
     _tables2([[0, 0], [0, 0]], unity=5),
@@ -242,19 +255,39 @@ def _tables2(mul, **extra):
     {"kind": "matrix", "base": {"kind": "zn", "n": 1}, "dim": 8},
     {"kind": "matrix", "base": {"kind": "zn", "n": 1}, "dim": 100000},
     {"kind": "product", "factors": [{"kind": "zn", "n": 1}] * 64},
+    {"kind": "zn", "n": 4.7},
+    {"kind": "zn", "n": "4"},
+    {"kind": "zn", "n": True},
+    {"kind": "trunc_poly", "p": 2.9, "m": "3"},
+    {**_tables2([[0, 0], [0, 1]]), "size": 2.0},
+    _tables2([[0, 0], [0, 1.0]]),
+    _tables2([[0, 0], [0, 1]], unity="1"),
+    {"kind": "matrix", "dim": True, "base": {"kind": "zn", "n": 3}},
+    _nested(33),
+    _nested(600),
+    '{"kind": "tri_pattern", "base": ' * 5000 + '{"kind": "zn", "n": 2}' + "}" * 5000,
 ], ids=["ragged", "unity-out-of-range", "nested-out-of-range", "nested-negative",
         "tri-negative", "product-non-square", "beyond-int32", "zn-1e400",
         "matrix-dim-1e9", "trunc-poly-m-1e11", "trunc-poly-prime-p-m-0",
         "matrix-dim-0-over-z1e9", "matrix-over-z1-dim-8",
-        "matrix-over-z1-dim-100000", "product-of-64"])
+        "matrix-over-z1-dim-100000", "product-of-64", "zn-float", "zn-string",
+        "zn-bool", "trunc-poly-float-and-string", "tables-float-size",
+        "tables-float-entry", "tables-string-unity", "matrix-bool-dim",
+        "nested-33", "nested-600", "json-nested-5000"])
 def test_malformed_spec_is_refused(spec, capsys):
-    """Each spec once crashed the CLI, was accepted, or never ended."""
+    """Each spec once crashed the CLI, was accepted (the float, string and
+    bool fields were coerced by int()), or never ended."""
     text = spec if isinstance(spec, str) else json.dumps(spec)
     assert main(["ring-info", "--ring", text]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+def test_nesting_up_to_the_bound_builds(capsys):
+    assert main(["ring-info", "--ring", json.dumps(_nested(32))]) == 0
+    assert capsys.readouterr().out.startswith("name: " + "M1(" * 32 + "Z2")
 
 
 def test_out_of_range_table_entry_names_plain_indices(capsys):

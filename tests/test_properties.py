@@ -9,8 +9,7 @@ from ringlab import (ElementSet, Matrix, NotAdditiveError, Product,
                      check_derivation, check_jordan_derivation,
                      enumerate_jordan_derivations, generator_basis,
                      inner_derivation, integrate, jordan_integrate, set_add,
-                     set_mul, spec_from_json, spec_to_json, subring_closure,
-                     zero_map)
+                     set_mul, spec_from_json, spec_to_json, zero_map)
 from ringlab.maps import _law_holds
 
 RINGS = [build_ring(spec) for spec in (
@@ -71,20 +70,6 @@ def test_bold_is_additive_in_n(data):
     n = data.draw(st.integers(-20, 20))
     m = data.draw(st.integers(-20, 20))
     assert ring.add(ring.bold(n), ring.bold(m)) == ring.bold(n + m)
-
-
-@given(data=st.data())
-@settings(max_examples=50)
-def test_subring_closure_properties(data):
-    ring = data.draw(rings_st)
-    seed = data.draw(st.sets(st.integers(0, ring.size - 1), max_size=3))
-    closed = subring_closure(ring, ElementSet(ring, seed))
-    assert ElementSet(ring, seed).issubset(closed)
-    assert subring_closure(ring, closed) == closed
-    for a in closed:
-        for b in closed:
-            assert ring.add(a, b) in closed
-            assert ring.mul(a, b) in closed
 
 
 @given(data=st.data())

@@ -8,8 +8,7 @@ import pytest
 
 from ringlab import (ElementParseError, ElementSet, Matrix, Product,
                      RingAxiomError, RingError, Tables, TriPattern, TruncPoly,
-                     Zn, build_ring, spec_from_json, spec_name, spec_to_json,
-                     subring_closure)
+                     Zn, build_ring, spec_from_json, spec_name, spec_to_json)
 from conftest import CORPUS_SPECS
 
 
@@ -215,23 +214,6 @@ def test_additive_orders(zn4, tp33):
     assert zn4.additive_order(2) == 2
     assert zn4.additive_order(0) == 1
     assert tp33.additive_order(tp33.parse("X")) == 3
-
-
-def test_subring_closure(zn4, m2z2, tp33):
-    assert subring_closure(zn4, ElementSet(zn4, [2])).elements == (0, 2)
-    e12 = m2z2.parse("E12")
-    assert subring_closure(m2z2, ElementSet(m2z2, [e12])).elements == (0, e12)
-    closed = subring_closure(tp33, ElementSet(tp33, [tp33.parse("X")]))
-    assert len(closed) == 9
-    # aX + bX^2 has zero constant term
-    assert all(tp33.value(e)[0] == 0 for e in closed)
-
-
-def test_subring_closure_idempotent_and_monotone(tp33):
-    seed = ElementSet(tp33, [tp33.parse("1+X")])
-    once = subring_closure(tp33, seed)
-    assert seed.issubset(once)
-    assert subring_closure(tp33, once) == once
 
 
 def test_label_parse_round_trip(corpus_rings):
