@@ -246,10 +246,10 @@ _MAX_N = 1024
 def _cmd_verify(args) -> tuple[int, str, dict]:
     if args.max_n is not None and not 0 <= args.max_n <= _MAX_N:
         raise CliError(f"--max-n must be in 0..{_MAX_N}, got {args.max_n}")
+    checkers = _checker_selection(args.checkers)
     ring = _load_ring(args.ring)
     progress = _progress_printer("enumerate")
     named = _resolve_maps(ring, args.map, progress)
-    checkers = _checker_selection(args.checkers)
     config = CheckerConfig(seed=args.seed)
     if args.max_n is not None:
         config.max_n = args.max_n

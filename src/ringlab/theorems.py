@@ -1,15 +1,17 @@
 """Exhaustive checkers for the algebraic laws of set-valued antiderivatives.
 
 Every checker quantifies over concrete ring elements and produces a
-TheoremReport: pass, fail (with witnesses), or skipped when the ring or
+TheoremReport: pass, fail (with counterexamples), or skipped when the ring or
 map does not satisfy the hypotheses.  Instance spaces are enumerated
 exhaustively up to a configurable threshold, above which a seeded
 stratified sample is drawn and the seed recorded in the report.
 
 The membership checks are array identities over the Cayley tables: a
 checker evaluates one law on a whole block of instances at once and
-records its instances and witnesses in the order of the loop that states
-the law (see _Recorder.check_all).  Membership is the definition:
+records its instances and counterexamples in the order of the loop that
+states the law (see _Recorder.check_all).  A report keeps counterexamples
+in `witnesses` and informational entries (a sampled space, a capped
+range, a strict inclusion, ...) in `notes`.  Membership is the definition:
 y ∈ i_d(x) is d[y] == x, and z ∈ i_d(a) + i_d(b), both nonempty, is
 d[z] == a + b, since d is additive.  Only the checks that the fibres are
 kernel cosets read the coset form: coset-structure, basic's
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -61,10 +63,11 @@ class TheoremReport:
     status: str                          # pass | fail | skipped
     reason: Optional[str]
     instances: int
-    witnesses: list
+    witnesses: list                      # counterexamples only
     seed: Optional[int]
     runtime: float
     map_desc: Optional[str] = None
+    notes: list = field(default_factory=list)   # informational entries
 
     def to_json(self) -> dict:
         out = {"checker": self.checker, "status": self.status}
@@ -72,6 +75,7 @@ class TheoremReport:
             out["reason"] = self.reason
         out["instances"] = self.instances
         out["witnesses"] = self.witnesses
+        out["notes"] = self.notes
         if self.seed is not None:
             out["seed"] = self.seed
         out["runtime"] = round(self.runtime, 6)
@@ -79,7 +83,10 @@ class TheoremReport:
 
 
 class _Recorder:
-    """Collects instance counts and witnesses for one checker run."""
+    """Collects the instance count, the counterexamples and the notes of one
+    checker run.  witnesses holds failed checks only, in the order they are
+    recorded; notes holds informational entries.  Each list keeps its first
+    MAX_WITNESSES entries."""
 
     def __init__(self, checker: str, ring: FiniteRing):
         self.checker = checker
@@ -87,62 +94,60 @@ class _Recorder:
         self.t0 = time.perf_counter()
         self.instances = 0
         self.witnesses: list[dict] = []
+        self.notes: list[dict] = []
         self.failed = False
         self.seed: Optional[int] = None
 
-    def check(self, ok: bool, witness: dict) -> bool:
-        self.instances += 1
-        if not ok:
+    def _record(self, instances: int, failures):
+        """Count instances and keep the witnesses of the first failures; the
+        iterable failures is read no further than the cap needs."""
+        self.instances += instances
+        for witness in failures:
             self.failed = True
-            if len(self.witnesses) < MAX_WITNESSES:
-                self.witnesses.append(witness)
-        return ok
+            if len(self.witnesses) == MAX_WITNESSES:
+                break
+            self.witnesses.append(witness)
 
-    def check_all(self, ok, witness, notes=(), present=None):
+    def check(self, ok: bool, witness: dict):
+        self._record(1, () if ok else (witness,))
+
+    def check_all(self, ok, witness, present=None):
         """Record a block of checks at once, as check() would one by one.
 
         ok has one row per instance tuple and one column per check made on
         it, both in loop order; a 1-D ok is one check per row.  Where
         present is given, only its True cells are checks.  witness(row, col)
-        builds the witness of a failed check.  notes are (row, witness)
-        pairs, recorded ahead of that row's failures.
+        builds the witness of a failed check.
         """
         ok = np.asarray(ok, dtype=bool)
         if ok.ndim == 1:
             ok = ok[:, None]
         bad = ~ok
         if present is None:
-            self.instances += ok.size
+            instances = ok.size
         else:
             bad &= present
-            self.instances += int(np.count_nonzero(present))
-        failures = np.flatnonzero(bad)
-        if len(failures):
-            self.failed = True
-        room = MAX_WITNESSES - len(self.witnesses)
+            instances = int(np.count_nonzero(present))
         cols = ok.shape[1]
-        events = [(row, -1, note) for row, note in notes]
-        events += [(i // cols, i % cols, None) for i in map(int, failures[:room])]
-        events.sort(key=lambda e: e[:2])
-        for row, col, note in events[:room]:
-            self.witnesses.append(note if col < 0 else witness(row, col))
+        self._record(instances, (witness(*divmod(i, cols))
+                                 for i in map(int, np.flatnonzero(bad))))
 
-    def note(self, witness: dict):
-        if len(self.witnesses) < MAX_WITNESSES:
-            self.witnesses.append(witness)
+    def note(self, entry: dict):
+        if len(self.notes) < MAX_WITNESSES:
+            self.notes.append(entry)
+
+    def _report(self, status: str, reason: Optional[str]) -> TheoremReport:
+        return TheoremReport(self.checker, status, reason, self.instances,
+                             self.witnesses, self.seed,
+                             time.perf_counter() - self.t0, notes=self.notes)
 
     def skip(self, reason: str) -> TheoremReport:
-        return TheoremReport(self.checker, "skipped", reason, self.instances,
-                             self.witnesses, self.seed,
-                             time.perf_counter() - self.t0)
+        return self._report("skipped", reason)
 
     def finish(self) -> TheoremReport:
-        status = "fail" if self.failed else "pass"
-        if status == "fail":
+        if self.failed:
             assert self.witnesses, "failing reports must carry witnesses"
-        return TheoremReport(self.checker, status, None, self.instances,
-                             self.witnesses, self.seed,
-                             time.perf_counter() - self.t0)
+        return self._report("fail" if self.failed else "pass", None)
 
 
 def _pair_blocks(n: int, config: CheckerConfig, rec: _Recorder):
@@ -250,34 +255,31 @@ def verify_kernel_constants(ring: FiniteRing, dmap: AdditiveMap,
         rec.note({"kind": "range-capped", "additive_order_of_unity": period})
     else:
         ns = list(range(-config.max_n, config.max_n + 1))
-    kern = dmap.kernel
-    bolds = {m: ring.bold(m) for m in ns}
-    inverses = {m: ring.invert(bolds[m]) for m in ns}
+    bs = np.array([ring.bold(m) for m in ns], dtype=np.intp)
+    inverses = [ring.invert(int(b)) for b in bs]
+    ker = dmap.fibres.ker
 
-    for m in ns:
-        b = bolds[m]
-        rec.check(b in kern, {"kind": "bold-not-in-kernel", "n": m, "element": b})
-        rec.check(ring.neg(b) in kern,
-                  {"kind": "bold-negative-not-in-kernel", "n": m})
-    for m in ns:
-        ib = inverses[m]
-        if ib is None:
-            continue
-        for mm in ns:
-            b = bolds[mm]
-            rec.check(ring.mul(ib, b) in kern,
-                      {"kind": "scaled-bold-not-in-kernel", "n": m, "m": mm})
-            rec.check(ring.mul(b, ib) in kern,
-                      {"kind": "bold-scaled-not-in-kernel", "n": m, "m": mm})
+    # n·1 and -(n·1) in the kernel: one row per n
+    rec.check_all(np.column_stack([ker[bs], ker[ring.neg_table[bs]]]),
+                  lambda i, j: ({"kind": "bold-not-in-kernel", "n": ns[i],
+                                 "element": int(bs[i])},
+                                {"kind": "bold-negative-not-in-kernel", "n": ns[i]})[j])
 
-    # y + ib*b and y + b*ib stay in i_d(d(y)): one row per y, columns in
-    # the order (n, m, left/right)
-    invertible_ns = [m for m in ns if inverses[m] is not None]
-    ibs = np.array([inverses[m] for m in invertible_ns], dtype=np.intp)
-    bs = np.array([bolds[mm] for mm in ns], dtype=np.intp)
+    # (n·1)^-1·(m·1) and (m·1)·(n·1)^-1 in the kernel: one row per (n, m)
+    # with n·1 invertible, left then right
+    invertible_ns = [m for m, ib in zip(ns, inverses) if ib is not None]
+    ibs = np.array([ib for ib in inverses if ib is not None], dtype=np.intp)
     mul = ring.mul_table
     shifts = np.stack([mul[ibs[:, None], bs[None, :]],
                        mul[bs[None, :], ibs[:, None]]], axis=-1).reshape(-1)
+    rec.check_all(ker[shifts].reshape(-1, 2),
+                  lambda row, side: {"kind": ("scaled-bold-not-in-kernel",
+                                              "bold-scaled-not-in-kernel")[side],
+                                     "n": invertible_ns[row // len(ns)],
+                                     "m": ns[row % len(ns)]})
+
+    # y plus each of those stays in i_d(d(y)): one row per y, columns in the
+    # same (n, m, left/right) order
     d = dmap.table
     ys = np.arange(ring.size)
     ok = d[ring.add_table[ys[:, None], shifts[None, :]]] == d[:, None]
@@ -374,25 +376,19 @@ def verify_kernel_scaling(ring: FiniteRing, dmap: AdditiveMap,
                        right_in & (right_n == target_r)], axis=-1)
         live = np.ones(ok.shape, dtype=bool)
         live[..., 3:] = inv
-        notes = []
         strict = (~inv[..., 0] & left_in & (left_n < target_l)).ravel()
         if not strict_seen and strict.any():
-            row = int(np.argmax(strict))
-            i, g = divmod(row, groups)
-            # the loop records this note after the failures of its own row,
-            # and check_all puts a note ahead of the failures of its row
-            notes.append((row + 1, {"kind": "strict-inclusion", "w": int(w[i, 0]),
-                                    "x": int(x[g]),
-                                    "scaled_size": int(left_n[i, g]),
-                                    "integral_size": int(target_l[i, g])}))
+            i, g = divmod(int(np.argmax(strict)), groups)
+            rec.note({"kind": "strict-inclusion", "w": int(w[i, 0]), "x": int(x[g]),
+                      "scaled_size": int(left_n[i, g]),
+                      "integral_size": int(target_l[i, g])})
             strict_seen = True
 
         def witness(row, col):
             i, g = divmod(row, groups)
             return {"kind": kinds[col], "w": int(w[i, 0]), "x": int(x[g])}
 
-        rec.check_all(ok.reshape(-1, 5), witness, notes,
-                      present=live.reshape(-1, 5))
+        rec.check_all(ok.reshape(-1, 5), witness, present=live.reshape(-1, 5))
         rec.instances += 2 * (n - groups) * len(w)
     return rec.finish()
 
@@ -472,16 +468,14 @@ def verify_additivity_and_parts(ring: FiniteRing, dmap: AdditiveMap,
         # a pair with an empty part integral counts as a vacuous instance;
         # otherwise i_d(a) + i_d(b) = i_d(a + b), as d is additive
         ok = empty_a | empty_b | (d[mul[x, y]] == add[a, b])
-        notes = []
         both = np.flatnonzero(empty_a & empty_b)
         if not empty_witnessed and len(both):
             i = int(both[0])
-            notes.append((i, {"kind": "parts-preconditions-empty",
-                              "x": int(x[i]), "y": int(y[i]),
-                              "dx_times_y": int(a[i]), "x_times_dy": int(b[i])}))
+            rec.note({"kind": "parts-preconditions-empty", "x": int(x[i]),
+                      "y": int(y[i]), "dx_times_y": int(a[i]), "x_times_dy": int(b[i])})
             empty_witnessed = True
         rec.check_all(ok, lambda i, _: {"kind": "parts-membership",
-                                        "x": int(x[i]), "y": int(y[i])}, notes)
+                                        "x": int(x[i]), "y": int(y[i])})
     return rec.finish()
 
 
@@ -676,15 +670,14 @@ def _separation(ring: FiniteRing, delta: AdditiveMap,
     d(y) = x or δ(y) = x, so the first separating x is the least
     min(d(y), δ(y)) over those y."""
     rec = _Recorder("separation", ring)
-    for i, d in enumerate(derivations):
-        differ = d.table != delta.table
-        found = (int(np.minimum(d.table, delta.table)[differ].min())
-                 if differ.any() else None)
-        rec.check(found is not None,
-                  {"kind": "indistinguishable",
-                   "derivation": [int(v) for v in d.table]})
-        if found is not None:
-            rec.note({"kind": "separated", "derivation_index": i, "x": found})
+    tables = np.stack([d.table for d in derivations])
+    differ = tables != delta.table
+    separated = differ.any(axis=1)
+    rec.check_all(separated, lambda i, _: {"kind": "indistinguishable",
+                                           "derivation": [int(v) for v in tables[i]]})
+    found = np.where(differ, np.minimum(tables, delta.table), ring.size).min(axis=1)
+    for i in np.flatnonzero(separated):
+        rec.note({"kind": "separated", "derivation_index": int(i), "x": int(found[i])})
     return rec.finish()
 
 

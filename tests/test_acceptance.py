@@ -94,7 +94,7 @@ def test_criterion_03_matrix_empty_parts(p):
     whole = integrate(ring, d, d(product))
     proper, witness = is_proper(ring, d)
     checker = verify_additivity_and_parts(ring, d)
-    kinds = {w.get("kind") for w in checker.witnesses}
+    kinds = {w.get("kind") for w in checker.notes}
     ok = (left.is_empty and right.is_empty and whole.contains(product)
           and not proper and witness is not None
           and "parts-preconditions-empty" in kinds)

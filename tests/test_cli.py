@@ -8,9 +8,9 @@ import sys
 
 import pytest
 
-from ringlab import theorems
+from ringlab import AdditiveMap, Zn, build_ring, cli, theorems
 from ringlab.cli import main
-from ringlab.theorems import TheoremReport
+from ringlab.theorems import TheoremReport, verify_kernel_constants
 
 
 def _spec_file(tmp_path, name, payload):
@@ -165,6 +165,29 @@ def test_verify_exit_one_on_failure(zn4_file, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "[FAIL] basic" in out
     assert "status: fail" in out
+
+
+def test_verify_checks_checker_ids_before_listing_maps(monkeypatch, capsys):
+    def unreachable(ring, progress=None):
+        raise AssertionError("maps listed before the checker ids were checked")
+
+    monkeypatch.setattr(cli, "enumerate_jordan_derivations", unreachable)
+    assert main(["verify", "--ring", '{"kind":"trunc_poly","p":2,"m":4}',
+                 "--map", "enumerate:jordan", "--checkers", "bogus"]) == 2
+    err = capsys.readouterr().err
+    assert "error: unknown checker ids: bogus (valid: basic," in err
+
+
+def test_failing_report_line_names_a_counterexample_first():
+    """The identity map of Z4, forged as a derivation, fails
+    kernel-constants; the range-capped note must not be shown as its
+    first witness."""
+    zn4 = build_ring(Zn(4))
+    ident = AdditiveMap(zn4, range(4), _trusted=True, _derivation=True,
+                        _jordan=True)
+    line = cli._report_line(verify_kernel_constants(zn4, ident))
+    assert "[FAIL] kernel-constants" in line
+    assert "first={'kind': 'bold-not-in-kernel'" in line
 
 
 def test_verify_max_n_flag(zn4_file, capsys):

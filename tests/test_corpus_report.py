@@ -18,7 +18,7 @@ import pytest
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_corpus.py"
 
-SEED0_DIGEST = "7b53edb96c3d262345a0093f1cbbf5309c9052be8fbc7b89f1b5b109dcaa0157"
+SEED0_DIGEST = "555d02bcd5ffc7d6a2c27556619fcfb169a6d9ad10516c39b1d2d0a1e1f5c447"
 
 
 def _strip(value):

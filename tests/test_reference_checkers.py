@@ -1,8 +1,8 @@
 """The array checkers of ringlab.theorems against their loop references.
 
 Every report must equal the loop form's report apart from runtime: the
-same status, instance count, witnesses (failures and notes, in loop order,
-capped at MAX_WITNESSES) and seed.
+same status, instance count, witnesses (failures in loop order, capped at
+MAX_WITNESSES), notes (capped the same way) and seed.
 """
 
 from __future__ import annotations
@@ -93,7 +93,8 @@ def test_corpus_reports_match_reference(spec, config):
 
 # An additive map of M2(Z2) that fails the Leibniz law.  In additivity-parts
 # its first pair with two empty part integrals falls between
-# parts-membership failures, before the witness cap.
+# parts-membership failures, before the witness cap; the note it records
+# takes no witness slot.
 TANGLED = [0, 4, 1, 5, 8, 12, 9, 13, 9, 13, 8, 12, 1, 5, 0, 4]
 
 
@@ -111,10 +112,10 @@ def test_forged_maps_match_reference(config):
     refs = [{r.checker: r for r in _compare(ring, amap, CONFIGS[config])}
             for ring, amap in cases]
     assert len(refs[0]["jordan-suite"].witnesses) == theorems.MAX_WITNESSES
-    kinds = [w["kind"] for w in refs[1]["additivity-parts"].witnesses]
-    at = kinds.index("parts-preconditions-empty")
-    assert "parts-membership" in kinds[:at]
-    assert "parts-membership" in kinds[at + 1:]
+    parts = refs[1]["additivity-parts"]
+    assert "parts-preconditions-empty" in [w["kind"] for w in parts.notes]
+    assert ([w["kind"] for w in parts.witnesses]
+            == ["parts-membership"] * theorems.MAX_WITNESSES)
 
 
 @pytest.mark.parametrize("config", sorted(CONFIGS))
@@ -161,18 +162,21 @@ def _relabelled(spec, perm):
         back[base.unity]))
 
 
-def test_strict_inclusion_note_follows_the_failures_of_its_row():
+def test_strict_inclusion_note_stays_out_of_the_failures_of_its_row():
     """With zero relabelled away from index 0, a forged map's first strict
-    inclusion falls on a (w, x) row that also fails: the loop records the
-    note after that row's failures."""
+    inclusion falls on a (w, x) row that also fails: the note goes to
+    notes, and that row's failure stays in the witnesses in loop order."""
     ring = _relabelled(Matrix(Zn(2), 2),
                        [3, 8, 10, 14, 6, 12, 13, 9, 1, 4, 5, 7, 15, 0, 11, 2])
     amap = _forged(ring, [1, 5, 9, 9, 1, 5, 5, 5, 13, 13, 13, 1, 9, 13, 9, 1])
     got = theorems.verify_kernel_scaling(ring, amap)
     assert _strip(got) == _strip(ref.verify_kernel_scaling(ring, amap))
+    assert [(w["kind"], w["w"], w["x"]) for w in got.notes] == [
+        ("strict-inclusion", 8, 5)]
     kinds = [(w["kind"], w["w"], w["x"]) for w in got.witnesses]
-    at = kinds.index(("strict-inclusion", 8, 5))
-    assert kinds[at - 1] == ("right-scaling-escape", 8, 5)
+    assert kinds[:3] == [("left-scaling-escape", 8, 1),
+                         ("right-scaling-escape", 8, 5),
+                         ("left-scaling-escape", 8, 9)]
 
 
 def test_forged_tables_with_non_coset_fibres_match_reference():

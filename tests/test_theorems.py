@@ -11,6 +11,7 @@ from ringlab import (AdditiveMap, CHECKER_ORDER, CheckerConfig, MapLawError,
                      verify_jordan_suite, verify_kernel_constants,
                      verify_kernel_scaling, verify_power_rules,
                      verify_separation, zero_map)
+from ringlab import theorems
 
 
 def _by_checker(reports):
@@ -82,8 +83,21 @@ def test_separation_finds_distinguishing_point(zn4):
     report = verify_separation(zn4, delta)
     assert report.status == "pass"
     assert report.instances >= 1
-    kinds = {w.get("kind") for w in report.witnesses}
+    assert report.witnesses == []
+    kinds = {w.get("kind") for w in report.notes}
     assert "separated" in kinds
+
+
+def test_separation_failure_is_witnessed_past_the_note_cap(zn4):
+    """26 separated derivations fill the notes; the indistinguishable one
+    after them is still a witness of the failing report."""
+    delta = find_jordan_not_derivation(zn4)
+    report = theorems._separation(zn4, delta, [zero_map(zn4)] * 26 + [delta])
+    assert report.status == "fail"
+    assert report.witnesses == [{"kind": "indistinguishable",
+                                 "derivation": [int(v) for v in delta.table]}]
+    assert len(report.notes) == theorems.MAX_WITNESSES
+    assert {w["kind"] for w in report.notes} == {"separated"}
 
 
 def test_separation_guards(zn4, tp33):
@@ -117,14 +131,16 @@ def test_checker_map_guards(zn4):
 def test_kernel_constants_range_cap(zn4):
     report = verify_kernel_constants(zn4, zero_map(zn4))
     assert report.status == "pass"
-    kinds = {w.get("kind") for w in report.witnesses}
+    assert report.witnesses == []
+    kinds = {w.get("kind") for w in report.notes}
     assert "range-capped" in kinds
 
 
 def test_kernel_scaling_strict_inclusion_witness(tp33):
     report = verify_kernel_scaling(tp33, formal_derivative(tp33))
     assert report.status == "pass"
-    kinds = {w.get("kind") for w in report.witnesses}
+    assert report.witnesses == []
+    kinds = {w.get("kind") for w in report.notes}
     assert "strict-inclusion" in kinds
 
 
@@ -147,9 +163,10 @@ def test_sampling_path_is_seeded(zn4):
     second = verify_combination_rules(zn4, zero_map(zn4), config)
     assert first.status == "pass"
     assert first.seed == 7
-    assert {w.get("kind") for w in first.witnesses} == {"sampled"}
+    assert first.witnesses == []
+    assert {w.get("kind") for w in first.notes} == {"sampled"}
     assert first.instances == second.instances
-    assert first.to_json()["witnesses"] == second.to_json()["witnesses"]
+    assert first.to_json()["notes"] == second.to_json()["notes"]
 
 
 def test_run_suite_selection_and_order(tp33):
@@ -217,10 +234,15 @@ def test_run_suite_lists_derivations_once(tp22, monkeypatch):
 def test_report_json_key_order(tp33, zn4):
     d = formal_derivative(tp33)
     payload = verify_basic(tp33, d).to_json()
-    assert list(payload) == ["checker", "status", "instances", "witnesses", "runtime"]
+    assert list(payload) == ["checker", "status", "instances", "witnesses",
+                             "notes", "runtime"]
     skipped = _by_checker(run_suite(zn4, [("trivial", zero_map(zn4))]))["herstein"].to_json()
     assert list(skipped) == ["checker", "status", "reason", "instances",
-                             "witnesses", "runtime"]
+                             "witnesses", "notes", "runtime"]
+    sampled = verify_combination_rules(zn4, zero_map(zn4),
+                                       CheckerConfig(sample_threshold=4)).to_json()
+    assert list(sampled) == ["checker", "status", "instances", "witnesses",
+                             "notes", "seed", "runtime"]
 
 
 def test_suite_status_fail_detection(tp33):
