@@ -23,7 +23,6 @@ index 9); row-major entries (``Matrix``); the stored (a, b, c, d, e)
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import os
@@ -651,25 +650,52 @@ def _coordinate_ring(cells: list[tuple[FiniteRing, bool]],
     when free and is held at base.zero otherwise.  An element's value is
     its tuple of free coordinates, in ``itertools.product`` order.  Sums
     are coordinatewise; out[k] of a product sums u[i]*v[j] in the base of
-    coordinate k over the pairs (i, j) of ``rule[k]``, left to right.  Both
-    tables come from fancy indexing into the base tables over all pairs.
+    coordinate k over the pairs (i, j) of ``rule[k]``, left to right.
+
+    Both tables are preallocated.  Each free coordinate is folded into one
+    running n x n array as its terms are made, by 1-D takes into the
+    raveled base tables, and the result is added in place with the
+    coordinate's weight in the element index.  A held coordinate has
+    weight 0, so its products would not reach the tables and are not
+    made; whether they stay inside the pattern is the axiom check's to
+    decide.
     """
     sizes = [base.size if free else 1 for base, free in cells]
     n = _within_ceiling(math.prod(sizes))
     digits = np.indices(sizes).reshape(len(cells), n)
     coords = [d if free else np.full(n, base.zero)
               for d, (base, free) in zip(digits, cells)]
-    sums = [base.add_table[c[:, None], c[None, :]] for c, (base, _) in zip(coords, cells)]
-    products = []
-    for (base, _), pairs in zip(cells, rule):
-        terms = [base.mul_table[coords[i][:, None], coords[j][None, :]] for i, j in pairs]
-        products.append(functools.reduce(lambda acc, t: base.add_table[acc, t], terms))
-    # a held coordinate has one value and weight 0 in the element index
-    weights = [math.prod(sizes[k + 1:]) if free else 0 for k, (_, free) in enumerate(cells)]
+    add = np.zeros((n, n), dtype=_TABLE_DTYPE)
+    mul = np.zeros((n, n), dtype=_TABLE_DTYPE)
+    weight = n
+    for k, ((base, free), pairs) in enumerate(zip(cells, rule)):
+        if not free:
+            continue
+        weight //= base.size
+        ba, bm = base.add_table.ravel(), base.mul_table.ravel()
+        for table, op, terms in ((add, ba, [(k, k)]), (mul, bm, pairs)):
+            out = _fold(ba, op, coords, terms, base.size)
+            out *= weight
+            table += out
     free_digits = np.array([d for d, (_, free) in zip(digits, cells) if free])
-    return dict(size=n, add=sum(w * t for w, t in zip(weights, sums)).astype(_TABLE_DTYPE),
-                mul=sum(w * t for w, t in zip(weights, products)).astype(_TABLE_DTYPE),
+    return dict(size=n, add=add, mul=mul,
                 values=[tuple(v) for v in free_digits.T.tolist()])
+
+
+def _fold(ba: np.ndarray, op: np.ndarray, coords: list[np.ndarray],
+          terms: list[tuple[int, int]], b: int) -> np.ndarray:
+    """The sum by ba, left to right over the pairs (i, j) of terms, of
+    op(u[i], v[j]) for every pair of elements (u, v).  ba and op are
+    raveled b x b base tables, so u*b + v indexes the pair (u, v)."""
+    def take(table, i, j):
+        return np.take(table, (coords[i] * b)[:, None] + coords[j][None, :])
+
+    acc = take(op, *terms[0])
+    for i, j in terms[1:]:
+        acc *= b
+        acc += take(op, i, j)
+        acc = np.take(ba, acc)
+    return acc
 
 
 def _matrix_rule(d: int) -> list[list[tuple[int, int]]]:

@@ -4,6 +4,7 @@ loop builders and the exhaustive scan of tests/reference_rings.py."""
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,16 @@ def _gf4() -> Tables:
                   tuple(tuple(mul(a, b) for b in range(4)) for a in range(4)))
 
 
+def _z3_moved() -> Tables:
+    """Z3 relabelled so that zero is element 2 and unity element 0: the
+    element i stands for (i + 1) % 3, and the value v is labelled (v + 2) % 3."""
+    def op(f):
+        return tuple(tuple((f((a + 1) % 3, (b + 1) % 3) + 2) % 3 for b in range(3))
+                     for a in range(3))
+
+    return Tables(3, op(lambda u, v: u + v), op(lambda u, v: u * v), unity=0)
+
+
 BUILDER_SPECS = [
     TruncPoly(2, 8),
     TruncPoly(3, 4),
@@ -40,6 +51,10 @@ BUILDER_SPECS = [
     Matrix(_gf4(), 2),
     Product((Matrix(Zn(2), 2), Zn(3))),
     Product((Zn(16), Zn(16))),
+    # held coordinates sit at base.zero, which here is not element 0
+    TriPattern(_z3_moved()),
+    Matrix(_z3_moved(), 2),
+    Product((_z3_moved(), Zn(4))),
 ]
 
 # element texts that are neither an index nor a label
@@ -66,6 +81,20 @@ def test_coordinate_builder_matches_loop_builders(spec):
                 ring.parse(text)
         else:
             assert ring.parse(text) == expected
+
+
+@pytest.mark.parametrize("spec", [TruncPoly(2, 8), TriPattern(Zn(3))], ids=spec_name)
+def test_coordinate_builder_memory_bound(spec):
+    """The builder folds each coordinate into one running table: its traced
+    peak stays under 8 n x n int32 tables (the tables themselves included)."""
+    build_ring(spec, check=False)       # warm the imports and the base ring
+    tracemalloc.start()
+    try:
+        ring = build_ring(spec, check=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * ring.size ** 2 * np.dtype(np.int32).itemsize
 
 
 def test_tri_pattern_closure_error_kept():
