@@ -218,6 +218,8 @@ def _checker_selection(text: str):
     if text == "all":
         return "all"
     chosen = [part.strip() for part in text.split(",") if part.strip()]
+    if not chosen:
+        raise CliError(f"--checkers {text!r} names no checker")
     unknown = [c for c in chosen if c not in CHECKER_ORDER]
     if unknown:
         raise CliError(f"unknown checker ids: {', '.join(unknown)} "
@@ -441,11 +443,15 @@ def main(argv=None) -> int:
         return 2
     body = (json.dumps(payload, indent=2) + "\n" if args.format == "json"
             else text + "\n")
-    if args.out:
+    if not args.out:
+        sys.stdout.write(body)
+        return code
+    try:
         with open(args.out, "w") as fh:
             fh.write(body)
-    else:
-        sys.stdout.write(body)
+    except (OSError, ValueError) as exc:        # ValueError: a NUL byte in the path
+        print(f"error: cannot write --out: {exc}", file=sys.stderr)
+        return 2
     return code
 
 

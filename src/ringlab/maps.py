@@ -33,7 +33,8 @@ from typing import Optional
 
 import numpy as np
 
-from .rings import ElementSet, FiniteRing, TruncPoly, RingError
+from .rings import (ElementSet, FiniteRing, TruncPoly, RingError, _orders_modulo,
+                    _times)
 
 _PROGRESS_EVERY = 50_000
 
@@ -248,8 +249,7 @@ class AdditiveMap:
     def inner_witness(self) -> Optional[int]:
         """An element a with self = (x -> x*a - a*x), if one exists."""
         if self._inner == -1:
-            mul, add, neg = self.ring.mul_table, self.ring.add_table, self.ring.neg_table
-            inner = add[mul.T, neg[mul]]        # row a: x -> x*a - a*x
+            inner = _inner_table(self.ring, np.arange(self.ring.size)[:, None])
             hits = np.flatnonzero((inner == self.table).all(axis=1))
             self._inner = int(hits[0]) if len(hits) else None
         return self._inner
@@ -324,9 +324,12 @@ def _require_map(ring: FiniteRing, dmap: AdditiveMap, law: str) -> None:
 # Standard maps
 
 
-def _inner_table(ring: FiniteRing, a: int) -> np.ndarray:
+def _inner_table(ring: FiniteRing, a) -> np.ndarray:
+    """x -> x*a - a*x for every x: one table for an element a, and one row
+    per element for a column of elements."""
     mul, add, neg = ring.mul_table, ring.add_table, ring.neg_table
-    return add[mul[:, a], neg[mul[a, :]]].astype(np.int32)
+    x = np.arange(ring.size)
+    return add[mul[x, a], neg[mul[a, x]]].astype(np.int32, copy=False)
 
 
 def zero_map(ring: FiniteRing) -> AdditiveMap:
@@ -387,33 +390,16 @@ class GeneratorBasis:
     decomp: tuple[tuple[int, ...], ...]
 
 
-def _times(ring: FiniteRing, x: int, c: int) -> int:
-    """c·x by repeated addition."""
-    acc = ring.zero
-    for _ in range(c):
-        acc = int(ring.add_table[acc, x])
-    return acc
-
-
 def generator_basis(ring: FiniteRing) -> GeneratorBasis:
     n = ring.size
     add = ring.add_table
-    idx = np.arange(n)
     member = np.zeros(n, dtype=bool)      # in the span so far
     member[ring.zero] = True
     coords = np.zeros((n, 0), dtype=np.int64)   # rows of members are valid
     gens: list[int] = []
     gen_orders: list[int] = []
     while not member.all():
-        # quotient[x] = least q >= 1 with q·x in the span
-        quotient = np.zeros(n, dtype=np.int64)
-        pending = np.ones(n, dtype=bool)
-        acc, q = idx, 1
-        while pending.any():
-            done = pending & member[acc]
-            quotient[done] = q
-            pending &= ~done
-            acc, q = add[acc, idx], q + 1
+        quotient = _orders_modulo(add, member)   # least q >= 1 with q·x in the span
         x = int(np.argmax(quotient))      # the first maximum: smallest index
         o = int(quotient[x])
         # o·x = Σ a_t g_t, and x − Σ (a_t/o)·g_t has order o.  o divides

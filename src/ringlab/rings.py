@@ -349,12 +349,7 @@ class FiniteRing:
         reduced modulo that order first.
         """
         one = self._require_unity("bold-n")
-        period = self.additive_order(one)
-        r = int(n) % period
-        acc = self.zero
-        for _ in range(r):
-            acc = int(self.add_table[acc, one])
-        return acc
+        return _times(self, one, int(n) % self.additive_order(one))
 
     def invert(self, x: int) -> Optional[int]:
         """Two-sided multiplicative inverse, or None."""
@@ -382,21 +377,12 @@ class FiniteRing:
     # -- structural predicates ------------------------------------------------
 
     def additive_order(self, x: int) -> int:
+        return int(self._order_table()[self._check_index(x)])
+
+    def _order_table(self) -> np.ndarray:
         if self._orders is None:
-            orders = np.zeros(self.size, dtype=np.int64)
-            acc = np.arange(self.size, dtype=_TABLE_DTYPE)
-            idx = np.arange(self.size)
-            k = 1
-            pending = np.ones(self.size, dtype=bool)
-            while pending.any():
-                done = pending & (acc == self.zero)
-                orders[done] = k
-                pending &= ~done
-                if pending.any():
-                    acc = self.add_table[acc, idx]
-                    k += 1
-            self._orders = orders
-        return int(self._orders[self._check_index(x)])
+            self._orders = _orders_modulo(self.add_table, np.arange(self.size) == self.zero)
+        return self._orders
 
     def is_commutative(self) -> bool:
         if self._commutative is None:
@@ -407,12 +393,8 @@ class FiniteRing:
         """True when n*x = 0 forces x = 0.  Requires n > 1."""
         if n <= 1:
             raise ValueError("torsion-freeness is defined for n > 1")
-        acc = np.full(self.size, self.zero, dtype=_TABLE_DTYPE)
-        idx = np.arange(self.size)
-        for _ in range(n):
-            acc = self.add_table[acc, idx]
-        bad = np.flatnonzero(acc == self.zero)
-        return bool(np.array_equal(bad, np.array([self.zero])))
+        # n*x = 0 exactly when the order of x divides n; zero's order is 1
+        return int((n % self._order_table() == 0).sum()) == 1
 
     def prime_witness(self) -> Optional[tuple[int, int]]:
         """A pair (a, b), both nonzero, with a*R*b = {0}; None if prime."""
@@ -460,6 +442,30 @@ class FiniteRing:
 
     def __repr__(self) -> str:
         return f"FiniteRing({spec_name(self.spec)}, size={self.size})"
+
+
+def _times(ring: FiniteRing, x: int, c: int) -> int:
+    """c·x by repeated addition."""
+    acc = ring.zero
+    for _ in range(c):
+        acc = int(ring.add_table[acc, x])
+    return acc
+
+
+def _orders_modulo(add: np.ndarray, member: np.ndarray) -> np.ndarray:
+    """For each x, the least q >= 1 with q·x in the subgroup whose mask is
+    ``member``; with the mask of {0} these are the additive orders."""
+    n = add.shape[0]
+    idx = np.arange(n)
+    orders = np.zeros(n, dtype=np.int64)
+    pending = np.ones(n, dtype=bool)
+    acc, q = idx, 1
+    while pending.any():
+        done = pending & member[acc]
+        orders[done] = q
+        pending &= ~done
+        acc, q = add[acc, idx], q + 1
+    return orders
 
 
 # ---------------------------------------------------------------------------
@@ -642,47 +648,36 @@ def _build_zn(spec: Zn) -> dict:
 
 # -- The coordinate builder -------------------------------------------------------
 
-def _coordinate_ring(cells: list[tuple[FiniteRing, bool]],
+def _coordinate_ring(bases: list[FiniteRing],
                      rule: list[list[tuple[int, int]]]) -> dict:
     """Tables of a ring whose elements are tuples of base-ring elements.
 
-    With ``cells[k] = (base, free)``, coordinate k runs over all of base
-    when free and is held at base.zero otherwise.  An element's value is
-    its tuple of free coordinates, in ``itertools.product`` order.  Sums
-    are coordinatewise; out[k] of a product sums u[i]*v[j] in the base of
-    coordinate k over the pairs (i, j) of ``rule[k]``, left to right.
+    Coordinate k runs over all of ``bases[k]``, and an element's value is
+    its tuple of coordinates, in ``itertools.product`` order.  Sums are
+    coordinatewise; out[k] of a product sums u[i]*v[j] in ``bases[k]``
+    over the pairs (i, j) of ``rule[k]``, left to right.
 
-    Both tables are preallocated.  Each free coordinate is folded into one
+    Both tables are preallocated.  Each coordinate is folded into one
     running n x n array as its terms are made, by 1-D takes into the
     raveled base tables, and the result is added in place with the
-    coordinate's weight in the element index.  A held coordinate has
-    weight 0, so its products would not reach the tables and are not
-    made; whether they stay inside the pattern is the axiom check's to
-    decide.
+    coordinate's weight in the element index.
     """
-    sizes = [base.size if free else 1 for base, free in cells]
-    n = _within_ceiling(math.prod(sizes))
-    digits = np.indices(sizes).reshape(len(cells), n)
-    coords = [d if free else np.full(n, base.zero)
-              for d, (base, free) in zip(digits, cells)]
+    n = _within_ceiling(math.prod(base.size for base in bases))
+    coords = np.indices([base.size for base in bases]).reshape(len(bases), n)
     add = np.zeros((n, n), dtype=_TABLE_DTYPE)
     mul = np.zeros((n, n), dtype=_TABLE_DTYPE)
     weight = n
-    for k, ((base, free), pairs) in enumerate(zip(cells, rule)):
-        if not free:
-            continue
+    for k, (base, pairs) in enumerate(zip(bases, rule)):
         weight //= base.size
         ba, bm = base.add_table.ravel(), base.mul_table.ravel()
         for table, op, terms in ((add, ba, [(k, k)]), (mul, bm, pairs)):
             out = _fold(ba, op, coords, terms, base.size)
             out *= weight
             table += out
-    free_digits = np.array([d for d, (_, free) in zip(digits, cells) if free])
-    return dict(size=n, add=add, mul=mul,
-                values=[tuple(v) for v in free_digits.T.tolist()])
+    return dict(size=n, add=add, mul=mul, values=[tuple(v) for v in coords.T.tolist()])
 
 
-def _fold(ba: np.ndarray, op: np.ndarray, coords: list[np.ndarray],
+def _fold(ba: np.ndarray, op: np.ndarray, coords: np.ndarray,
           terms: list[tuple[int, int]], b: int) -> np.ndarray:
     """The sum by ba, left to right over the pairs (i, j) of terms, of
     op(u[i], v[j]) for every pair of elements (u, v).  ba and op are
@@ -698,10 +693,14 @@ def _fold(ba: np.ndarray, op: np.ndarray, coords: list[np.ndarray],
     return acc
 
 
-def _matrix_rule(d: int) -> list[list[tuple[int, int]]]:
-    """Product rule of d x d matrices over row-major cells."""
-    return [[(r * d + k, k * d + c) for k in range(d)]
-            for r in range(d) for c in range(d)]
+def _matrix_rule(cells) -> list[list[tuple[int, int]]]:
+    """Product rule of matrices whose entries outside ``cells`` are zero,
+    stored as the listed (row, column) cells in order: (r, c) sums
+    (r, k)*(k, c) over the k with both cells listed, k increasing."""
+    at = {cell: i for i, cell in enumerate(cells)}
+    dim = 1 + max(map(max, cells))
+    return [[(at[r, k], at[k, c]) for k in range(dim)
+             if (r, k) in at and (k, c) in at] for r, c in cells]
 
 
 # -- TruncPoly -----------------------------------------------------------------
@@ -762,7 +761,7 @@ def _build_trunc_poly(spec: TruncPoly) -> dict:
     base = build_ring(Zn(p), check=False)   # first: the size ceiling bounds p
     if not _is_prime_int(p):
         raise RingError(f"trunc_poly requires prime p, got {p}")
-    parts = _coordinate_ring([(base, True)] * m,
+    parts = _coordinate_ring([base] * m,
                              [[(s, k - s) for s in range(k + 1)] for k in range(m)])
     parts.update(labels=[_poly_label(v) for v in parts["values"]],
                  parser=lambda ring, text: ring.index_of_value(
@@ -778,7 +777,8 @@ def _build_matrix(spec: Matrix) -> dict:
         raise RingError(f"matrix requires 1 <= dim <= {math.isqrt(_MAX_COORDINATES)}")
     base = build_ring(spec.base, check=False)
     cells = d * d
-    parts = _coordinate_ring([(base, True)] * cells, _matrix_rule(d))
+    parts = _coordinate_ring([base] * cells,
+                             _matrix_rule([(r, c) for r in range(d) for c in range(d)]))
 
     unit_re = re.compile(r"^E([1-9])([1-9])$")
 
@@ -802,7 +802,8 @@ def _build_matrix(spec: Matrix) -> dict:
 
 def _matrix_label(base: FiniteRing, d: int, cells) -> str:
     rows = (cells[r * d:(r + 1) * d] for r in range(d))
-    return "[" + ",".join("[" + ",".join(map(base.label, row)) + "]" for row in rows) + "]"
+    return "[" + ",".join("[" + ",".join(base.labels[i] for i in row) + "]"
+                          for row in rows) + "]"
 
 
 def _parse_matrix_rows(text: str, d: int, base: FiniteRing) -> list[list[int]]:
@@ -833,9 +834,7 @@ _TRI_ZERO_POSITIONS = ((1, 0), (1, 1), (2, 0), (2, 1))
 
 def _build_tri_pattern(spec: TriPattern) -> dict:
     base = build_ring(spec.base, check=False)
-    parts = _coordinate_ring(
-        [(base, (r, c) in _TRI_POSITIONS) for r in range(3) for c in range(3)],
-        _matrix_rule(3))
+    parts = _coordinate_ring([base] * len(_TRI_POSITIONS), _matrix_rule(_TRI_POSITIONS))
 
     def label(v):
         at = dict(zip(_TRI_POSITIONS, v))
@@ -866,8 +865,7 @@ def _build_product(spec: Product) -> dict:
     if not 1 <= len(spec.factors) <= _MAX_COORDINATES:
         raise RingError(f"product requires 1 to {_MAX_COORDINATES} factors")
     factors = [build_ring(f, check=False) for f in spec.factors]
-    parts = _coordinate_ring([(f, True) for f in factors],
-                             [[(k, k)] for k in range(len(factors))])
+    parts = _coordinate_ring(factors, [[(k, k)] for k in range(len(factors))])
 
     def parser(ring, text):
         s = text.replace(" ", "")
@@ -878,7 +876,7 @@ def _build_product(spec: Product) -> dict:
             raise ElementParseError(f"expected {len(factors)} components in {text!r}")
         return ring.index_of_value(tuple(f.parse(p) for f, p in zip(factors, components)))
 
-    parts.update(labels=["(" + ",".join(f.label(c) for f, c in zip(factors, v)) + ")"
+    parts.update(labels=["(" + ",".join(f.labels[c] for f, c in zip(factors, v)) + ")"
                          for v in parts["values"]], parser=parser)
     return parts
 

@@ -167,6 +167,15 @@ def test_verify_exit_one_on_failure(zn4_file, monkeypatch, capsys):
     assert "status: fail" in out
 
 
+@pytest.mark.parametrize("selection", ["", ",", " , "])
+def test_verify_refuses_an_empty_checker_selection(zn4_file, capsys, selection):
+    assert main(["verify", "--ring", zn4_file, "--map", "trivial",
+                 "--checkers", selection]) == 2
+    captured = capsys.readouterr()
+    assert "names no checker" in captured.err
+    assert "status" not in captured.out
+
+
 def test_verify_checks_checker_ids_before_listing_maps(monkeypatch, capsys):
     def unreachable(ring, progress=None):
         raise AssertionError("maps listed before the checker ids were checked")
@@ -399,6 +408,16 @@ def test_out_flag_writes_file(zn4_file, tmp_path, capsys):
                  "--out", str(out_path)]) == 0
     assert capsys.readouterr().out == ""
     assert json.loads(out_path.read_text())["size"] == 4
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "directory", "nul-byte"])
+def test_out_flag_unwritable_path_is_an_error(tmp_path, capsys, where):
+    out = {"missing-dir": str(tmp_path / "missing" / "x"), "directory": str(tmp_path),
+           "nul-byte": str(tmp_path / "a\0b")}[where]
+    assert main(["ring-info", "--ring", '{"kind":"zn","n":2}', "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot write --out")
+    assert captured.out == ""
 
 
 def test_search_jordan_not_derivation(capsys):

@@ -51,7 +51,7 @@ BUILDER_SPECS = [
     Matrix(_gf4(), 2),
     Product((Matrix(Zn(2), 2), Zn(3))),
     Product((Zn(16), Zn(16))),
-    # held coordinates sit at base.zero, which here is not element 0
+    # zero entries sit at base.zero, which here is not element 0
     TriPattern(_z3_moved()),
     Matrix(_z3_moved(), 2),
     Product((_z3_moved(), Zn(4))),
@@ -95,6 +95,31 @@ def test_coordinate_builder_memory_bound(spec):
     finally:
         tracemalloc.stop()
     assert peak <= 8 * ring.size ** 2 * np.dtype(np.int32).itemsize
+
+
+def _loop_times(ring, x, n):
+    acc = ring.zero
+    for _ in range(n):
+        acc = ring.add(acc, x)
+    return acc
+
+
+@pytest.mark.parametrize("spec", BUILDER_SPECS + [
+    Zn(6), Product((Zn(4), Zn(2))), Product((TruncPoly(2, 2), Zn(4)))], ids=spec_name)
+def test_orders_torsion_and_bold_match_repeated_addition(spec):
+    ring = build_ring(spec)
+    for x in ring.elements():
+        order, acc = 1, x
+        while acc != ring.zero:
+            order, acc = order + 1, ring.add(acc, x)
+        assert ring.additive_order(x) == order
+    for n in range(2, 7):
+        assert ring.is_n_torsion_free(n) == all(
+            _loop_times(ring, x, n) != ring.zero for x in ring.elements() if x != ring.zero)
+    if ring.unity is not None:
+        for n in range(-9, 10):
+            step = ring.unity if n >= 0 else ring.neg(ring.unity)
+            assert ring.bold(n) == _loop_times(ring, step, abs(n))
 
 
 def test_tri_pattern_closure_error_kept():
