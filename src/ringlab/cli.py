@@ -104,12 +104,8 @@ def _resolve_maps(ring: FiniteRing, desc: str,
         # bool is a subclass of int, and numpy would read true as 1
         if not isinstance(data, list) or not all(type(v) is int for v in data):
             raise CliError(f"map table {path} must be a JSON list of element indices")
-        return [(desc, AdditiveMap.from_table(ring, data))]
+        return [(desc, AdditiveMap(ring, data))]
     raise CliError(f"unknown map descriptor {desc!r}")
-
-
-def _set_text(ring: FiniteRing, elements) -> str:
-    return "{" + ", ".join(ring.label(e) for e in elements) + "}"
 
 
 def _progress_printer(prefix: str):
@@ -204,10 +200,9 @@ def _cmd_integrate(args) -> tuple[int, str, dict]:
     if not result.is_empty:
         payload["integral"]["labels"] = [ring.label(e)
                                          for e in result.as_set().elements]
-    body = "{}" if result.is_empty else _set_text(ring, result.as_set().elements)
     lines = [f"ring: {spec_name(ring.spec)} (size {ring.size})",
              f"map: {desc} ({law} law)",
-             f"{symbol}({ring.label(x)}) = {body}"]
+             f"{symbol}({ring.label(x)}) = {result.as_set()!r}"]
     if not result.is_empty:
         lines.append(f"coset of kernel, size {len(result)}, "
                      f"representative {ring.label(result.representative)}")
@@ -279,14 +274,14 @@ def _cmd_verify(args) -> tuple[int, str, dict]:
     return (0 if status == "pass" else 1), "\n".join(lines), payload
 
 
-def _zn_range(text: str) -> list[int]:
+def _zn_range(text: str) -> range:
     got = re.match(r"^(\d{1,9})\.\.(\d{1,9})$", text.strip())    # as _ENUM_RE
     if not got:
         raise CliError(f"bad --zn range {text!r}; expected like 2..12")
     lo, hi = int(got.group(1)), int(got.group(2))
     if lo < 1 or hi < lo:
         raise CliError(f"bad --zn range {text!r}")
-    return list(range(lo, hi + 1))
+    return range(lo, hi + 1)
 
 
 def _search_ring(ring: FiniteRing, target: str) -> Optional[dict]:
@@ -301,39 +296,30 @@ def _search_ring(ring: FiniteRing, target: str) -> Optional[dict]:
         return {"ring": spec_to_json(ring.spec),
                 "map_table": [int(v) for v in witness.table],
                 "leibniz_failure_at": list(pair)}
-    if target == "non-proper":
-        for i, dmap in enumerate(enumerate_derivations(ring, progress)):
+    mul, label = ring.mul_table, ring.label
+    for i, dmap in enumerate(enumerate_derivations(ring, progress)):
+        f = dmap.table
+        if target == "non-proper":
             proper, wit = is_proper(ring, dmap)
-            if not proper:
-                u, v, uv = wit
-                return {"ring": spec_to_json(ring.spec),
-                        "map": f"enumerate#{i}",
-                        "map_table": [int(x) for x in dmap.table],
-                        "witness": {"u": u, "v": v, "uv": uv,
-                                    "u_label": ring.label(u),
-                                    "v_label": ring.label(v),
-                                    "uv_label": ring.label(uv)}}
-        return None
-    if target == "empty-parts-witness":
-        mul = ring.mul_table
-        for i, dmap in enumerate(enumerate_derivations(ring, progress)):
-            f = dmap.table
+            if proper:
+                continue
+            u, v, uv = wit
+            witness = {"u": u, "v": v, "uv": uv, "u_label": label(u),
+                       "v_label": label(v), "uv_label": label(uv)}
+        else:                             # empty-parts-witness
             rep = dmap.fibres.rep         # rep[z] < 0: z is not in the image
             left = mul[f]                 # d(x)*y
             right = mul[:, f]             # x*d(y)
             hits = np.argwhere((rep[left] < 0) & (rep[right] < 0))
-            if len(hits):
-                x, y = (int(v) for v in hits[0])
-                return {"ring": spec_to_json(ring.spec),
-                        "map": f"enumerate#{i}",
-                        "map_table": [int(v) for v in f],
-                        "witness": {"x": x, "y": y,
-                                    "x_label": ring.label(x),
-                                    "y_label": ring.label(y),
-                                    "dx_times_y": int(left[x, y]),
-                                    "x_times_dy": int(right[x, y])}}
-        return None
-    raise CliError(f"unknown search target {target!r}")
+            if not len(hits):
+                continue
+            x, y = (int(v) for v in hits[0])
+            witness = {"x": x, "y": y, "x_label": label(x), "y_label": label(y),
+                       "dx_times_y": int(left[x, y]),
+                       "x_times_dy": int(right[x, y])}
+        return {"ring": spec_to_json(ring.spec), "map": f"enumerate#{i}",
+                "map_table": [int(v) for v in f], "witness": witness}
+    return None
 
 
 def _cmd_search(args) -> tuple[int, str, dict]:

@@ -460,6 +460,102 @@ def test_search_empty_parts_witness(m2z2_file, capsys, m2z2):
     assert found["witness"]["x_times_dy"] not in image
 
 
+M2Z2 = {"kind": "matrix", "base": {"kind": "zn", "n": 2}, "dim": 2}
+TRI_Z2 = {"kind": "tri_pattern", "base": {"kind": "zn", "n": 2}}
+M2Z2_D1 = [0, 0, 2, 2, 4, 4, 6, 6] * 2
+TRI_Z2_D2 = ([0, 0, 2, 2] * 2 + [8, 8, 10, 10] * 2) * 2
+
+# Each search's full output: the ring list, the "found" block with its map
+# index, witness labels and key order, and the text lines.
+SEARCH_BYTES = {
+    "non-proper-m2z2": (
+        ["--target", "non-proper", "--ring", json.dumps(M2Z2)], M2Z2,
+        {"ring": M2Z2, "map": "enumerate#1", "map_table": M2Z2_D1,
+         "witness": {"u": 2, "v": 4, "uv": 1, "u_label": "[[0,0],[1,0]]",
+                     "v_label": "[[0,1],[0,0]]", "uv_label": "[[0,0],[0,1]]"}},
+        "target non-proper: found in ring M2(Z2)\n"
+        "  map: enumerate#1\n"
+        f"  map_table: {M2Z2_D1}\n"
+        "  witness: {'u': 2, 'v': 4, 'uv': 1, 'u_label': '[[0,0],[1,0]]', "
+        "'v_label': '[[0,1],[0,0]]', 'uv_label': '[[0,0],[0,1]]'}\n"),
+    "non-proper-tri-z2": (
+        ["--target", "non-proper", "--ring", json.dumps(TRI_Z2)], TRI_Z2,
+        {"ring": TRI_Z2, "map": "enumerate#2", "map_table": TRI_Z2_D2,
+         "witness": {"u": 8, "v": 2, "uv": 4,
+                     "u_label": "[[0,1,0],[0,0,0],[0,0,0]]",
+                     "v_label": "[[0,0,0],[0,0,1],[0,0,0]]",
+                     "uv_label": "[[0,0,1],[0,0,0],[0,0,0]]"}},
+        "target non-proper: found in ring Tri(Z2)\n"
+        "  map: enumerate#2\n"
+        f"  map_table: {TRI_Z2_D2}\n"
+        "  witness: {'u': 8, 'v': 2, 'uv': 4, "
+        "'u_label': '[[0,1,0],[0,0,0],[0,0,0]]', "
+        "'v_label': '[[0,0,0],[0,0,1],[0,0,0]]', "
+        "'uv_label': '[[0,0,1],[0,0,0],[0,0,0]]'}\n"),
+    "empty-parts-m2z2": (
+        ["--target", "empty-parts-witness", "--ring", json.dumps(M2Z2)], M2Z2,
+        {"ring": M2Z2, "map": "enumerate#1", "map_table": M2Z2_D1,
+         "witness": {"x": 2, "y": 4, "x_label": "[[0,0],[1,0]]",
+                     "y_label": "[[0,1],[0,0]]", "dx_times_y": 1,
+                     "x_times_dy": 1}},
+        "target empty-parts-witness: found in ring M2(Z2)\n"
+        "  map: enumerate#1\n"
+        f"  map_table: {M2Z2_D1}\n"
+        "  witness: {'x': 2, 'y': 4, 'x_label': '[[0,0],[1,0]]', "
+        "'y_label': '[[0,1],[0,0]]', 'dx_times_y': 1, 'x_times_dy': 1}\n"),
+    "empty-parts-tri-z2": (
+        ["--target", "empty-parts-witness", "--ring", json.dumps(TRI_Z2)], TRI_Z2,
+        {"ring": TRI_Z2, "map": "enumerate#2", "map_table": TRI_Z2_D2,
+         "witness": {"x": 8, "y": 2, "x_label": "[[0,1,0],[0,0,0],[0,0,0]]",
+                     "y_label": "[[0,0,0],[0,0,1],[0,0,0]]", "dx_times_y": 4,
+                     "x_times_dy": 4}},
+        "target empty-parts-witness: found in ring Tri(Z2)\n"
+        "  map: enumerate#2\n"
+        f"  map_table: {TRI_Z2_D2}\n"
+        "  witness: {'x': 8, 'y': 2, 'x_label': '[[0,1,0],[0,0,0],[0,0,0]]', "
+        "'y_label': '[[0,0,0],[0,0,1],[0,0,0]]', 'dx_times_y': 4, "
+        "'x_times_dy': 4}\n"),
+    "jordan-not-derivation-zn": (
+        ["--target", "jordan-not-derivation", "--zn", "2..6"], {"kind": "zn", "n": 2},
+        {"ring": {"kind": "zn", "n": 2}, "map_table": [0, 1],
+         "leibniz_failure_at": [1, 1]},
+        "target jordan-not-derivation: found in ring Z2\n"
+        "  map_table: [0, 1]\n"
+        "  leibniz_failure_at: [1, 1]\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SEARCH_BYTES))
+def test_search_output_is_pinned(capsys, case):
+    argv, ring, found, text = SEARCH_BYTES[case]
+    target = argv[1]
+    assert main(["search", *argv, "--format", "json"]) == 0
+    payload = {"target": target, "rings_searched": [ring], "found": found}
+    assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+    assert main(["search", *argv]) == 0
+    assert capsys.readouterr().out == text
+
+
+def test_zn_range_is_lazy():
+    assert isinstance(cli._zn_range("2..5"), range)
+    assert list(cli._zn_range("2..5")) == [2, 3, 4, 5]
+
+
+def test_search_zn_hit_below_the_ceiling_ends_a_huge_range(capsys):
+    assert main(["search", "--target", "jordan-not-derivation",
+                 "--zn", "2..999999999", "--format", "json"]) == 0
+    assert _json_out(capsys)["found"]["ring"] == {"kind": "zn", "n": 2}
+
+
+def test_search_zn_stops_at_the_first_ring_over_the_ceiling(capsys, monkeypatch):
+    monkeypatch.delenv("RINGLAB_MAX_SIZE", raising=False)
+    assert main(["search", "--target", "non-proper", "--zn", "250..300"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines()[-1].startswith(
+        "error: ring of 257 elements exceeds the ceiling 256")
+    assert captured.out == ""
+
+
 def test_search_unknown_target(zn4_file, capsys):
     assert main(["search", "--target", "bogus", "--ring", zn4_file]) == 2
     capsys.readouterr()

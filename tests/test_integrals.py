@@ -46,7 +46,7 @@ def test_matrix_integrals(m2z2):
 
 
 def test_jordan_integrals(zn4):
-    delta = AdditiveMap.from_table(zn4, [0, 2, 0, 2])
+    delta = AdditiveMap(zn4, [0, 2, 0, 2])
     assert jordan_integrate(zn4, delta, 2).as_set().elements == (1, 3)
     assert jordan_integrate(zn4, delta, 1).is_empty
     assert jordan_integrate(zn4, delta, 0).as_set().elements == (0, 2)
@@ -72,10 +72,10 @@ def test_index_agrees_with_a_scan(tp33, m2z2):
 
 
 def test_integrate_guards(zn4, tp33):
-    delta = AdditiveMap.from_table(zn4, [0, 2, 0, 2])   # jordan, not a derivation
+    delta = AdditiveMap(zn4, [0, 2, 0, 2])   # jordan, not a derivation
     with pytest.raises(MapLawError):
         integrate(zn4, delta, 0)
-    ident = AdditiveMap.from_table(tp33, list(range(27)))
+    ident = AdditiveMap(tp33, list(range(27)))
     with pytest.raises(MapLawError):
         jordan_integrate(tp33, ident, 0)
     with pytest.raises(RingError):

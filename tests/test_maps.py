@@ -113,12 +113,12 @@ def test_generator_pairs_agree_with_all_pairs(zn4, tp22):
 
 def test_additive_map_rejects_non_additive(zn4):
     with pytest.raises(NotAdditiveError) as err:
-        AdditiveMap.from_table(zn4, [(k * k) % 4 for k in range(4)])
+        AdditiveMap(zn4, [(k * k) % 4 for k in range(4)])
     assert err.value.witness == (1, 1)
 
 
 def test_additive_map_basic_api(zn4):
-    f = AdditiveMap.from_table(zn4, [0, 2, 0, 2])
+    f = AdditiveMap(zn4, [0, 2, 0, 2])
     assert f(1) == 2
     assert f.as_tuple() == (0, 2, 0, 2)
     assert not f.is_derivation
@@ -127,9 +127,9 @@ def test_additive_map_basic_api(zn4):
         f(7)
     for table in ([0, 1.5, 2, 3], ["0", "1", "2", "3"]):
         with pytest.raises(RingError, match="must be integers"):
-            AdditiveMap.from_table(zn4, table)
+            AdditiveMap(zn4, table)
     with pytest.raises(RingError, match="must have length"):
-        AdditiveMap.from_table(zn4, [[0], [1, 2], 3, 4])
+        AdditiveMap(zn4, [[0], [1, 2], 3, 4])
 
 
 def test_zero_map_flags(zn4):

@@ -79,7 +79,7 @@ def test_herstein(m2z3, zn4):
 
 
 def test_separation_finds_distinguishing_point(zn4):
-    delta = AdditiveMap.from_table(zn4, [0, 2, 0, 2])
+    delta = AdditiveMap(zn4, [0, 2, 0, 2])
     report = verify_separation(zn4, delta)
     assert report.status == "pass"
     assert report.instances >= 1
@@ -103,10 +103,10 @@ def test_separation_failure_is_witnessed_past_the_note_cap(zn4):
 def test_separation_guards(zn4, tp33):
     with pytest.raises(MapLawError):
         verify_separation(zn4, zero_map(zn4))       # plain derivation
-    ident = AdditiveMap.from_table(tp33, list(range(27)))
+    ident = AdditiveMap(tp33, list(range(27)))
     with pytest.raises(MapLawError):
         verify_separation(tp33, ident)              # not even a Jordan map
-    delta = AdditiveMap.from_table(zn4, [0, 2, 0, 2])
+    delta = AdditiveMap(zn4, [0, 2, 0, 2])
     with pytest.raises(RingError):
         verify_separation(tp33, delta)
 
@@ -120,10 +120,10 @@ def test_find_jordan_not_derivation(zn4, m2z3):
 
 
 def test_checker_map_guards(zn4):
-    delta = AdditiveMap.from_table(zn4, [0, 2, 0, 2])   # not a derivation
+    delta = AdditiveMap(zn4, [0, 2, 0, 2])   # not a derivation
     with pytest.raises(MapLawError):
         verify_basic(zn4, delta)
-    ident = AdditiveMap.from_table(zn4, [0, 1, 2, 3])   # not jordan either
+    ident = AdditiveMap(zn4, [0, 1, 2, 3])   # not jordan either
     with pytest.raises(MapLawError):
         verify_jordan_suite(zn4, ident)
 
@@ -202,7 +202,7 @@ def test_run_suite_herstein_once(m2z3):
 
 
 def test_run_suite_non_derivation_jordan_map(zn4):
-    delta = AdditiveMap.from_table(zn4, [0, 2, 0, 2])
+    delta = AdditiveMap(zn4, [0, 2, 0, 2])
     got = _by_checker(run_suite(zn4, [("table", delta)]))
     # derivation-law checkers must skip, jordan ones must run
     assert got["basic"].status == "skipped"
