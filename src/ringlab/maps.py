@@ -18,10 +18,10 @@ pairs is linear in them.  One Howell-form reduction (Howell 1986;
 Storjohann and Mulders 1998) gives a basis of the kernel and so the
 exact count |Der(R)| before anything is listed; a count above
 MAX_LISTED_MAPS is refused with TooManyMapsError.  Jordan derivations
-are still found by a depth-first search over generator images, pruned
-by additive order and by the Jordan pair defects already decidable.
-Every listed table is checked for the laws before it is returned, and
-results come back sorted lexicographically by table.
+are found by a depth-first search over generator images, pruned by
+additive order and by the Jordan pair defects already decidable.  One
+tail builds both listers' tables from their generator images, checks
+them for additivity and their law, and sorts them by table.
 """
 
 from __future__ import annotations
@@ -542,21 +542,51 @@ def _kernel_basis(A: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
     return H[[i for i, _ in kernel], m:].reshape(len(kernel), u), radix
 
 
-def _check_listed(ring: FiniteRing, gens: np.ndarray, F: np.ndarray):
-    """Every table of the block F is additive and satisfies the Leibniz
-    law on generator pairs, or the solver is at fault.
+def _check_listed(ring: FiniteRing, gens: np.ndarray, F: np.ndarray,
+                  law: str) -> np.ndarray:
+    """Every table of the block F is additive and satisfies law on
+    generator pairs, or its lister is at fault.  Returns where the Leibniz
+    law holds on generator pairs, and so everywhere.
 
     Additivity is checked as f(x + g) = f(x) + f(g) for every x and every
     generator g, which is exact: x = 0 gives f(0) = 0, and induction on a
     sum of generators y gives f(x + y) = f(x) + f(y)."""
     ys = gens[None, :]
     additive = _law_holds(ring, F, "additive", np.arange(ring.size)[:, None], ys)
-    leibniz = _law_holds(ring, F, "derivation", gens[:, None], ys)
-    listed = additive.all(axis=(1, 2)) & leibniz.all(axis=(1, 2))
+    holds = {name: _law_holds(ring, F, name, gens[:, None], ys).all(axis=(1, 2))
+             for name in ("derivation", law)}
+    listed = additive.all(axis=(1, 2)) & holds[law]
     if not listed.all():
         bad = int(np.argmin(listed))
-        raise MapLawError(f"the derivation solver listed {F[bad].tolist()}, "
-                          "which fails the additive or Leibniz check")
+        raise MapLawError(f"the {law} lister listed {F[bad].tolist()}, "
+                          f"which fails the additive or {law} law check")
+    return holds["derivation"]
+
+
+def _listed_maps(ring: FiniteRing, basis: GeneratorBasis, law: str, total: int,
+                 block) -> list[AdditiveMap]:
+    """The total maps of a lister for law, checked by _check_listed and
+    sorted by table.  block(ids) gives the generator images of the maps
+    ids, a bounded block, as D[b, t, s]: coordinate s of f(g_t) for ids[b]."""
+    n, k = ring.size, len(basis.generators)
+    o = np.array(basis.orders, dtype=np.int64)
+    coords = np.array(basis.decomp, dtype=np.int64)
+    gens = np.array(basis.generators, dtype=np.intp)
+    # element index from coordinates, by mixed radix over the orders
+    strides = np.cumprod(np.concatenate([[1], o]))[:-1].astype(np.int64)
+    element = np.empty(n, dtype=np.int32)
+    element[coords @ strides] = np.arange(n)
+    # a listed map's largest temporaries are its n×k images and k×k D
+    step = max(1, _CELLS // (max(1, k) * (n + k)))
+    tables = np.empty((total, n), dtype=np.int32)
+    leibniz = np.empty(total, dtype=bool)
+    for ids in np.split(np.arange(total), range(step, total, step)):
+        images = np.einsum("et,bts->bes", coords, block(ids)) % o
+        tables[ids] = element[images @ strides]
+        leibniz[ids] = _check_listed(ring, gens, tables[ids], law)
+    return [AdditiveMap(ring, tables[b], _trusted=True,
+                        _derivation=bool(leibniz[b]), _jordan=True)
+            for b in np.lexsort(tables.T[::-1])]
 
 
 def enumerate_derivations(ring: FiniteRing, progress=None) -> list[AdditiveMap]:
@@ -567,12 +597,11 @@ def enumerate_derivations(ring: FiniteRing, progress=None) -> list[AdditiveMap]:
     raises TooManyMapsError with the count.  progress, if given, gets
     one dict with the listed tables as nodes and found, and no pruned.
     """
-    n = ring.size
     basis = generator_basis(ring)
     k = len(basis.generators)
     o = np.array(basis.orders, dtype=np.int64)
     N = int(o.max(initial=1))
-    coords = np.array(basis.decomp, dtype=np.int64).reshape(n, k)
+    coords = np.array(basis.decomp, dtype=np.int64)
     gens = np.array(basis.generators, dtype=np.intp)
     A = _leibniz_rows(o, coords[ring.mul_table[np.ix_(gens, gens)]])
     H, radix = _kernel_basis(np.unique(A[A.any(axis=1)], axis=0), N)
@@ -581,28 +610,12 @@ def enumerate_derivations(ring: FiniteRing, progress=None) -> list[AdditiveMap]:
         raise TooManyMapsError(
             total, f"the ring has {total} derivations, more than the "
                    f"{MAX_LISTED_MAPS} a listing may hold")
-    # element index from coordinates, by mixed radix over the orders
-    strides = np.cumprod(np.concatenate([[1], o]))[:-1].astype(np.int64)
-    element = np.empty(n, dtype=np.int32)
-    element[coords @ strides] = np.arange(n)
     digit_strides = np.cumprod(np.concatenate([[1], radix]))[:-1].astype(np.int64)
-    # a listed map's largest temporaries are its n×k images and k×k D
-    step = max(1, _CELLS // (max(1, k) * (n + k)))
-    blocks = []
-    for start in range(0, total, step):
-        ids = np.arange(start, min(total, start + step), dtype=np.int64)
-        digits = ids[:, None] // digit_strides % radix
-        D = (digits @ H % N).reshape(len(ids), k, k) // (N // o)
-        images = np.einsum("et,bts->bes", coords, D) % o
-        F = element[images @ strides]
-        _check_listed(ring, gens, F)
-        blocks.append(F)
-    tables = np.concatenate(blocks)
-    tables = tables[np.lexsort(tables.T[::-1])]
     if progress:
         progress({"nodes": total, "pruned": 0, "found": total})
-    return [AdditiveMap(ring, table, _trusted=True, _derivation=True,
-                        _jordan=True) for table in tables]
+    return _listed_maps(ring, basis, "derivation", total,
+                        lambda ids: (ids[:, None] // digit_strides % radix @ H % N)
+                        .reshape(len(ids), k, k) // (N // o))
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +628,7 @@ def enumerate_jordan_derivations(ring: FiniteRing,
 
     A depth-first search over generator images: a branch is pruned by
     additive order and by every Jordan pair defect that its images
-    already decide, and each completed table is checked for additivity.
+    already decide.  Each leaf is one map, listed by _listed_maps.
     progress, if given, gets the nodes/pruned/found counters every
     _PROGRESS_EVERY nodes and at the end.
     """
@@ -629,12 +642,6 @@ def enumerate_jordan_derivations(ring: FiniteRing,
     def report(force=False):
         if progress and (force or stats["nodes"] % _PROGRESS_EVERY == 0):
             progress(dict(stats))
-
-    if k == 0:
-        zmap = zero_map(ring)
-        stats["found"] = 1
-        report(force=True)
-        return [zmap]
 
     elem_order = [ring.additive_order(x) for x in range(n)]
     candidates = [[x for x in range(n) if orders[t] % elem_order[x] == 0]
@@ -654,7 +661,7 @@ def enumerate_jordan_derivations(ring: FiniteRing,
 
     images = [0] * k
     mults: list[list[int]] = [[] for _ in range(k)]
-    found_tables: list[tuple[int, ...]] = []
+    leaves: list[int] = []      # the k generator images of each leaf in turn
 
     def feval(e: int) -> int:
         v = ring.zero
@@ -670,18 +677,10 @@ def enumerate_jordan_derivations(ring: FiniteRing,
                       add[mul[gi, fj], mul[fj, gi]]])
         return feval(prod) == rhs
 
-    def finalize():
-        table = np.empty(n, dtype=np.int32)
-        for e in range(n):
-            table[e] = feval(e)
-        ok, _ = check_additive(ring, table)
-        if ok:
-            found_tables.append(tuple(int(v) for v in table))
-            stats["found"] += 1
-
     def rec(t: int):
         if t == k:
-            finalize()
+            leaves.extend(images)
+            stats["found"] += 1
             return
         for img in candidates[t]:
             images[t] = img
@@ -698,6 +697,7 @@ def enumerate_jordan_derivations(ring: FiniteRing,
 
     rec(0)
     report(force=True)
-    return [AdditiveMap(ring, np.array(table, dtype=np.int32), _trusted=True,
-                        _jordan=True)
-            for table in sorted(set(found_tables))]
+    coords = np.array(decomp, dtype=np.int64)
+    found = np.array(leaves, dtype=np.intp).reshape(stats["found"], k)
+    return _listed_maps(ring, basis, "jordan", stats["found"],
+                        lambda ids: coords[found[ids]])

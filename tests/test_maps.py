@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from ringlab import (AdditiveMap, MapLawError, NotAdditiveError, Product,
+from ringlab import (AdditiveMap, MapLawError, Matrix, NotAdditiveError, Product,
                      RingError, Tables, TooManyMapsError, TruncPoly, Zn,
                      build_ring, check_additive, check_derivation,
                      check_jordan_derivation, enumerate_derivations,
@@ -345,9 +345,47 @@ def test_listing_check_rejects_a_non_additive_table():
     law on generator pairs, so only the additivity check can catch one."""
     ring = build_ring(_zero_ring((4,)))
     gens = np.array(generator_basis(ring).generators, dtype=np.intp)
-    _check_listed(ring, gens, np.array([[0, 1, 2, 3], [0, 3, 2, 1]]))
+    _check_listed(ring, gens, np.array([[0, 1, 2, 3], [0, 3, 2, 1]]), "derivation")
     with pytest.raises(MapLawError):
-        _check_listed(ring, gens, np.array([[0, 1, 2, 3], [0, 1, 3, 2]]))
+        _check_listed(ring, gens, np.array([[0, 1, 2, 3], [0, 1, 3, 2]]), "derivation")
+
+
+def test_listing_check_rejects_a_table_that_breaks_the_jordan_law(zn4):
+    """The identity on Z4 is additive, but f(1∘1) = 2 while
+    f(1)∘1 + 1∘f(1) = 0.  The check returns the Leibniz flags of the
+    tables it passes."""
+    gens = np.array(generator_basis(zn4).generators, dtype=np.intp)
+    leibniz = _check_listed(zn4, gens, np.array([[0, 0, 0, 0], [0, 2, 0, 2]]), "jordan")
+    assert leibniz.tolist() == [True, False]
+    with pytest.raises(MapLawError):
+        _check_listed(zn4, gens, np.array([[0, 1, 2, 3]]), "jordan")
+
+
+@pytest.mark.parametrize("spec", [Zn(1), Matrix(Zn(1), 2)], ids=spec_name)
+def test_one_element_ring_lists_the_zero_map(spec):
+    """A ring with no generators has one map of each law, the zero map:
+    the solver lists one kernel vector, the search one leaf at depth 0."""
+    ring = build_ring(spec)
+    for enumerate_maps, nodes in ((enumerate_derivations, 1),
+                                  (enumerate_jordan_derivations, 0)):
+        events = []
+        listed = enumerate_maps(ring, progress=events.append)
+        assert listed == [zero_map(ring)]
+        assert listed[0].is_derivation and listed[0].is_jordan
+        assert events[-1] == {"nodes": nodes, "pruned": 0, "found": 1}
+
+
+@pytest.mark.parametrize("spec, final", [
+    (Matrix(Zn(2), 2), {"nodes": 2832, "pruned": 2528, "found": 128}),
+    (Product((Zn(4),) * 3), {"nodes": 4672, "pruned": 4088, "found": 512}),
+    (Matrix(Zn(3), 2), {"nodes": 9558, "pruned": 9414, "found": 27}),
+], ids=["M2(Z2)", "Z4xZ4xZ4", "M2(Z3)"])
+def test_jordan_search_counters_are_pinned(spec, final):
+    """The search's final counters, and one listed map per found leaf."""
+    events = []
+    listed = enumerate_jordan_derivations(build_ring(spec), progress=events.append)
+    assert events[-1] == final
+    assert len(listed) == final["found"]
 
 
 @pytest.mark.parametrize("N", [2, 4, 6, 8, 9, 12])
