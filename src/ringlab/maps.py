@@ -56,6 +56,7 @@ class NotAdditiveError(MapLawError):
 
 
 def _as_table(ring: FiniteRing, table) -> np.ndarray:
+    """A table from outside the listers, checked for shape, type and range."""
     if isinstance(table, AdditiveMap):
         table = table.table
     try:
@@ -191,8 +192,8 @@ class AdditiveMap:
     def __init__(self, ring: FiniteRing, table, *, _trusted: bool = False,
                  _derivation: Optional[bool] = None, _jordan: Optional[bool] = None,
                  _inner=-1):
-        arr = _as_table(ring, table) if _trusted else _additive_table(ring, table)
-        arr = arr.astype(np.int32)
+        arr = (np.asarray(table, dtype=np.int32) if _trusted
+               else _additive_table(ring, table).astype(np.int32))
         arr.flags.writeable = False
         self.ring = ring
         self.table = arr
@@ -554,7 +555,7 @@ def _check_listed(ring: FiniteRing, gens: np.ndarray, F: np.ndarray,
     ys = gens[None, :]
     additive = _law_holds(ring, F, "additive", np.arange(ring.size)[:, None], ys)
     holds = {name: _law_holds(ring, F, name, gens[:, None], ys).all(axis=(1, 2))
-             for name in ("derivation", law)}
+             for name in dict.fromkeys(("derivation", law))}
     listed = additive.all(axis=(1, 2)) & holds[law]
     if not listed.all():
         bad = int(np.argmin(listed))
@@ -566,8 +567,9 @@ def _check_listed(ring: FiniteRing, gens: np.ndarray, F: np.ndarray,
 def _listed_maps(ring: FiniteRing, basis: GeneratorBasis, law: str, total: int,
                  block) -> list[AdditiveMap]:
     """The total maps of a lister for law, checked by _check_listed and
-    sorted by table.  block(ids) gives the generator images of the maps
-    ids, a bounded block, as D[b, t, s]: coordinate s of f(g_t) for ids[b]."""
+    sorted by table, each table a read-only row of one (total, n) block.
+    block(ids) gives the generator images of the maps ids, a bounded
+    block, as D[b, t, s]: coordinate s of f(g_t) for ids[b]."""
     n, k = ring.size, len(basis.generators)
     o = np.array(basis.orders, dtype=np.int64)
     coords = np.array(basis.decomp, dtype=np.int64)
@@ -584,6 +586,7 @@ def _listed_maps(ring: FiniteRing, basis: GeneratorBasis, law: str, total: int,
         images = np.einsum("et,bts->bes", coords, block(ids)) % o
         tables[ids] = element[images @ strides]
         leibniz[ids] = _check_listed(ring, gens, tables[ids], law)
+    tables.flags.writeable = False
     return [AdditiveMap(ring, tables[b], _trusted=True,
                         _derivation=bool(leibniz[b]), _jordan=True)
             for b in np.lexsort(tables.T[::-1])]

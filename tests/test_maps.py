@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import random
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from ringlab import (AdditiveMap, MapLawError, Matrix, NotAdditiveError, Product,
-                     RingError, Tables, TooManyMapsError, TruncPoly, Zn,
+                     RingError, Tables, TooManyMapsError, TriPattern, TruncPoly, Zn,
                      build_ring, check_additive, check_derivation,
                      check_jordan_derivation, enumerate_derivations,
                      enumerate_jordan_derivations, formal_derivative,
@@ -402,3 +403,69 @@ def test_kernel_basis_lists_each_solution_once(N):
         scan = [x for x in itertools.product(range(N), repeat=u)
                 if not (A @ np.array(x) % N).any()]
         assert sorted(listed) == scan
+
+
+def test_listed_tables_are_read_only_rows_of_one_block(monkeypatch):
+    """A lister checks its tables once, in _check_listed: none passes
+    through _as_table, the validation of tables from outside.  Each
+    listed table is a read-only int32 row of its listing's one block."""
+    ring = build_ring(TruncPoly(2, 3))
+    monkeypatch.setattr(maps, "_as_table", lambda ring, table: pytest.fail(
+        "a listed table went through _as_table"))
+    for enumerate_maps in (enumerate_derivations, enumerate_jordan_derivations):
+        listed = enumerate_maps(ring)
+        block = listed[0].table.base
+        assert block.shape == (len(listed), ring.size)
+        assert not block.flags.writeable
+        for m in listed:
+            assert m.table.dtype == np.int32 and not m.table.flags.writeable
+            assert m.table.base is block and np.shares_memory(m.table, block)
+
+
+@pytest.mark.parametrize("law, evaluated", [
+    ("derivation", ["additive", "derivation"]),
+    ("jordan", ["additive", "derivation", "jordan"]),
+])
+def test_listing_check_evaluates_each_law_once(m2z2, monkeypatch, law, evaluated):
+    """One _check_listed call on a block evaluates each distinct law once."""
+    block = np.array([m.table for m in enumerate_derivations(m2z2)])
+    gens = np.array(generator_basis(m2z2).generators, dtype=np.intp)
+    calls = []
+    law_holds = maps._law_holds
+
+    def spy(ring, F, name, *pairs):
+        calls.append(name)
+        return law_holds(ring, F, name, *pairs)
+
+    monkeypatch.setattr(maps, "_law_holds", spy)
+    assert _check_listed(m2z2, gens, block, law).all()
+    assert sorted(calls) == evaluated
+
+
+# The listing contract of the enum-ladder rungs that finish: sha256 of the
+# listed tables in order as little-endian int32, as perfbench/expected.json
+# records them, and the count of maps flagged as derivations.
+LADDER_LISTINGS = [
+    ("m2-z2.jordan", Matrix(Zn(2), 2), enumerate_jordan_derivations, 8,
+     "f135738f605987b6e67f806f8fc15e81f409b744d8fa4132b35954e800eff023"),
+    ("m2-z3.jordan", Matrix(Zn(3), 2), enumerate_jordan_derivations, 27,
+     "a6940ca9573e10e2901421bfa2738a3b0dd27a289e3005e0982bd979c483578d"),
+    ("m2-z3.der", Matrix(Zn(3), 2), enumerate_derivations, 27,
+     "a6940ca9573e10e2901421bfa2738a3b0dd27a289e3005e0982bd979c483578d"),
+    ("z4cubed.jordan", Product((Zn(4),) * 3), enumerate_jordan_derivations, 1,
+     "cd3d98e0be651ba319a0f0aed24b02d3e5a43b6ffa1c456824d062ed4dc9e46a"),
+    ("tri-z3.der", TriPattern(Zn(3)), enumerate_derivations, 243,
+     "d913efb4fa991650bde0832e7ff03dc0b1b2785a75b429bec438e6d7a0436686"),
+    ("tp2-4.jordan", TruncPoly(2, 4), enumerate_jordan_derivations, 16,
+     "05316ec46101331d94a61dca0ec88ec167d60981bd90ec4a5a2999673ba54a25"),
+]
+
+
+@pytest.mark.parametrize("spec, enumerate_maps, derivations, digest",
+                         [rung[1:] for rung in LADDER_LISTINGS],
+                         ids=[rung[0] for rung in LADDER_LISTINGS])
+def test_ladder_listings_are_pinned(spec, enumerate_maps, derivations, digest):
+    listed = enumerate_maps(build_ring(spec))
+    tables = np.asarray([m.table for m in listed], dtype="<i4")
+    assert hashlib.sha256(tables.tobytes()).hexdigest() == digest
+    assert sum(m.is_derivation for m in listed) == derivations
