@@ -7,7 +7,7 @@ special maps (formal derivative, inner maps at distinguished elements),
 and writes a JSON report plus a text summary.
 
 Usage:
-    python3 scripts/run_corpus.py [--out results/corpus.json] [--seed N]
+    python3 scripts/run_corpus.py [--out results/corpus.json]
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from collections import Counter
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from ringlab import (  # noqa: E402
-    CheckerConfig, Matrix, Product, TriPattern, TruncPoly, Zn, build_ring,
+    Matrix, Product, TriPattern, TruncPoly, Zn, build_ring,
     enumerate_derivations, enumerate_jordan_derivations, formal_derivative,
     inner_derivation, is_proper, run_suite, spec_name, spec_to_json,
     suite_status,
@@ -53,7 +53,7 @@ def named_maps(ring):
     return named
 
 
-def run_ring(ring, config):
+def run_ring(ring):
     t0 = time.perf_counter()
     derivations = enumerate_derivations(ring)
     jordans = enumerate_jordan_derivations(ring)
@@ -64,7 +64,7 @@ def run_ring(ring, config):
              if not m.is_derivation]
     maps.extend(named_maps(ring))
 
-    reports = run_suite(ring, maps, "all", config)
+    reports = run_suite(ring, maps, "all")
 
     proper = []
     for i, d in enumerate(derivations):
@@ -91,10 +91,8 @@ def run_ring(ring, config):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="results/corpus.json")
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 
-    config = CheckerConfig(seed=args.seed)
     specs = CORPUS + [FLAGSHIP]
 
     results = []
@@ -105,7 +103,7 @@ def main(argv=None) -> int:
         ring = build_ring(spec)
         print(f"[corpus] {spec_name(spec)} (size {ring.size}) ...",
               file=sys.stderr)
-        entry = run_ring(ring, config)
+        entry = run_ring(ring)
         results.append(entry)
         if entry["status"] == "fail":
             overall = "fail"

@@ -247,7 +247,7 @@ def _cmd_verify(args) -> tuple[int, str, dict]:
     ring = _load_ring(args.ring)
     progress = _progress_printer("enumerate")
     named = _resolve_maps(ring, args.map, progress)
-    config = CheckerConfig(seed=args.seed)
+    config = CheckerConfig()
     if args.max_n is not None:
         config.max_n = args.max_n
         config.max_exp = args.max_n
@@ -391,8 +391,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkers", default="all",
                    help=f"comma-separated ids or 'all' "
                         f"({', '.join(CHECKER_ORDER)})")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for sampled instance spaces")
     p.add_argument("--max-n", type=int, default=None, dest="max_n",
                    help="cap for integer-multiple and exponent windows")
 

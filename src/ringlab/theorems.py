@@ -2,16 +2,16 @@
 
 Every checker quantifies over concrete ring elements and produces a
 TheoremReport: pass, fail (with counterexamples), or skipped when the ring or
-map does not satisfy the hypotheses.  Instance spaces are enumerated
-exhaustively up to a configurable threshold, above which a seeded
-stratified sample is drawn and the seed recorded in the report.
+map does not satisfy the hypotheses.  Every instance space is enumerated
+exhaustively, so a report depends only on the ring, the map and the
+checker windows.
 
 The membership checks are array identities over the Cayley tables: a
 checker evaluates one law on a whole block of instances at once and
 records its instances and counterexamples in the order of the loop that
 states the law (see _Recorder.check_all).  A report keeps counterexamples
-in `witnesses` and informational entries (a sampled space, a capped
-range, a strict inclusion, ...) in `notes`.  Membership is the definition:
+in `witnesses` and informational entries (a capped range, a strict
+inclusion, ...) in `notes`.  Membership is the definition:
 y ∈ i_d(x) is d[y] == x, and z ∈ i_d(a) + i_d(b), both nonempty, is
 d[z] == a + b, since d is additive.  Only the checks that the fibres are
 kernel cosets read the coset form: coset-structure, basic's
@@ -33,7 +33,6 @@ herstein           on 2-torsion-free prime rings, Jordan implies Leibniz
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -52,8 +51,9 @@ _BLOCK = 1 << 16    # pairs per array step, which bounds a pair check's memory
 class CheckerConfig:
     max_n: int = 8                      # window for integer multiples of unity
     max_exp: int = 6                    # largest exponent in power rules
-    sample_threshold: int = 10_000_000  # instance spaces above this are sampled
-    sample_size: int = 50_000
+    # seed has no effect: every instance space is checked exhaustively.  It
+    # stays only while the benchmark harness passes it, and goes with the
+    # next change to the benchmark.
     seed: int = 0
 
 
@@ -64,7 +64,6 @@ class TheoremReport:
     reason: Optional[str]
     instances: int
     witnesses: list                      # counterexamples only
-    seed: Optional[int]
     runtime: float
     map_desc: Optional[str] = None
     notes: list = field(default_factory=list)   # informational entries
@@ -76,8 +75,6 @@ class TheoremReport:
         out["instances"] = self.instances
         out["witnesses"] = self.witnesses
         out["notes"] = self.notes
-        if self.seed is not None:
-            out["seed"] = self.seed
         out["runtime"] = round(self.runtime, 6)
         return out
 
@@ -96,7 +93,6 @@ class _Recorder:
         self.witnesses: list[dict] = []
         self.notes: list[dict] = []
         self.failed = False
-        self.seed: Optional[int] = None
 
     def _record(self, instances: int, failures):
         """Count instances and keep the witnesses of the first failures; the
@@ -138,8 +134,8 @@ class _Recorder:
 
     def _report(self, status: str, reason: Optional[str]) -> TheoremReport:
         return TheoremReport(self.checker, status, reason, self.instances,
-                             self.witnesses, self.seed,
-                             time.perf_counter() - self.t0, notes=self.notes)
+                             self.witnesses, time.perf_counter() - self.t0,
+                             notes=self.notes)
 
     def skip(self, reason: str) -> TheoremReport:
         return self._report("skipped", reason)
@@ -150,24 +146,13 @@ class _Recorder:
         return self._report("fail" if self.failed else "pass", None)
 
 
-def _pair_blocks(n: int, config: CheckerConfig, rec: _Recorder):
-    """All (x, y) pairs in row-major order, or a seeded stratified sample
-    when there are too many, as (xs, ys) array blocks of at most _BLOCK."""
-    if n * n <= config.sample_threshold:
-        rows = max(1, _BLOCK // n)
-        for x0 in range(0, n, rows):
-            xs = np.arange(x0, min(n, x0 + rows))
-            yield np.repeat(xs, n), np.tile(np.arange(n), len(xs))
-        return
-    rng = random.Random(config.seed)
-    rec.seed = config.seed
-    rec.note({"kind": "sampled", "sample_size": config.sample_size,
-              "space": n * n})
-    per = max(1, config.sample_size // n)
-    xs = np.repeat(np.arange(n), per)
-    ys = np.array([rng.randrange(n) for _ in range(n * per)], dtype=np.intp)
-    for s in range(0, len(xs), _BLOCK):
-        yield xs[s:s + _BLOCK], ys[s:s + _BLOCK]
+def _pair_blocks(n: int):
+    """All (x, y) pairs in row-major order, as (xs, ys) array blocks of at
+    most _BLOCK pairs."""
+    rows = max(1, _BLOCK // n)
+    for x0 in range(0, n, rows):
+        xs = np.arange(x0, min(n, x0 + rows))
+        yield np.repeat(xs, n), np.tile(np.arange(n), len(xs))
 
 
 def _check_additivity(rec: _Recorder, ring: FiniteRing, dmap: AdditiveMap):
@@ -402,13 +387,12 @@ def verify_combination_rules(ring: FiniteRing, dmap: AdditiveMap,
     """Sums and products of antiderivatives integrate the matching
     combinations, plus the inverse membership rules on unity rings."""
     _require_map(ring, dmap, "derivation")
-    config = config or CheckerConfig()
     rec = _Recorder("combination-rules", ring)
     add, mul, neg = ring.add_table, ring.mul_table, ring.neg_table
     d = dmap.table
     n = ring.size
 
-    for y1, y2 in _pair_blocks(n, config, rec):
+    for y1, y2 in _pair_blocks(n):
         x1, x2 = d[y1], d[y2]
         ok = np.stack([d[add[y1, y2]] == add[x1, x2],
                        d[mul[y1, y2]] == add[mul[x1, y2], mul[y1, x2]]], axis=1)
@@ -451,7 +435,6 @@ def verify_additivity_and_parts(ring: FiniteRing, dmap: AdditiveMap,
     of the sum, and x*y lies in the two-part sum; records one witness pair
     whose part integrals are both empty."""
     _require_map(ring, dmap, "derivation")
-    config = config or CheckerConfig()
     rec = _Recorder("additivity-parts", ring)
     add, mul = ring.add_table, ring.mul_table
     d = dmap.table
@@ -460,7 +443,7 @@ def verify_additivity_and_parts(ring: FiniteRing, dmap: AdditiveMap,
     _check_additivity(rec, ring, dmap)
 
     empty_witnessed = False
-    for x, y in _pair_blocks(ring.size, config, rec):
+    for x, y in _pair_blocks(ring.size):
         a = mul[d[x], y]
         b = mul[x, d[y]]
         empty_a = rep[a] < 0
@@ -585,7 +568,6 @@ def verify_jordan_suite(ring: FiniteRing, delta: AdditiveMap,
     two-sided integration by parts, combination rules, and the
     surjectivity/injectivity criteria."""
     _require_map(ring, delta, "jordan")
-    config = config or CheckerConfig()
     rec = _Recorder("jordan-suite", ring)
     add, mul, neg = ring.add_table, ring.mul_table, ring.neg_table
     d = delta.table
@@ -626,7 +608,7 @@ def verify_jordan_suite(ring: FiniteRing, delta: AdditiveMap,
 
     _check_additivity(rec, ring, delta)
 
-    for x, y in _pair_blocks(n, config, rec):
+    for x, y in _pair_blocks(n):
         dx, dy = d[x], d[y]
         parts = (mul[dx, y], mul[x, dy], mul[dy, x], mul[y, dx])
         jxy = add[mul[x, y], mul[y, x]]

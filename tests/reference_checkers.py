@@ -14,7 +14,6 @@ quotient_view to give equal results and raise the same errors.
 
 from __future__ import annotations
 
-import random
 from typing import Optional
 
 import numpy as np
@@ -27,21 +26,11 @@ from ringlab.rings import ElementSet, FiniteRing, RingError
 from ringlab.theorems import CheckerConfig, TheoremReport, _Recorder
 
 
-def _pair_stream(n: int, config: CheckerConfig, rec: _Recorder):
-    """All (x, y) pairs, or a seeded stratified sample when too many."""
-    if n * n <= config.sample_threshold:
-        for x in range(n):
-            for y in range(n):
-                yield x, y
-        return
-    rng = random.Random(config.seed)
-    rec.seed = config.seed
-    rec.note({"kind": "sampled", "sample_size": config.sample_size,
-              "space": n * n})
-    per = max(1, config.sample_size // n)
+def _pair_stream(n: int):
+    """All (x, y) pairs in row-major order."""
     for x in range(n):
-        for _ in range(per):
-            yield x, rng.randrange(n)
+        for y in range(n):
+            yield x, y
 
 
 class _IntegralCache:
@@ -243,13 +232,12 @@ def verify_combination_rules(ring: FiniteRing, dmap: AdditiveMap,
     """Sums and products of antiderivatives integrate the matching
     combinations, plus the inverse membership rules on unity rings."""
     _require_map(ring, dmap, "derivation")
-    config = config or CheckerConfig()
     rec = _Recorder("combination-rules", ring)
     ints = _IntegralCache(ring, dmap, "derivation")
     table = dmap.table
     n = ring.size
 
-    for y1, y2 in _pair_stream(n, config, rec):
+    for y1, y2 in _pair_stream(n):
         x1 = int(table[y1])
         x2 = int(table[y2])
         rec.check(ints(ring.add(x1, x2)).contains(ring.add(y1, y2)),
@@ -296,7 +284,6 @@ def verify_additivity_and_parts(ring: FiniteRing, dmap: AdditiveMap,
     of the sum, and x*y lies in the two-part sum; records one witness pair
     whose part integrals are both empty."""
     _require_map(ring, dmap, "derivation")
-    config = config or CheckerConfig()
     rec = _Recorder("additivity-parts", ring)
     ints = _IntegralCache(ring, dmap, "derivation")
     table = dmap.table
@@ -312,7 +299,7 @@ def verify_additivity_and_parts(ring: FiniteRing, dmap: AdditiveMap,
 
     sum_cache: dict[tuple[int, int], ElementSet] = {}
     empty_witnessed = False
-    for x, y in _pair_stream(n, config, rec):
+    for x, y in _pair_stream(n):
         a = ring.mul(int(table[x]), y)
         b = ring.mul(x, int(table[y]))
         ia = ints(a)
@@ -423,7 +410,6 @@ def verify_jordan_suite(ring: FiniteRing, delta: AdditiveMap,
     two-sided integration by parts, combination rules, and the
     surjectivity/injectivity criteria."""
     _require_map(ring, delta, "jordan")
-    config = config or CheckerConfig()
     rec = _Recorder("jordan-suite", ring)
     ints = _IntegralCache(ring, delta, "jordan")
     table = delta.table
@@ -476,7 +462,7 @@ def verify_jordan_suite(ring: FiniteRing, delta: AdditiveMap,
             sum_cache[key] = got
         return got
 
-    for x, y in _pair_stream(n, config, rec):
+    for x, y in _pair_stream(n):
         dx = int(table[x])
         dy = int(table[y])
         parts = (ints(ring.mul(dx, y)), ints(ring.mul(x, dy)),

@@ -194,20 +194,20 @@ def _without_runtime(text: str) -> str:
 
 
 @given(ring=st.sampled_from(SMALL_RINGS), desc=_maps, checkers=_checkers,
-       seed=st.integers(-5, 2 ** 40), data=st.data())
+       data=st.data())
 @settings(derandomize=True, database=None, max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-def test_verify_is_total_and_seeded(ring, desc, checkers, seed, data,
-                                    tmp_path_factory):
-    """verify ends in exit 0, 1 or 2, and a rerun with the same seed gives
-    the same JSON apart from runtime."""
+def test_verify_is_total_and_deterministic(ring, desc, checkers, data,
+                                          tmp_path_factory):
+    """verify ends in exit 0, 1 or 2, and a rerun gives the same JSON apart
+    from runtime."""
     spec, size = ring
     if desc == "table:":
         path = tmp_path_factory.getbasetemp() / "fuzz_map_table.json"
         path.write_text(data.draw(_table_texts(size)))
         desc += str(path)
     argv = ["verify", "--ring", json.dumps(spec), "--map", desc,
-            "--checkers", checkers, "--seed", str(seed), "--format", "json"]
+            "--checkers", checkers, "--format", "json"]
     code, out = _run(argv)
     if code != 2:
         again, out_again = _run(argv)

@@ -1,16 +1,16 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from ringlab import (AdditiveMap, CHECKER_ORDER, CheckerConfig, MapLawError,
-                     Product, RingError, TheoremReport, Zn, build_ring,
+from ringlab import (AdditiveMap, CHECKER_ORDER, MapLawError, Product,
+                     RingError, TheoremReport, Zn, build_ring,
                      enumerate_derivations, find_jordan_not_derivation,
                      formal_derivative, herstein_check, inner_derivation,
                      run_suite, suite_status, verify_basic,
-                     verify_combination_rules, verify_coset_structure,
-                     verify_jordan_suite, verify_kernel_constants,
-                     verify_kernel_scaling, verify_power_rules,
-                     verify_separation, zero_map)
+                     verify_coset_structure, verify_jordan_suite,
+                     verify_kernel_constants, verify_kernel_scaling,
+                     verify_power_rules, verify_separation, zero_map)
 from ringlab import theorems
 
 
@@ -157,16 +157,20 @@ def test_power_rules_on_zn(zn4):
     assert report.instances > 0
 
 
-def test_sampling_path_is_seeded(zn4):
-    config = CheckerConfig(sample_threshold=4, sample_size=40, seed=7)
-    first = verify_combination_rules(zn4, zero_map(zn4), config)
-    second = verify_combination_rules(zn4, zero_map(zn4), config)
-    assert first.status == "pass"
-    assert first.seed == 7
-    assert first.witnesses == []
-    assert {w.get("kind") for w in first.notes} == {"sampled"}
-    assert first.instances == second.instances
-    assert first.to_json()["notes"] == second.to_json()["notes"]
+def test_pair_blocks_yield_every_pair_once():
+    """Every (x, y) pair of a 3200-element ring once, row-major, in blocks
+    of at most _BLOCK pairs."""
+    n = 3200
+    start = 0
+    for xs, ys in theorems._pair_blocks(n):
+        assert 0 < len(xs) == len(ys) <= theorems._BLOCK
+        assert 0 <= ys.min() and ys.max() < n
+        assert np.array_equal(xs * n + ys, np.arange(start, start + len(xs)))
+        if start == 0:
+            assert (xs[0], ys[0]) == (0, 0)
+        start += len(xs)
+    assert (xs[-1], ys[-1]) == (n - 1, n - 1)
+    assert start == n * n
 
 
 def test_run_suite_selection_and_order(tp33):
@@ -239,18 +243,13 @@ def test_report_json_key_order(tp33, zn4):
     skipped = _by_checker(run_suite(zn4, [("trivial", zero_map(zn4))]))["herstein"].to_json()
     assert list(skipped) == ["checker", "status", "reason", "instances",
                              "witnesses", "notes", "runtime"]
-    sampled = verify_combination_rules(zn4, zero_map(zn4),
-                                       CheckerConfig(sample_threshold=4)).to_json()
-    assert list(sampled) == ["checker", "status", "instances", "witnesses",
-                             "notes", "seed", "runtime"]
 
 
 def test_suite_status_fail_detection(tp33):
     good = TheoremReport(checker="basic", status="pass", reason=None,
-                         instances=1, witnesses=[], seed=None, runtime=0.0)
+                         instances=1, witnesses=[], runtime=0.0)
     bad = TheoremReport(checker="basic", status="fail", reason=None,
-                        instances=1, witnesses=[{"kind": "x"}], seed=None,
-                        runtime=0.0)
+                        instances=1, witnesses=[{"kind": "x"}], runtime=0.0)
     assert suite_status([good]) == "pass"
     assert suite_status([good, bad]) == "fail"
 
