@@ -11,17 +11,17 @@ everywhere exactly when they hold on pairs of additive generators.
 One evaluator, _law_holds, states additivity and both laws, for one
 table or a block of tables, on every pair or on given pairs.
 
-Derivations are enumerated as the kernel of a linear system over Z/N.
-In a direct-sum generator basis of (R, +) a derivation is fixed by the
-coordinates of its generator images, and the Leibniz law on generator
-pairs is linear in them.  One Howell-form reduction (Howell 1986;
-Storjohann and Mulders 1998) gives a basis of the kernel and so the
-exact count |Der(R)| before anything is listed; a count above
-MAX_LISTED_MAPS is refused with TooManyMapsError.  Jordan derivations
-are found by a depth-first search over generator images, pruned by
-additive order and by the Jordan pair defects already decidable.  One
-tail builds both listers' tables from their generator images, checks
-them for additivity and their law, and sorts them by table.
+Der(R) and JDer(R) are kernels of linear systems over Z/N.  In a
+direct-sum generator basis of (R, +) an additive map is fixed by the
+coordinates of its generator images, and either law on generator pairs
+is linear in them.  One Howell-form reduction (Howell 1986; Storjohann
+and Mulders 1998) gives a kernel basis and the exact count before
+anything is listed.  Derivations are listed from that basis; a count
+above MAX_LISTED_MAPS is refused with TooManyMapsError.  Jordan
+derivations are listed by a depth-first search over generator images,
+pruned by additive order and by the Jordan pair defects already
+decidable.  One tail builds both listers' tables from their generator
+images, checks them for additivity and their law, and sorts them.
 """
 
 from __future__ import annotations
@@ -375,22 +375,22 @@ def formal_derivative(ring: FiniteRing) -> AdditiveMap:
 # Generator basis
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneratorBasis:
     """A direct-sum basis of (R, +): (R, +) = ⊕ <generators[t]>.
 
     generators[t] has additive order orders[t], and the orders multiply
-    to |R|, so every element e has exactly one coordinate tuple decomp[e]
-    with decomp[e][t] < orders[t] and sum(decomp[e][t] * generators[t])
+    to |R|, so every element e has exactly one coordinate row decomp[e]
+    with decomp[e, t] < orders[t] and sum(decomp[e, t] * generators[t])
     equal to e.  Each step picks the element of largest order modulo the
     span so far, ties broken by smallest index, and lifts it within its
     coset of the span so that its own order equals that quotient order.
     """
 
     ring: FiniteRing
-    generators: tuple[int, ...]
-    orders: tuple[int, ...]
-    decomp: tuple[tuple[int, ...], ...]
+    generators: np.ndarray      # intp; all three arrays are read-only
+    orders: np.ndarray          # int64
+    decomp: np.ndarray          # int64, n×k
 
 
 def generator_basis(ring: FiniteRing) -> GeneratorBasis:
@@ -424,12 +424,14 @@ def generator_basis(ring: FiniteRing) -> GeneratorBasis:
         coords = grown
         gens.append(x)
         gen_orders.append(o)
-    return GeneratorBasis(ring, tuple(gens), tuple(gen_orders),
-                          tuple(map(tuple, coords.tolist())))
+    arrays = np.array(gens, dtype=np.intp), np.array(gen_orders, dtype=np.int64), coords
+    for arr in arrays:
+        arr.flags.writeable = False
+    return GeneratorBasis(ring, *arrays)
 
 
 # ---------------------------------------------------------------------------
-# Derivations: the kernel of a linear system over Z/N
+# Both laws: the kernel of a linear system over Z/N
 
 
 MAX_LISTED_MAPS = 65536
@@ -445,9 +447,9 @@ class TooManyMapsError(RingError):
         self.count = count
 
 
-def _leibniz_rows(o: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """Rows over Z/N, N = max(o), whose kernel is Der(R); o holds the
-    generator orders.
+def _leibniz_rows(o: np.ndarray, P: np.ndarray, law: str) -> np.ndarray:
+    """Rows over Z/N, N = max(o), whose kernel is Der(R), or JDer(R) for
+    law "jordan"; o holds the generator orders.
 
     Unknown t·k + s is U[t, s] = (N/o_s)·D[t, s], where D[t, s] is
     coordinate s of d(g_t); multiplying by N/o_s embeds Z/o_s in Z/N.
@@ -460,6 +462,8 @@ def _leibniz_rows(o: np.ndarray, P: np.ndarray) -> np.ndarray:
       Σ_t P[i,j,t]·U[t,q] − Σ_s (o_s/o_q)·(P[s,j,q]·U[i,s] + P[i,s,q]·U[j,s]).
       o_s·P[s,j,q] and o_s·P[i,s,q] are multiples of o_q because
       o_s·g_s = 0, so every coefficient is an integer.
+    The Jordan defect at (x, y) is the Leibniz one at (x, y) plus the one
+    at (y, x), so for law "jordan" row (j, i, q) is added to row (i, j, q).
     """
     k = len(o)
     A = np.zeros((k, k, k, k, k), dtype=np.int64)      # [i, j, q, t, s]
@@ -470,6 +474,8 @@ def _leibniz_rows(o: np.ndarray, P: np.ndarray) -> np.ndarray:
     for i in range(k):
         A[i, :, :, i, :] -= left.transpose(1, 2, 0)
         A[:, i, :, i, :] -= right.transpose(0, 2, 1)
+    if law == "jordan":
+        A += A.transpose(1, 0, 2, 3, 4)
     order_rows = np.diag(np.gcd.outer(o, o).ravel())
     return np.vstack([A.reshape(k ** 3, k * k), order_rows]) % int(o.max(initial=1))
 
@@ -571,9 +577,7 @@ def _listed_maps(ring: FiniteRing, basis: GeneratorBasis, law: str, total: int,
     block(ids) gives the generator images of the maps ids, a bounded
     block, as D[b, t, s]: coordinate s of f(g_t) for ids[b]."""
     n, k = ring.size, len(basis.generators)
-    o = np.array(basis.orders, dtype=np.int64)
-    coords = np.array(basis.decomp, dtype=np.int64)
-    gens = np.array(basis.generators, dtype=np.intp)
+    o, coords, gens = basis.orders, basis.decomp, basis.generators
     # element index from coordinates, by mixed radix over the orders
     strides = np.cumprod(np.concatenate([[1], o]))[:-1].astype(np.int64)
     element = np.empty(n, dtype=np.int32)
@@ -592,23 +596,26 @@ def _listed_maps(ring: FiniteRing, basis: GeneratorBasis, law: str, total: int,
             for b in np.lexsort(tables.T[::-1])]
 
 
+def _solve(ring: FiniteRing, law: str):
+    """(basis, H, radix, total) for law: its maps' unknowns U (see _leibniz_rows)
+    are the Σ c_i·H[i] with 0 ≤ c_i < radix[i], each once, and total counts them."""
+    basis = generator_basis(ring)
+    o, gens = basis.orders, basis.generators
+    A = _leibniz_rows(o, basis.decomp[ring.mul_table[np.ix_(gens, gens)]], law)
+    H, radix = _kernel_basis(np.unique(A[A.any(axis=1)], axis=0),
+                             int(o.max(initial=1)))
+    return basis, H, radix, math.prod(map(int, radix))    # Python ints do not wrap
+
+
 def enumerate_derivations(ring: FiniteRing, progress=None) -> list[AdditiveMap]:
     """All maps satisfying the Leibniz law, sorted by table.
 
-    Der(R) is counted as the kernel of the linear system of
-    _leibniz_rows before anything is listed; more than MAX_LISTED_MAPS
-    raises TooManyMapsError with the count.  progress, if given, gets
-    one dict with the listed tables as nodes and found, and no pruned.
+    Der(R) is counted by _solve before anything is listed; more than
+    MAX_LISTED_MAPS raises TooManyMapsError with the count.  progress, if
+    given, gets one dict: the listed tables as nodes and found, pruned 0.
     """
-    basis = generator_basis(ring)
-    k = len(basis.generators)
-    o = np.array(basis.orders, dtype=np.int64)
-    N = int(o.max(initial=1))
-    coords = np.array(basis.decomp, dtype=np.int64)
-    gens = np.array(basis.generators, dtype=np.intp)
-    A = _leibniz_rows(o, coords[ring.mul_table[np.ix_(gens, gens)]])
-    H, radix = _kernel_basis(np.unique(A[A.any(axis=1)], axis=0), N)
-    total = math.prod(int(r) for r in radix)     # Python ints do not wrap
+    basis, H, radix, total = _solve(ring, "derivation")
+    o, k, N = basis.orders, len(basis.orders), int(basis.orders.max(initial=1))
     if total > MAX_LISTED_MAPS:
         raise TooManyMapsError(
             total, f"the ring has {total} derivations, more than the "
@@ -636,7 +643,9 @@ def enumerate_jordan_derivations(ring: FiniteRing,
     _PROGRESS_EVERY nodes and at the end.
     """
     basis = generator_basis(ring)
-    gens, orders, decomp = basis.generators, basis.orders, basis.decomp
+    # Python ints keep the search's hot loop off numpy scalars
+    gens, orders, decomp = (basis.generators.tolist(), basis.orders.tolist(),
+                            basis.decomp.tolist())
     k = len(gens)
     n = ring.size
     add, mul = ring.add_table, ring.mul_table
@@ -700,7 +709,6 @@ def enumerate_jordan_derivations(ring: FiniteRing,
 
     rec(0)
     report(force=True)
-    coords = np.array(decomp, dtype=np.int64)
     found = np.array(leaves, dtype=np.intp).reshape(stats["found"], k)
     return _listed_maps(ring, basis, "jordan", stats["found"],
-                        lambda ids: coords[found[ids]])
+                        lambda ids: basis.decomp[found[ids]])

@@ -312,6 +312,39 @@ def test_mixed_groups_match_naive_oracle(spec):
         naive_jordan_derivations(ring)
 
 
+def test_solver_counts_both_laws_as_the_listers_do(corpus_rings):
+    """The solver's Jordan rows are its Leibniz rows symmetrised in the
+    generator pair: its kernel counts JDer(R) as the search lists it."""
+    for ring in corpus_rings + [build_ring(spec) for spec in MIXED_SPECS]:
+        assert maps._solve(ring, "jordan")[3] == len(enumerate_jordan_derivations(ring))
+        assert maps._solve(ring, "derivation")[3] == len(enumerate_derivations(ring))
+
+
+JORDAN_COUNTS = [
+    (Matrix(Zn(2), 2), 128),
+    (Product((Zn(4),) * 3), 512),
+    (TriPattern(Zn(3)), 243),
+    (TruncPoly(2, 4), 65536),
+    (Matrix(Zn(3), 2), 27),
+    # char 2 and commutative: x∘y = 2xy = 0, so every additive map is a
+    # Jordan derivation, 2^(m·m) of them
+    (TruncPoly(2, 5), 2 ** 25),
+    (TruncPoly(2, 8), 2 ** 64),
+]
+
+
+@pytest.mark.parametrize("spec, jordan", JORDAN_COUNTS,
+                         ids=[spec_name(spec) for spec, _ in JORDAN_COUNTS])
+def test_solver_counts_jordan_maps_without_listing(spec, jordan, monkeypatch):
+    """|JDer(R)| against the counts pinned above, with nothing listed."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the solver listed maps")
+
+    monkeypatch.setattr(maps, "_listed_maps", refuse)
+    monkeypatch.setattr(maps, "enumerate_jordan_derivations", refuse)
+    assert maps._solve(build_ring(spec, check=False), "jordan")[3] == jordan
+
+
 @pytest.mark.parametrize("m", range(4, 9))
 def test_trunc_poly_char2_derivation_counts(m):
     """d is fixed by d(X), and d(X^m) = m·X^(m-1)·d(X) = 0 forces d(X) into

@@ -11,7 +11,7 @@ from ringlab import (AdditiveMap, CHECKER_ORDER, MapLawError, Product,
                      verify_coset_structure, verify_jordan_suite,
                      verify_kernel_constants, verify_kernel_scaling,
                      verify_power_rules, verify_separation, zero_map)
-from ringlab import theorems
+from ringlab import maps, theorems
 
 
 def _by_checker(reports):
@@ -76,6 +76,31 @@ def test_herstein(m2z3, zn4):
     assert herstein_check(zn4).reason == "not 2-torsion-free"
     z3z3 = build_ring(Product((Zn(3), Zn(3))))
     assert herstein_check(z3z3).reason == "not prime"
+
+
+def test_herstein_lists_nothing(m2z3, monkeypatch):
+    """herstein compares two counts of the solver; it lists no map."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("herstein listed JDer(R)")
+
+    monkeypatch.setattr(theorems, "enumerate_jordan_derivations", refuse)
+    monkeypatch.setattr(maps, "enumerate_jordan_derivations", refuse)
+    for ring, instances in [(m2z3, 27)] + [(build_ring(Zn(p)), 1) for p in (3, 5, 7)]:
+        report = herstein_check(ring)
+        assert (report.status, report.instances, report.witnesses) == ("pass", instances, [])
+
+
+def test_herstein_fails_when_the_counts_differ(m2z3, monkeypatch):
+    """A Jordan count above the derivation count fails with one witness
+    that carries both counts."""
+    solve = theorems._solve
+    monkeypatch.setattr(theorems, "_solve", lambda ring, law: solve(ring, law)[:3] + (
+        81 if law == "jordan" else 27,))
+    report = herstein_check(m2z3)
+    assert report.status == "fail"
+    assert report.instances == 81
+    assert report.witnesses == [{"kind": "jordan-not-derivation",
+                                 "jordan": 81, "derivations": 27}]
 
 
 def test_separation_finds_distinguishing_point(zn4):
