@@ -265,7 +265,7 @@ class AdditiveMap:
         if self._kernel is None:
             ring = self.ring
             members = np.flatnonzero(self.table == ring.zero)
-            closed = np.isin(ring.add_table[np.ix_(members, members)], members).all()
+            closed = (self.table[ring.add_table[np.ix_(members, members)]] == ring.zero).all()
             if not closed or ring.zero not in members:
                 raise MapLawError("kernel failed the subgroup check")
             self._kernel = ElementSet(ring, members)

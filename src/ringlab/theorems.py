@@ -7,8 +7,9 @@ exhaustively, so a report depends only on the ring, the map and the
 checker windows.
 
 The membership checks are array identities over the Cayley tables: a
-checker evaluates one law on a whole block of instances at once and
-records its instances and counterexamples in the order of the loop that
+checker evaluates one law on a block of whole rows at once (every bounded
+loop walks _row_blocks, and a pair block's tables are rows of add and mul)
+and records its instances and counterexamples in the order of the loop that
 states the law (see _Recorder.check_all).  A report keeps counterexamples
 in `witnesses` and informational entries (a capped range, a strict
 inclusion, ...) in `notes`.  Membership is the definition:
@@ -44,7 +45,7 @@ from .maps import (AdditiveMap, MapLawError, _require_map, _solve,
 from .rings import FiniteRing, RingError
 
 MAX_WITNESSES = 25
-_BLOCK = 1 << 16    # pairs per array step, which bounds a pair check's memory
+_BLOCK = 1 << 16    # cells per array step, which bounds a check's memory
 
 
 @dataclass
@@ -146,13 +147,14 @@ class _Recorder:
         return self._report("fail" if self.failed else "pass", None)
 
 
-def _pair_blocks(n: int):
-    """All (x, y) pairs in row-major order, as (xs, ys) array blocks of at
-    most _BLOCK pairs."""
-    rows = max(1, _BLOCK // n)
-    for x0 in range(0, n, rows):
-        xs = np.arange(x0, min(n, x0 + rows))
-        yield np.repeat(xs, n), np.tile(np.arange(n), len(xs))
+def _row_blocks(rows: int, width: int):
+    """Row indices 0..rows-1 in blocks of consecutive whole rows: at least
+    one row, at most _BLOCK cells of the given width.  A pair block x has y
+    the whole row, its tables are rows (add[x], mul[x], mul[d[x]], ...),
+    and its raveled pair i is (x[i // n], i % n)."""
+    step = max(1, _BLOCK // width)
+    for r0 in range(0, rows, step):
+        yield np.arange(r0, min(rows, r0 + step))
 
 
 def _check_additivity(rec: _Recorder, ring: FiniteRing, dmap: AdditiveMap):
@@ -298,9 +300,8 @@ def verify_coset_structure(ring: FiniteRing, dmap: AdditiveMap,
     group = np.repeat(np.arange(len(fib.values)), counts)
     ys = fib.members[fib.present]
     kinds = ("coset-mismatch", "nonunique-kernel-offset")
-    rows = max(1, _BLOCK // max(1, k))
-    for s in range(0, len(ys), rows):
-        g, y = group[s:s + rows], ys[s:s + rows]
+    for r in _row_blocks(len(ys), k):
+        g, y = group[r], ys[r]
         shifted = np.sort(ring.add_table[y[:, None], karr[None, :]], axis=1)
         same = counts[g] == k
         if k <= fib.members.shape[1]:
@@ -342,10 +343,9 @@ def verify_kernel_scaling(ring: FiniteRing, dmap: AdditiveMap,
              "scaled-integral-empty", "left-scaling-not-equal",
              "right-scaling-not-equal")
     strict_seen = False
-    step = max(1, _BLOCK // members.size)
-    for s in range(0, len(ws), step):
-        w = ws[s:s + step, None]
-        inv = invertible[s:s + step, None, None]
+    for r in _row_blocks(len(ws), members.size):
+        w = ws[r, None]
+        inv = invertible[r, None, None]
         sides = []
         for wx, wy in ((mul[w, x], mul[w[:, :, None], members]),
                        (mul[x, w], mul[members, w[:, :, None]])):
@@ -392,12 +392,12 @@ def verify_combination_rules(ring: FiniteRing, dmap: AdditiveMap,
     d = dmap.table
     n = ring.size
 
-    for y1, y2 in _pair_blocks(n):
-        x1, x2 = d[y1], d[y2]
-        ok = np.stack([d[add[y1, y2]] == add[x1, x2],
-                       d[mul[y1, y2]] == add[mul[x1, y2], mul[y1, x2]]], axis=1)
-        rec.check_all(ok, lambda i, j: {"kind": ("sum-rule", "product-rule")[j],
-                                        "y1": int(y1[i]), "y2": int(y2[i])})
+    for y1 in _row_blocks(n, n):
+        x1 = d[y1]
+        ok = np.stack([d[add[y1]] == add[x1][:, d],
+                       d[mul[y1]] == add[mul[x1], mul[y1][:, d]]], axis=-1)
+        rec.check_all(ok.reshape(-1, 2), lambda i, j: {
+            "kind": ("sum-rule", "product-rule")[j], "y1": int(y1[i // n]), "y2": i % n})
 
     # y, z in one integral i_d(x): the sum and product rules inside it
     x, y, z, present = _member_triples(dmap)
@@ -439,26 +439,26 @@ def verify_additivity_and_parts(ring: FiniteRing, dmap: AdditiveMap,
     add, mul = ring.add_table, ring.mul_table
     d = dmap.table
     rep = dmap.fibres.rep
+    n = ring.size
 
     _check_additivity(rec, ring, dmap)
 
     empty_witnessed = False
-    for x, y in _pair_blocks(ring.size):
-        a = mul[d[x], y]
-        b = mul[x, d[y]]
+    for x in _row_blocks(n, n):
+        a, b = mul[d[x]], mul[x][:, d]      # d(x[i])·y and x[i]·d(y) at (i, y)
         empty_a = rep[a] < 0
         empty_b = rep[b] < 0
         # a pair with an empty part integral counts as a vacuous instance;
         # otherwise i_d(a) + i_d(b) = i_d(a + b), as d is additive
-        ok = empty_a | empty_b | (d[mul[x, y]] == add[a, b])
+        ok = empty_a | empty_b | (d[mul[x]] == add[a, b])
         both = np.flatnonzero(empty_a & empty_b)
         if not empty_witnessed and len(both):
-            i = int(both[0])
-            rec.note({"kind": "parts-preconditions-empty", "x": int(x[i]),
-                      "y": int(y[i]), "dx_times_y": int(a[i]), "x_times_dy": int(b[i])})
+            i, y = divmod(int(both[0]), n)
+            rec.note({"kind": "parts-preconditions-empty", "x": int(x[i]), "y": y,
+                      "dx_times_y": int(a[i, y]), "x_times_dy": int(b[i, y])})
             empty_witnessed = True
-        rec.check_all(ok, lambda i, _: {"kind": "parts-membership",
-                                        "x": int(x[i]), "y": int(y[i])})
+        rec.check_all(ok, lambda i, y: {"kind": "parts-membership",
+                                        "x": int(x[i]), "y": y})
     return rec.finish()
 
 
@@ -608,25 +608,25 @@ def verify_jordan_suite(ring: FiniteRing, delta: AdditiveMap,
 
     _check_additivity(rec, ring, delta)
 
-    for x, y in _pair_blocks(n):
-        dx, dy = d[x], d[y]
-        parts = (mul[dx, y], mul[x, dy], mul[dy, x], mul[y, dx])
-        jxy = add[mul[x, y], mul[y, x]]
+    for x in _row_blocks(n, n):
+        dx = d[x]
+        parts = (mul[dx], mul[x][:, d], mul[d[:, None], x].T, mul[:, dx].T)
+        jxy = add[mul[x], mul[:, x].T]
         # a pair with an empty part integral counts as a vacuous instance;
         # otherwise the sum of the four part integrals is i_d(target)
         some_empty = np.logical_or.reduce([fib.rep[p] < 0 for p in parts])
         target = add[add[parts[0], parts[1]], add[parts[2], parts[3]]]
         product_rule = d[jxy] == target
-        ok = np.stack([some_empty | product_rule, d[add[x, y]] == add[dx, dy],
-                       product_rule], axis=1)
+        ok = np.stack([some_empty | product_rule, d[add[x]] == add[dx][:, d],
+                       product_rule], axis=-1)
 
         def pair_witness(i, j):
             if j == 0:
-                return {"kind": "jordan-parts-membership", "x": int(x[i]), "y": int(y[i])}
+                return {"kind": "jordan-parts-membership", "x": int(x[i // n]), "y": i % n}
             return {"kind": ("sum-rule", "jordan-product-rule")[j - 1],
-                    "y1": int(x[i]), "y2": int(y[i])}
+                    "y1": int(x[i // n]), "y2": i % n}
 
-        rec.check_all(ok, pair_witness)
+        rec.check_all(ok.reshape(-1, 3), pair_witness)
 
     _check_criteria(rec, ring, delta)
     return rec.finish()

@@ -120,12 +120,16 @@ def test_forged_maps_match_reference(config):
             == ["parts-membership"] * theorems.MAX_WITNESSES)
 
 
-@pytest.mark.parametrize("config", sorted(CONFIGS))
-def test_pair_blocks_split_the_stream(config, monkeypatch):
+# a 5-cell case is named by its config alone, so its id matches earlier runs
+@pytest.mark.parametrize("config, block", [
+    pytest.param(c, b, id=c if b == 5 else f"{c}-{b}")
+    for b in (5, 48) for c in sorted(CONFIGS)])
+def test_pair_blocks_split_the_stream(config, block, monkeypatch):
     """Rings in the corpus fit one block of pairs; with tiny blocks the
     witness order, the cap and the once-only notes must survive the
-    split."""
-    monkeypatch.setattr(theorems, "_BLOCK", 5)
+    split.  A 5-cell block holds one row; a 48-cell block cuts M2(Z2)'s
+    16 rows into five 3-row blocks and a short 1-row block."""
+    monkeypatch.setattr(theorems, "_BLOCK", block)
     m2z2 = build_ring(Matrix(Zn(2), 2))
     _compare(m2z2, _forged(m2z2, TANGLED), CONFIGS[config])
     tp33 = build_ring(TruncPoly(3, 3))

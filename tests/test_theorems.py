@@ -184,10 +184,11 @@ def test_power_rules_on_zn(zn4):
 
 def test_pair_blocks_yield_every_pair_once():
     """Every (x, y) pair of a 3200-element ring once, row-major, in blocks
-    of at most _BLOCK pairs."""
+    of at most _BLOCK pairs; a block never holds less than one row."""
     n = 3200
     start = 0
-    for xs, ys in theorems._pair_blocks(n):
+    for x in theorems._row_blocks(n, n):
+        xs, ys = (a.ravel() for a in np.broadcast_arrays(x[:, None], np.arange(n)))
         assert 0 < len(xs) == len(ys) <= theorems._BLOCK
         assert 0 <= ys.min() and ys.max() < n
         assert np.array_equal(xs * n + ys, np.arange(start, start + len(xs)))
@@ -196,6 +197,7 @@ def test_pair_blocks_yield_every_pair_once():
         start += len(xs)
     assert (xs[-1], ys[-1]) == (n - 1, n - 1)
     assert start == n * n
+    assert [list(x) for x in theorems._row_blocks(3, 10**6)] == [[0], [1], [2]]
 
 
 def test_run_suite_selection_and_order(tp33):
