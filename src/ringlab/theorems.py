@@ -40,12 +40,11 @@ from typing import Optional
 
 import numpy as np
 
-from .maps import (AdditiveMap, MapLawError, _require_map, _solve,
+from .maps import (AdditiveMap, MapLawError, _require_map, _row_blocks, _solve,
                    enumerate_derivations, enumerate_jordan_derivations)
 from .rings import FiniteRing, RingError
 
 MAX_WITNESSES = 25
-_BLOCK = 1 << 16    # cells per array step, which bounds a check's memory
 
 
 @dataclass
@@ -145,16 +144,6 @@ class _Recorder:
         if self.failed:
             assert self.witnesses, "failing reports must carry witnesses"
         return self._report("fail" if self.failed else "pass", None)
-
-
-def _row_blocks(rows: int, width: int):
-    """Row indices 0..rows-1 in blocks of consecutive whole rows: at least
-    one row, at most _BLOCK cells of the given width.  A pair block x has y
-    the whole row, its tables are rows (add[x], mul[x], mul[d[x]], ...),
-    and its raveled pair i is (x[i // n], i % n)."""
-    step = max(1, _BLOCK // width)
-    for r0 in range(0, rows, step):
-        yield np.arange(r0, min(rows, r0 + step))
 
 
 def _check_additivity(rec: _Recorder, ring: FiniteRing, dmap: AdditiveMap):
@@ -729,26 +718,24 @@ def _run_checker(ring: FiniteRing, amap: AdditiveMap, checker: str,
         if not amap.is_derivation:
             return skip("map is not a validated derivation")
         return _DERIVATION_CHECKERS[checker](ring, amap, config)
+    if not amap.is_jordan:
+        return skip("map is not a validated Jordan derivation")
     if checker == "jordan-suite":
-        if not amap.is_jordan:
-            return skip("map is not a validated Jordan derivation")
         return verify_jordan_suite(ring, amap, config)
-    if checker == "separation":
-        if not amap.is_jordan:
-            return skip("map is not a validated Jordan derivation")
-        if amap.is_derivation:
-            return skip("map is a derivation")
-        if not derivations:     # Der(R) always holds the zero map
-            derivations.extend(enumerate_derivations(ring))
-        return _separation(ring, amap, derivations)
-    raise RingError(f"unknown checker {checker!r}")
+    # separation: run_suite has validated the ids and runs herstein itself
+    if amap.is_derivation:
+        return skip("map is a derivation")
+    if not derivations:     # Der(R) always holds the zero map
+        derivations.extend(enumerate_derivations(ring))
+    return _separation(ring, amap, derivations)
 
 
 def run_suite(ring: FiniteRing, maps: list[tuple[str, AdditiveMap]],
               checkers="all", config: Optional[CheckerConfig] = None,
               jobs: int = 1) -> list[TheoremReport]:
-    """Run the selected checkers over each (descriptor, map) pair in the
-    fixed order, with the ring-level herstein checker once at the end.
+    """Run the selected checkers, "all" or a list of ids, over each
+    (descriptor, map) pair in the fixed order, with the ring-level
+    herstein checker once at the end.
     Der(R) is listed at most once per call, when separation first needs it.
 
     jobs has no effect: the checkers run one after another in the calling
@@ -756,7 +743,7 @@ def run_suite(ring: FiniteRing, maps: list[tuple[str, AdditiveMap]],
     gave no speed-up.  The argument stays only while the benchmark harness
     passes it, and goes with the next change to the benchmark."""
     config = config or CheckerConfig()
-    if checkers == "all" or checkers is None:
+    if checkers == "all":
         selected = list(CHECKER_ORDER)
     else:
         selected = list(checkers)

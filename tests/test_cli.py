@@ -402,6 +402,17 @@ def test_table_descriptor_rejects_non_integer_tables(zn4_file, tmp_path, capsys,
     assert "must be a JSON list of element indices" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("literal, message", [
+    ("[[1,0],[0,1]", "unbalanced brackets"),
+    ("[[1,0]]", "expected 2 rows"),
+    ("[[1, 0], [0, 2]]", "index 2 out of range"),
+])
+def test_integrate_refuses_a_bad_element_literal(m2z2_file, capsys, literal, message):
+    assert main(["integrate", "--ring", m2z2_file, "--map", "trivial",
+                 "--element", literal]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
 def test_out_flag_writes_file(zn4_file, tmp_path, capsys):
     out_path = tmp_path / "report.json"
     assert main(["ring-info", "--ring", zn4_file, "--format", "json",

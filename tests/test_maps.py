@@ -100,6 +100,22 @@ def test_check_jordan(zn4):
     assert witness == (1, 1)
 
 
+def test_checks_take_an_additive_map_as_its_table(zn4, m2z2):
+    """A check given an AdditiveMap reads its table."""
+    f = AdditiveMap(zn4, [0, 2, 0, 2])
+    assert check_derivation(zn4, f) == check_derivation(zn4, f.table) == (False, (1, 1))
+    inner = inner_derivation(m2z2, m2z2.parse("E12"))
+    assert check_derivation(m2z2, inner) == (True, None)
+
+
+@pytest.mark.parametrize("table", [[0, 1, 2, 4], [0, 1, 2, -1]])
+def test_table_entry_out_of_range_is_refused(zn4, table):
+    for check in (check_additive, check_derivation, AdditiveMap):
+        with pytest.raises(RingError, match="map table entry out of range") as err:
+            check(zn4, table)
+        assert type(err.value) is RingError
+
+
 def test_generator_pairs_agree_with_all_pairs(zn4, tp22):
     from naive_reference import naive_additive_maps
     for ring in (zn4, tp22):
@@ -398,28 +414,14 @@ def test_listing_check_rejects_a_table_that_breaks_the_jordan_law(zn4):
 @pytest.mark.parametrize("spec", [Zn(1), Matrix(Zn(1), 2)], ids=spec_name)
 def test_one_element_ring_lists_the_zero_map(spec):
     """A ring with no generators has one map of each law, the zero map:
-    the solver lists one kernel vector, the search one leaf at depth 0."""
+    the solver lists one kernel vector for either law."""
     ring = build_ring(spec)
-    for enumerate_maps, nodes in ((enumerate_derivations, 1),
-                                  (enumerate_jordan_derivations, 0)):
+    for enumerate_maps in (enumerate_derivations, enumerate_jordan_derivations):
         events = []
         listed = enumerate_maps(ring, progress=events.append)
         assert listed == [zero_map(ring)]
         assert listed[0].is_derivation and listed[0].is_jordan
-        assert events[-1] == {"nodes": nodes, "pruned": 0, "found": 1}
-
-
-@pytest.mark.parametrize("spec, final", [
-    (Matrix(Zn(2), 2), {"nodes": 2832, "pruned": 2528, "found": 128}),
-    (Product((Zn(4),) * 3), {"nodes": 4672, "pruned": 4088, "found": 512}),
-    (Matrix(Zn(3), 2), {"nodes": 9558, "pruned": 9414, "found": 27}),
-], ids=["M2(Z2)", "Z4xZ4xZ4", "M2(Z3)"])
-def test_jordan_search_counters_are_pinned(spec, final):
-    """The search's final counters, and one listed map per found leaf."""
-    events = []
-    listed = enumerate_jordan_derivations(build_ring(spec), progress=events.append)
-    assert events[-1] == final
-    assert len(listed) == final["found"]
+        assert events == [{"nodes": 1, "pruned": 0, "found": 1}]
 
 
 @pytest.mark.parametrize("N", [2, 4, 6, 8, 9, 12])
@@ -502,3 +504,32 @@ def test_ladder_listings_are_pinned(spec, enumerate_maps, derivations, digest):
     tables = np.asarray([m.table for m in listed], dtype="<i4")
     assert hashlib.sha256(tables.tobytes()).hexdigest() == digest
     assert sum(m.is_derivation for m in listed) == derivations
+
+
+@pytest.mark.parametrize("spec, enumerate_maps, derivations, digest",
+                         [rung[1:] for rung in LADDER_LISTINGS
+                          if rung[0] != "tp2-4.jordan"],    # the rungs of ≤ 512 maps
+                         ids=[rung[0] for rung in LADDER_LISTINGS
+                              if rung[0] != "tp2-4.jordan"])
+def test_ladder_listings_survive_small_blocks(spec, enumerate_maps, derivations, digest,
+                                              monkeypatch):
+    """Listed in blocks of one to three maps, each rung keeps its pinned
+    tables, and each map's derivation flag is the one its table has."""
+    ring = build_ring(spec)
+    k = len(generator_basis(ring).generators)
+    monkeypatch.setattr(maps, "_BLOCK", 3 * k * (ring.size + k))
+    sizes = []
+    check_listed = maps._check_listed
+
+    def spy(ring, gens, F, law):
+        sizes.append(len(F))
+        return check_listed(ring, gens, F, law)
+
+    monkeypatch.setattr(maps, "_check_listed", spy)
+    listed = enumerate_maps(ring)
+    tables = np.asarray([m.table for m in listed], dtype="<i4")
+    assert hashlib.sha256(tables.tobytes()).hexdigest() == digest
+    assert sum(m.is_derivation for m in listed) == derivations
+    assert [m.is_derivation for m in listed] == [check_derivation(ring, m.table)[0]
+                                                 for m in listed]
+    assert len(sizes) > 1 and set(sizes) <= {1, 2, 3} and sum(sizes) == len(listed)

@@ -17,7 +17,7 @@ from conftest import CORPUS_SPECS
 from ringlab import (AdditiveMap, CheckerConfig, MapLawError, Matrix,
                      Product, Tables, TriPattern, TruncPoly, Zn, build_ring,
                      enumerate_derivations, enumerate_jordan_derivations,
-                     formal_derivative, inner_derivation, integrals,
+                     formal_derivative, inner_derivation, integrals, maps,
                      spec_name, theorems, zero_map)
 
 # the two checkers that read the padded preimage rows of the fibre index
@@ -129,7 +129,7 @@ def test_pair_blocks_split_the_stream(config, block, monkeypatch):
     witness order, the cap and the once-only notes must survive the
     split.  A 5-cell block holds one row; a 48-cell block cuts M2(Z2)'s
     16 rows into five 3-row blocks and a short 1-row block."""
-    monkeypatch.setattr(theorems, "_BLOCK", block)
+    monkeypatch.setattr(maps, "_BLOCK", block)
     m2z2 = build_ring(Matrix(Zn(2), 2))
     _compare(m2z2, _forged(m2z2, TANGLED), CONFIGS[config])
     tp33 = build_ring(TruncPoly(3, 3))

@@ -275,3 +275,71 @@ def test_matrix_unit_parse_needs_base_unity(m2z2):
     # nested literal form always available
     lit = m2z2.parse("[[1,1],[0,1]]")
     assert m2z2.value(lit) == (1, 1, 0, 1)
+
+
+# -- element literals ---------------------------------------------------------------
+
+
+def test_literals_with_spaces_equal_their_labels(m2z2, z2xz3):
+    """Text that is not a label goes to the kind's parser, which drops spaces."""
+    assert m2z2.parse("[[1, 1], [0, 1]]") == m2z2.parse("[[1,1],[0,1]]")
+    assert z2xz3.parse("( 1 , 2 )") == z2xz3.parse("(1,2)")
+    nested = build_ring(Product((Matrix(Zn(2), 2), Zn(3))))
+    assert nested.label(nested.parse("([[1, 0], [0, 1]], 2)")) == "([[1,0],[0,1]],2)"
+
+
+def test_matrix_literal_entries_by_base_index_or_base_syntax():
+    """An entry is any text the base ring parses: its label, its index or
+    its own syntax (here 1+X, which is base index 3)."""
+    ring = build_ring(Matrix(TruncPoly(2, 2), 2))
+    x = ring.parse("[[X+1,0],[0,1]]")
+    assert ring.label(x) == "[[1+X,0],[0,1]]"
+    assert ring.parse("[[3, 0], [0, 1]]") == ring.parse("[[1+X, 0],[0,1]]") == x
+
+
+def test_tri_pattern_literal_equals_a(tri2):
+    assert tri2.parse("[[1, 1, 1], [0, 0, 1], [0, 0, 1]]") == tri2.parse("A")
+
+
+@pytest.mark.parametrize("ring_name, text, message", [
+    ("tri2", "[[1,1,1],[0,1,1],[0,0,1]]", "nonzero entry outside the stored pattern"),
+    ("m2z2", "[[1,0]]", "expected 2 rows"),
+    ("m2z2", "[[1,0,0],[0,1]]", "expected 2 entries per row"),
+    ("m2z2", "[[1,0],(0,1)]", "cannot parse row"),
+    ("m2z2", "1,0", "as a matrix"),
+    ("m2z2", "[[1,0],[0,1]", "unbalanced brackets"),
+    ("m2z2", "[[1,0]],[0,1]]", "unbalanced brackets"),
+    ("z2xz3", "(1,2,0)", "expected 2 components"),
+    ("z2xz3", "(1,(2)", "unbalanced brackets"),
+    ("z2xz3", "1,2", "as a product element"),
+])
+def test_malformed_literals_raise_element_parse_error(request, ring_name, text, message):
+    ring = request.getfixturevalue(ring_name)
+    with pytest.raises(ElementParseError, match=message):
+        ring.parse(text)
+
+
+# -- refusals -----------------------------------------------------------------------
+
+
+def _raises_exactly(error_type, match, fn, *args):
+    with pytest.raises(error_type, match=match) as err:
+        fn(*args)
+    assert type(err.value) is error_type
+    return err.value
+
+
+def test_tables_with_non_commutative_addition_are_refused():
+    err = _raises_exactly(RingAxiomError, "addition is not commutative", build_ring,
+                          Tables(2, [[0, 1], [0, 0]], [[0, 0], [0, 0]]))
+    assert (err.axiom, err.witness) == ("additive-commutativity", (0, 1))
+
+
+def test_refusals_keep_their_error_type(tri2, monkeypatch):
+    _raises_exactly(RingError, "requires prime p, got 9", build_ring, TruncPoly(9, 2))
+    _raises_exactly(RingError, "unknown ring spec", build_ring, object())
+    _raises_exactly(RingError, "unknown spec object", spec_to_json, object())
+    _raises_exactly(RingError, "requires size >= 1", build_ring, Tables(0, [], []))
+    _raises_exactly(RingError, "ring has no unity", tri2.bold, 1)
+    monkeypatch.setenv("RINGLAB_MAX_SIZE", "big")
+    _raises_exactly(RingError, "RINGLAB_MAX_SIZE must be an integer", build_ring, Zn(4))

@@ -189,7 +189,7 @@ def test_pair_blocks_yield_every_pair_once():
     start = 0
     for x in theorems._row_blocks(n, n):
         xs, ys = (a.ravel() for a in np.broadcast_arrays(x[:, None], np.arange(n)))
-        assert 0 < len(xs) == len(ys) <= theorems._BLOCK
+        assert 0 < len(xs) == len(ys) <= maps._BLOCK
         assert 0 <= ys.min() and ys.max() < n
         assert np.array_equal(xs * n + ys, np.arange(start, start + len(xs)))
         if start == 0:
