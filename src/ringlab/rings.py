@@ -482,20 +482,31 @@ def _require_equal(lhs: np.ndarray, rhs: np.ndarray, axiom: str, law: str,
 
 
 def _additive_generators(add: np.ndarray, zero: int) -> list[int]:
-    """Elements a_1 < a_2 < ... such that every element is reached from
-    zero by repeatedly adding some a_i; each a_i is the least element not
-    reached by the earlier ones."""
+    """Elements a_1 < a_2 < ... such that every element is a sum of them;
+    each a_i is the least element outside the span of the earlier ones.
+
+    The span grows by the multiples of a_i, found by doubling: with m(j)
+    the multiples found for j < 2^k, m(j + 2^k) = m(j) + m(2^k), until a
+    doubling adds nothing new; they join the span in one gather.  Every
+    element reached is a sum of generators under some bracketing, which
+    is all check_ring_axioms needs, as zero is an identity and addition
+    commutes."""
     reached = np.zeros(add.shape[0], dtype=bool)
     reached[zero] = True
     gens: list[int] = []
-    frontier = np.array([zero])
-    while frontier.size or not reached.all():
-        if not frontier.size:
-            gens.append(int(np.argmin(reached)))
-            frontier = np.flatnonzero(reached)
-        step = add[np.ix_(frontier, gens)].ravel()
-        frontier = np.unique(step[~reached[step]])
-        reached[frontier] = True
+    while not reached.all():
+        g = int(np.argmin(reached))
+        gens.append(g)
+        seen = np.zeros_like(reached)
+        seen[zero] = True
+        multiples, step = np.array([zero]), g          # m(j) for j < 2^k, m(2^k)
+        while not seen[step]:
+            new = np.unique(add[multiples, step])
+            new = new[~seen[new]]
+            seen[new] = True
+            multiples = np.concatenate([multiples, new])
+            step = int(add[step, step])
+        reached[add[np.ix_(np.flatnonzero(reached), multiples)]] = True
     return gens
 
 
@@ -512,7 +523,7 @@ def check_ring_axioms(add: np.ndarray, mul: np.ndarray, size: int,
 
     * Additive associativity as (x+a)+y = x+(a+y) for a in A (Light's
       test).  The a that pass are closed under +, zero passes, and every
-      other element is a left-bracketed sum of generators.
+      other element is a sum of generators.
     * Both distributive laws as x*(y+a) = x*y+x*a and
       (y+a)*x = y*x+a*x for a in A.  The a that pass are closed under +,
       and with associativity (R, +) is a finite group generated by A, so

@@ -18,6 +18,15 @@ d[z] == a + b, since d is additive.  Only the checks that the fibres are
 kernel cosets read the coset form: coset-structure, basic's
 integral-maps-outside and jordan-suite's coset-mismatch.
 
+run_suite is checker-major: each checker runs over every map of the call
+before the next checker starts.  power-rules and jordan-suite take all
+their maps at once and evaluate them on (B, n) stacks of map tables:
+blocks of whole maps, and for jordan-suite's pairs blocks of (map, x)
+rows, all walked by _row_blocks.  Each map still gets its own report,
+equal to the one-map call's (verify_power_rules and verify_jordan_suite
+are that call), and a block call's seconds are split evenly among its
+reports' runtime.  The reports come back map-major, herstein last.
+
 Checker ids, in the fixed order run_suite uses:
 
 basic              membership facts, surjectivity and injectivity criteria
@@ -146,29 +155,105 @@ class _Recorder:
         return self._report("fail" if self.failed else "pass", None)
 
 
-def _check_additivity(rec: _Recorder, ring: FiniteRing, dmap: AdditiveMap):
-    """i_d(u) + i_d(v) = i_d(u + v) for all u, v in the image.  Where the
-    fibres are kernel cosets (coset-structure checks that), the left side
-    is (rep[u] + rep[v]) + Ker, so the two are equal exactly when
-    d(rep[u] + rep[v]) = u + v."""
-    add = ring.add_table
-    u = dmap.fibres.values
-    r = dmap.fibres.rep[u]
-    ok = dmap.table[add[r[:, None], r[None, :]]] == add[u[:, None], u[None, :]]
-    rec.check_all(ok, lambda i, j: {"kind": "integral-additivity",
-                                    "x": int(u[i]), "y": int(u[j])})
+# ---------------------------------------------------------------------------
+# Blocks of maps
+#
+# A block checker evaluates its laws on a (B, n) stack D of map tables at
+# once, one _Recorder per map.  _check_rows records a block whose rows
+# belong to several maps; each map's rows are recorded in its own loop
+# order, so its report equals the one-map call's.
 
 
-def _check_criteria(rec: _Recorder, ring: FiniteRing, dmap: AdditiveMap):
+def _check_rows(recs: list[_Recorder], owner: np.ndarray, ok, witness,
+                present=None):
+    """Record a block of checks whose row i belongs to recs[owner[i]], as
+    each recorder's check_all would record its own rows: owner is
+    nondecreasing, so a map's rows are consecutive, and witness(i, col)
+    takes the block's row i.  Maps without a failure only count."""
+    if not len(owner):
+        return
+    ok = np.asarray(ok, dtype=bool).reshape(len(owner), -1)
+    if present is not None:
+        present = np.asarray(present, dtype=bool).reshape(len(owner), -1)
+    if owner[0] == owner[-1]:
+        recs[owner[0]].check_all(ok, witness, present)
+        return
+    bad = ~ok if present is None else ~ok & present
+    per_row = (np.full(len(owner), ok.shape[1]) if present is None
+               else np.count_nonzero(present, axis=1))
+    first = np.flatnonzero(np.diff(owner, prepend=-1))
+    counts = np.add.reduceat(per_row, first).tolist()
+    failing = np.logical_or.reduceat(bad.any(axis=1), first).tolist()
+    ends = [*first.tolist()[1:], len(owner)]
+    for m, a, b, count, fails in zip(owner[first].tolist(), first.tolist(), ends,
+                                     counts, failing):
+        if not fails:
+            recs[m].instances += count
+            continue
+        recs[m].check_all(ok[a:b], lambda i, col, a=a: witness(a + i, col),
+                          None if present is None else present[a:b])
+
+
+def _tables(maps: list[AdditiveMap], ids: np.ndarray) -> np.ndarray:
+    """The (len(ids), n) stack of the tables of maps[ids], as intp."""
+    return np.stack([maps[i].table for i in ids.tolist()]).astype(np.intp)
+
+
+def _fibres_of(D: np.ndarray):
+    """(order, count, start) of every table of the block D.  order[b]
+    lists the elements by (D[b, y], y), so the fibre of v under map b is
+    order[b, start[b, v]:start[b, v] + count[b, v]], in increasing order."""
+    B, n = D.shape
+    order = np.argsort(D, axis=1, kind="stable")
+    count = np.bincount((D + n * np.arange(B)[:, None]).ravel(),
+                        minlength=B * n).reshape(B, n)
+    return order, count, np.cumsum(count, axis=1) - count
+
+
+def _members(fibres, b: np.ndarray, v: np.ndarray, width: int):
+    """(members, present): the fibre of v[...] under map b[...], padded to
+    width cells, of which present marks the fibre's own."""
+    order, count, start = fibres
+    cols = np.arange(width)
+    pos = np.minimum(start[b, v][..., None] + cols, order.shape[1] - 1)
+    return order[b[..., None], pos], cols < count[b, v][..., None]
+
+
+def _finish(recs: list[_Recorder], t0: float) -> list[TheoremReport]:
+    """The recorders' reports, the block's seconds since t0 split evenly
+    among them as their runtime."""
+    reports = [rec.finish() for rec in recs]
+    share = (time.perf_counter() - t0) / max(1, len(reports))
+    for report in reports:
+        report.runtime = share
+    return reports
+
+
+def _additivity(add: np.ndarray, D: np.ndarray, u: np.ndarray, r: np.ndarray):
+    """(ok, witness) for i_d(u) + i_d(v) = i_d(u + v) over u, v in the
+    image of each map of the block D: row b of u lists map b's image in
+    increasing order (padded), r holds rep[u], and ok has one row per
+    (map, u) and one column per v.  Where the fibres are kernel cosets
+    (coset-structure checks that), the left side is (rep[u] + rep[v]) +
+    Ker, so the two are equal exactly when d(rep[u] + rep[v]) = u + v."""
+    width = u.shape[1]
+    b = np.arange(len(D))[:, None, None]
+    ok = D[b, add[r[:, :, None], r[:, None, :]]] == add[u[:, :, None], u[:, None, :]]
+
+    def witness(row, j):
+        m, i = divmod(row, width)
+        return {"kind": "integral-additivity", "x": int(u[m, i]), "y": int(u[m, j])}
+
+    return ok.reshape(-1, width), witness
+
+
+def _check_criteria(rec: _Recorder, surjective: bool, all_nonempty: bool,
+                    injective: bool, all_single: bool):
     """d is onto iff no integral is empty, and one-to-one iff every
     integral of an element is a singleton."""
-    surjective = len(dmap.image) == ring.size
-    all_nonempty = bool((dmap.fibres.rep >= 0).all())
     rec.check(surjective == all_nonempty,
               {"kind": "surjectivity-criterion", "surjective": surjective,
                "all_nonempty": all_nonempty})
-    injective = len(dmap.kernel) == 1
-    all_single = bool((np.bincount(dmap.table, minlength=ring.size) == 1).all())
     rec.check(injective == all_single,
               {"kind": "injectivity-criterion", "injective": injective,
                "all_singletons": all_single})
@@ -207,7 +292,9 @@ def verify_basic(ring: FiniteRing, dmap: AdditiveMap,
     rec.check_all((fib.rep < 0) | onto,
                   lambda x, _: {"kind": "integral-maps-outside", "x": x,
                                 "values": sorted({int(v) for v in values[x]})})
-    _check_criteria(rec, ring, dmap)
+    _check_criteria(rec, len(dmap.image) == ring.size, bool((fib.rep >= 0).all()),
+                    len(dmap.kernel) == 1,
+                    bool((np.bincount(d, minlength=ring.size) == 1).all()))
     return rec.finish()
 
 
@@ -430,7 +517,8 @@ def verify_additivity_and_parts(ring: FiniteRing, dmap: AdditiveMap,
     rep = dmap.fibres.rep
     n = ring.size
 
-    _check_additivity(rec, ring, dmap)
+    values = dmap.fibres.values
+    rec.check_all(*_additivity(add, d[None], values[None], rep[values][None]))
 
     empty_witnessed = False
     for x in _row_blocks(n, n):
@@ -459,24 +547,35 @@ def verify_power_rules(ring: FiniteRing, dmap: AdditiveMap,
                        config: Optional[CheckerConfig] = None) -> TheoremReport:
     """Power membership rules on commutative unity rings, including
     negative exponents for invertible elements and the inverse-scaled
-    transfer rules."""
-    _require_map(ring, dmap, "derivation")
+    transfer rules: the one-map call of _power_rules."""
+    return _power_rules(ring, [dmap], config)[0]
+
+
+def _power_rules(ring: FiniteRing, maps: list[AdditiveMap],
+                 config: Optional[CheckerConfig] = None) -> list[TheoremReport]:
+    """power-rules on every map of the list, in blocks of whole maps, one
+    report per map.  The powers, bold(e), their inverses and the inverse
+    table belong to the ring and are computed once per call."""
+    for dmap in maps:
+        _require_map(ring, dmap, "derivation")
     config = config or CheckerConfig()
-    rec = _Recorder("power-rules", ring)
+    t0 = time.perf_counter()
+    recs = [_Recorder("power-rules", ring) for _ in maps]
     if ring.unity is None:
-        return rec.skip("ring has no unity")
+        return [rec.skip("ring has no unity") for rec in recs]
     if not ring.is_commutative():
-        return rec.skip("ring is not commutative")
+        return [rec.skip("ring is not commutative") for rec in recs]
+    for dmap in maps:
+        dmap.kernel     # raises MapLawError unless it is an additive subgroup
     N = config.max_exp
     mul, neg = ring.mul_table, ring.neg_table
-    d = dmap.table
     n = ring.size
     exps = list(range(-N, N + 1))
     bolds = {e: ring.bold(e) for e in exps}
     inv_bolds = {e: ring.invert(bolds[e]) for e in exps}
 
-    # one row per x; x^k and x^-k as columns k = 0..N+1 (x^-k is junk
-    # where x is not invertible, and those rows skip its rules)
+    # x^k and x^-k for k = 0..N+1, one column per x (x^-k is junk where x
+    # is not invertible, and those x skip its rules)
     x = np.arange(n)
     inverse = ring.inverse_table()
     invertible = inverse >= 0
@@ -490,61 +589,67 @@ def verify_power_rules(ring: FiniteRing, dmap: AdditiveMap,
     def power(e):
         return powers[e] if e >= 0 else ipowers[-e]
 
-    checks, kinds, es, unit_only = [], [], [], []
-
-    def add_check(ok, kind, e, units):
-        checks.append(ok)
-        kinds.append(kind)
-        es.append(e)
-        unit_only.append(units)
-
+    # check j states d(at[j](x)) == outer[j](factor[j](x)·d(x)) at every x;
+    # a row (at, outer, factor, kind, e, only for invertible x) per check
+    checks = []
     for e in range(1, N + 1):
-        add_check(d[powers[e]] == mul[bolds[e], mul[powers[e - 1], d]],
-                  "power-rule", e, False)
+        checks.append((powers[e], mul[bolds[e]], powers[e - 1], "power-rule", e, False))
         if inv_bolds[e] is not None:
-            add_check(d[mul[inv_bolds[e], powers[e]]] == mul[powers[e - 1], d],
-                      "power-rule-scaled", e, False)
+            checks.append((mul[inv_bolds[e], powers[e]], x, powers[e - 1],
+                           "power-rule-scaled", e, False))
     for e in range(1, N + 1):
-        add_check(d[ipowers[e]] == neg[mul[bolds[e], mul[ipowers[e + 1], d]]],
-                  "inverse-power-rule", e, True)
+        checks.append((ipowers[e], neg[mul[bolds[e]]], ipowers[e + 1],
+                       "inverse-power-rule", e, True))
     for e in exps:
-        add_check(d[power(e)] == mul[bolds[e], mul[power(e - 1), d]],
-                  "integer-power-rule", e, True)
+        checks.append((power(e), mul[bolds[e]], power(e - 1), "integer-power-rule", e, True))
         if inv_bolds[e] is not None:
-            add_check(d[mul[inv_bolds[e], power(e)]] == mul[power(e - 1), d],
-                      "integer-power-rule-scaled", e, True)
+            checks.append((mul[inv_bolds[e], power(e)], x, power(e - 1),
+                           "integer-power-rule-scaled", e, True))
     if checks:      # none when max_exp < 0
-        rec.check_all(np.stack(checks, axis=1),
-                      lambda row, col: {"kind": kinds[col], "x": row, "n": es[col]},
-                      present=np.where(unit_only, invertible[:, None], True))
+        at, outer, factor, kinds, es, unit_only = zip(*checks)
+        at, factor = np.array(at), np.array(factor)
+        outer = np.array(outer).ravel()
+        outer_rows = (np.arange(len(checks)) * n)[:, None]
+        present = np.where(unit_only, invertible[:, None], True)
 
-    # transfer rules: scaling an antiderivative by an invertible integer.
-    # One row per (n, y): the preimage of n*y, then the transfer-up check.
-    fib = dmap.fibres
-    values, members, in_pre = fib.values, fib.members, fib.present
-    group = np.full(n, -1, dtype=np.intp)
-    group[values] = np.arange(len(values))
-    y = np.arange(n)
-    for e in exps:
-        ib = inv_bolds[e]
-        if ib is None:
-            continue
-        ny = mul[bolds[e], y]
-        g = group[ny]
-        pre = members[g]
-        down = d[mul[ib, pre]] == y[:, None]
-        up = d[y] == mul[ib, d[ny]]
-        present = np.column_stack([in_pre[g] & (g >= 0)[:, None],
-                                   np.ones(n, dtype=bool)])
-        last = pre.shape[1]
+    def check_witness(row, col):
+        return {"kind": kinds[col], "x": row % n, "n": es[col]}
 
-        def witness(row, col):
-            if col == last:
-                return {"kind": "transfer-up", "n": e, "x": row}
-            return {"kind": "transfer-down", "n": e, "y": row, "x": int(pre[row, col])}
+    # one row per (map, x) for the checks, and per (map, y) for each
+    # transfer exponent, whose columns are a fibre and one more check
+    for ids in _row_blocks(len(maps), n * max(n + 1, len(checks))):
+        D = _tables(maps, ids)
+        fibres = _fibres_of(D)
+        owner = np.repeat(ids, n)
+        if checks:
+            ok = D[:, at] == outer[outer_rows + mul[factor, D[:, None, :]]]
+            _check_rows(recs, owner, ok.transpose(0, 2, 1), check_witness,
+                        present=np.tile(present, (len(ids), 1)))
 
-        rec.check_all(np.column_stack([down, up]), witness, present=present)
-    return rec.finish()
+        # transfer rules: scaling an antiderivative by an invertible
+        # integer.  One row per y: the preimage of n*y, then transfer-up.
+        b = np.arange(len(ids))[:, None]
+        width = int(fibres[1].max())
+        up_present = np.ones((len(ids), n, 1), dtype=bool)
+        for e in exps:
+            ib = inv_bolds[e]
+            if ib is None:
+                continue
+            ny = mul[bolds[e], x]
+            pre, in_pre = _members(fibres, b, ny[None, :], width)
+            down = D[b[..., None], mul[ib, pre]] == x[:, None]
+            up = D == mul[ib, D[:, ny]]
+
+            def witness(row, col, e=e, pre=pre):
+                m, y = divmod(row, n)
+                if col == width:
+                    return {"kind": "transfer-up", "n": e, "x": y}
+                return {"kind": "transfer-down", "n": e, "y": y, "x": int(pre[m, y, col])}
+
+            _check_rows(recs, owner, np.concatenate([down, up[..., None]], axis=2),
+                        witness, present=np.concatenate([in_pre, up_present], axis=2)
+                        .reshape(len(owner), -1))
+    return _finish(recs, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -555,70 +660,129 @@ def verify_jordan_suite(ring: FiniteRing, delta: AdditiveMap,
                         config: Optional[CheckerConfig] = None) -> TheoremReport:
     """The Jordan-law analogues: membership, coset structure, additivity,
     two-sided integration by parts, combination rules, and the
-    surjectivity/injectivity criteria."""
-    _require_map(ring, delta, "jordan")
-    rec = _Recorder("jordan-suite", ring)
+    surjectivity/injectivity criteria: the one-map call of _jordan_suite."""
+    return _jordan_suite(ring, [delta], config)[0]
+
+
+def _jordan_suite(ring: FiniteRing, maps: list[AdditiveMap],
+                  config: Optional[CheckerConfig] = None) -> list[TheoremReport]:
+    """jordan-suite on every map of the list, one report per map.  The
+    fibre checks walk blocks of whole maps; then the pair checks walk
+    (map, x) rows with y the whole row, so a block of them may start or
+    end inside a map; then the criteria close each report."""
+    for delta in maps:
+        _require_map(ring, delta, "jordan")
+    t0 = time.perf_counter()
+    recs = [_Recorder("jordan-suite", ring) for _ in maps]
     add, mul, neg = ring.add_table, ring.mul_table, ring.neg_table
-    d = delta.table
-    n = ring.size
+    n, zero = ring.size, ring.zero
     elems = np.arange(n)
+    crit = np.zeros((len(maps), 4), dtype=bool)
 
-    rec.check(d[ring.zero] == ring.zero, {"kind": "zero-membership"})
+    for ids in _row_blocks(len(maps), n * n):
+        D = _tables(maps, ids)
+        B = len(ids)
+        b = np.arange(B)[:, None]
+        fibres = order, count, start = _fibres_of(D)
+        # the kernel holds zero; the pair rows below check that it is
+        # closed under addition
+        if not (D[:, zero] == zero).all():
+            raise MapLawError("kernel failed the subgroup check")
+        _check_rows(recs, ids, D[:, zero] == zero, lambda i, j: {"kind": "zero-membership"})
 
-    x, y, z, present = _member_triples(delta)
-    rec.check_all(d[add[y[:, None], neg[z]]] == ring.zero,
-                  lambda i, j: {"kind": "difference-not-in-kernel", "x": int(x[i]),
-                                "y": int(y[i]), "z": int(z[i, j])},
-                  present=present)
+        # row (b, p) holds the p-th element y of map b's sorted order and
+        # x = d(y), in increasing order; its columns z run over pre[x]: the
+        # loop order of `for x: for y in pre[x]: for z in pre[x]`
+        y = order
+        x = np.take_along_axis(D, order, axis=1)
+        width = int(count.max())
+        z, here = _members(fibres, b, x, width)
+        owner = np.repeat(ids, n)
+        _check_rows(recs, owner, D[b[..., None], add[y[..., None], neg[z]]] == zero,
+                    lambda row, j: {"kind": "difference-not-in-kernel",
+                                    "x": int(x.flat[row]), "y": int(y.flat[row]),
+                                    "z": int(z.reshape(-1, width)[row, j])},
+                    present=here)
 
-    rec.check_all(d[elems] == d,
-                  lambda x, _: {"kind": "element-not-in-own-integral", "x": x})
+        _check_rows(recs, owner, D[:, elems] == D,
+                    lambda row, _: {"kind": "element-not-in-own-integral", "x": row % n})
 
-    # one row per image value x: for each member y, y + Ker equals the
-    # preimage of x; then d maps the preimage onto {x}.  Kernel offsets are
-    # distinct, so the sorted coset equals the preimage exactly when the
-    # sizes agree and every offset stays inside.
-    fib = delta.fibres
-    values, members, in_pre = fib.values, fib.members, fib.present
-    karr = np.flatnonzero(fib.ker)
-    counts = np.bincount(d, minlength=n)
-    stays = (d[add[elems[:, None], karr[None, :]]] == d[:, None]).all(axis=1)
-    coset_ok = (counts[d] == len(karr)) & stays
-    onto = (~in_pre | (d[members] == values[:, None])).all(axis=1)
-    last = members.shape[1]
+        # for each member y, y + Ker equals the preimage of x; after the
+        # last member, d maps the preimage onto {x}.  Kernel offsets are
+        # distinct, so the sorted coset equals the preimage exactly when
+        # the sizes agree and every offset stays inside.
+        kernels = count[:, zero]
+        karr, in_ker = _members(fibres, b[:, 0], zero, int(kernels.max()))
+        shifted = D[b[..., None], add[elems[:, None], karr[:, None, :]]]
+        stays = (~in_ker[:, None, :] | (shifted == D[..., None])).all(axis=2)
+        coset_ok = (count[b, D] == kernels[:, None]) & stays
+        last = np.arange(n) == start[b, x] + count[b, x] - 1
+        onto = np.zeros((B, n), dtype=bool)
+        m, p = np.nonzero(last)
+        onto[m, p] = (~here[m, p] | (D[m[:, None], z[m, p]] == x[m, p, None])).all(axis=1)
 
-    def coset_witness(g, j):
-        if j == last:
-            return {"kind": "integral-maps-outside", "x": int(values[g])}
-        return {"kind": "coset-mismatch", "x": int(values[g]), "y": int(members[g, j])}
+        def coset_witness(row, j):
+            if j == 1:
+                return {"kind": "integral-maps-outside", "x": int(x.flat[row])}
+            return {"kind": "coset-mismatch", "x": int(x.flat[row]), "y": int(y.flat[row])}
 
-    rec.check_all(np.column_stack([coset_ok[members], onto]), coset_witness,
-                  present=np.column_stack([in_pre, np.ones(len(values), dtype=bool)]))
+        _check_rows(recs, owner,
+                    np.stack([np.take_along_axis(coset_ok, y, axis=1), onto], axis=-1),
+                    coset_witness, present=np.stack([np.ones((B, n), dtype=bool), last],
+                                                    axis=-1))
 
-    _check_additivity(rec, ring, delta)
+        images = np.count_nonzero(count, axis=1)
+        u = np.argsort(count == 0, axis=1, kind="stable")[:, :int(images.max())]
+        here = np.arange(u.shape[1]) < images[:, None]
+        _check_rows(recs, np.repeat(ids, u.shape[1]),
+                    *_additivity(add, D, u, order[b, np.minimum(start[b, u], n - 1)]),
+                    present=here[:, :, None] & here[:, None, :])
+        crit[ids] = np.column_stack([images == n, (count > 0).all(axis=1),
+                                     kernels == 1, (count == 1).all(axis=1)])
 
-    for x in _row_blocks(n, n):
-        dx = d[x]
-        parts = (mul[dx], mul[x][:, d], mul[d[:, None], x].T, mul[:, dx].T)
-        jxy = add[mul[x], mul[:, x].T]
+    # x∘y = xy + yx, one table per call, the size of add and mul
+    jordan = add[mul, mul.T]
+    for r in _row_blocks(len(maps) * n, n):
+        own, x = r // n, r % n
+        lo = int(own[0])
+        D = _tables(maps, np.arange(lo, int(own[-1]) + 1))
+        flat = D.ravel()
+        base = ((own - lo) * n)[:, None]        # flat[base + y] is d(y) in row i's map
+        d = D[own - lo]
+        dx = flat[base[:, 0] + x]
+        # d(x∘y) against the sum of the four parts d(x)y, x d(y), d(y)x and
+        # y d(x), which is d(x)∘y + x∘d(y)
+        product_rule = flat[base + jordan[x]] == add[jordan[dx], jordan[x[:, None], d]]
+        dsum = flat[base + add[x]]
+        # K[x] and K[y] imply K[x + y]: the kernel is closed under addition
+        if not ((dx[:, None] != zero) | (d != zero) | (dsum == zero)).all():
+            raise MapLawError("kernel failed the subgroup check")
         # a pair with an empty part integral counts as a vacuous instance;
-        # otherwise the sum of the four part integrals is i_d(target)
-        some_empty = np.logical_or.reduce([fib.rep[p] < 0 for p in parts])
-        target = add[add[parts[0], parts[1]], add[parts[2], parts[3]]]
-        product_rule = d[jxy] == target
-        ok = np.stack([some_empty | product_rule, d[add[x]] == add[dx][:, d],
-                       product_rule], axis=-1)
+        # otherwise the sum of the four part integrals is i_d(target), so
+        # only a pair that fails the product rule needs its parts' integrals
+        parts_rule = product_rule.copy()
+        i, y = np.nonzero(~product_rule)
+        if len(i):
+            in_image = np.bincount((D + n * np.arange(len(D))[:, None]).ravel(),
+                                   minlength=D.size) > 0
+            dy = d[i, y]
+            parts = (mul[dx[i], y], mul[x[i], dy], mul[dy, x[i]], mul[y, dx[i]])
+            parts_rule[i, y] = ~np.logical_and.reduce([in_image[base[i, 0] + p]
+                                                       for p in parts])
+        ok = np.stack([parts_rule, dsum == add[dx[:, None], d], product_rule], axis=-1)
 
-        def pair_witness(i, j):
+        def pair_witness(i, col, x=x):
+            y, j = divmod(col, 3)
             if j == 0:
-                return {"kind": "jordan-parts-membership", "x": int(x[i // n]), "y": i % n}
+                return {"kind": "jordan-parts-membership", "x": int(x[i]), "y": y}
             return {"kind": ("sum-rule", "jordan-product-rule")[j - 1],
-                    "y1": int(x[i // n]), "y2": i % n}
+                    "y1": int(x[i]), "y2": y}
 
-        rec.check_all(ok.reshape(-1, 3), pair_witness)
+        _check_rows(recs, own, ok, pair_witness)
 
-    _check_criteria(rec, ring, delta)
-    return rec.finish()
+    for rec, row in zip(recs, crit.tolist()):
+        _check_criteria(rec, *row)
+    return _finish(recs, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -704,39 +868,59 @@ _DERIVATION_CHECKERS = {
     "kernel-scaling": verify_kernel_scaling,
     "combination-rules": verify_combination_rules,
     "additivity-parts": verify_additivity_and_parts,
-    "power-rules": verify_power_rules,
 }
 
+# checkers whose block form takes every applicable map of a call at once
+_BLOCK_CHECKERS = {"power-rules": _power_rules, "jordan-suite": _jordan_suite}
 
-def _run_checker(ring: FiniteRing, amap: AdditiveMap, checker: str,
-                 config: CheckerConfig,
-                 derivations: list[AdditiveMap]) -> TheoremReport:
-    """One checker on one map.  derivations is Der(R), or empty until
-    separation first needs it and lists it there."""
-    skip = _Recorder(checker, ring).skip
-    if checker in _DERIVATION_CHECKERS:
-        if not amap.is_derivation:
-            return skip("map is not a validated derivation")
-        return _DERIVATION_CHECKERS[checker](ring, amap, config)
-    if not amap.is_jordan:
-        return skip("map is not a validated Jordan derivation")
-    if checker == "jordan-suite":
-        return verify_jordan_suite(ring, amap, config)
-    # separation: run_suite has validated the ids and runs herstein itself
-    if amap.is_derivation:
-        return skip("map is a derivation")
-    if not derivations:     # Der(R) always holds the zero map
-        derivations.extend(enumerate_derivations(ring))
-    return _separation(ring, amap, derivations)
+
+def _run_checker(ring: FiniteRing, maps: list[AdditiveMap], checker: str,
+                 config: CheckerConfig) -> list[TheoremReport]:
+    """One checker on every map, one report per map in order; separation
+    lists Der(R) once for all its maps."""
+    law = "jordan" if checker in ("jordan-suite", "separation") else "derivation"
+    reports: list[Optional[TheoremReport]] = [None] * len(maps)
+    live = []
+    for i, amap in enumerate(maps):
+        if law == "derivation" and not amap.is_derivation:
+            reason = "map is not a validated derivation"
+        elif law == "jordan" and not amap.is_jordan:
+            reason = "map is not a validated Jordan derivation"
+        elif checker == "separation" and amap.is_derivation:
+            reason = "map is a derivation"
+        else:
+            live.append(i)
+            continue
+        reports[i] = _Recorder(checker, ring).skip(reason)
+    chosen = [maps[i] for i in live]
+    if checker in _BLOCK_CHECKERS:
+        got = _BLOCK_CHECKERS[checker](ring, chosen, config)
+    elif checker == "separation":
+        # run_suite has validated the ids and runs herstein itself
+        derivations = enumerate_derivations(ring) if chosen else []
+        got = [_separation(ring, amap, derivations) for amap in chosen]
+    else:
+        got = [_DERIVATION_CHECKERS[checker](ring, amap, config) for amap in chosen]
+    for i, report in zip(live, got):
+        reports[i] = report
+    return reports
 
 
 def run_suite(ring: FiniteRing, maps: list[tuple[str, AdditiveMap]],
               checkers="all", config: Optional[CheckerConfig] = None,
               jobs: int = 1) -> list[TheoremReport]:
-    """Run the selected checkers, "all" or a list of ids, over each
-    (descriptor, map) pair in the fixed order, with the ring-level
-    herstein checker once at the end.
-    Der(R) is listed at most once per call, when separation first needs it.
+    """Run the selected checkers, "all" or a list of ids, over the
+    (descriptor, map) pairs, with the ring-level herstein checker once at
+    the end.  Der(R) is listed at most once per call, when separation
+    first needs it.
+
+    The run is checker-major: each checker runs over every map before the
+    next starts, so power-rules and jordan-suite see all their maps as
+    one list and check them in blocks (see _power_rules and
+    _jordan_suite), splitting a block's seconds evenly among its reports'
+    runtime.  The reports come back map-major all the same: for each map
+    in order, one report per selected checker in CHECKER_ORDER, then
+    herstein's.
 
     jobs has no effect: the checkers run one after another in the calling
     thread.  They spend their time in numpy, and a thread pool over them
@@ -751,13 +935,13 @@ def run_suite(ring: FiniteRing, maps: list[tuple[str, AdditiveMap]],
         if unknown:
             raise RingError(f"unknown checker ids: {', '.join(unknown)}")
 
+    amaps = [amap for _, amap in maps]
+    by_checker = [_run_checker(ring, amaps, cid, config)
+                  for cid in CHECKER_ORDER if cid != "herstein" and cid in selected]
     reports = []
-    derivations: list[AdditiveMap] = []
-    for desc, amap in maps:
-        for cid in CHECKER_ORDER:
-            if cid == "herstein" or cid not in selected:
-                continue
-            report = _run_checker(ring, amap, cid, config, derivations)
+    for i, (desc, _) in enumerate(maps):
+        for column in by_checker:
+            report = column[i]
             report.map_desc = desc
             reports.append(report)
 

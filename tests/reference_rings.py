@@ -215,6 +215,25 @@ def _first_mismatch3(lhs: np.ndarray, rhs: np.ndarray, x0: int) -> tuple:
     return (int(x) + x0, int(y), int(z))
 
 
+def additive_generators(add: np.ndarray, zero: int) -> list[int]:
+    """The generator search of ringlab.rings._additive_generators as a
+    breadth-first walk: each generator is the least element not reached
+    from zero by repeatedly adding earlier generators, and each step of
+    the walk adds every generator to the last frontier."""
+    reached = np.zeros(add.shape[0], dtype=bool)
+    reached[zero] = True
+    gens: list[int] = []
+    frontier = np.array([zero])
+    while frontier.size or not reached.all():
+        if not frontier.size:
+            gens.append(int(np.argmin(reached)))
+            frontier = np.flatnonzero(reached)
+        step = add[np.ix_(frontier, gens)].ravel()
+        frontier = np.unique(step[~reached[step]])
+        reached[frontier] = True
+    return gens
+
+
 def check_ring_axioms(add: np.ndarray, mul: np.ndarray, size: int,
                       unity: Optional[int] = None) -> int:
     """Exhaustively verify the ring axioms; returns the zero element index.

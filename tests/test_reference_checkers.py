@@ -136,6 +136,116 @@ def test_pair_blocks_split_the_stream(config, block, monkeypatch):
     _compare(tp33, formal_derivative(tp33), CONFIGS[config])
 
 
+# The two checkers whose block form run_suite gives every map of a call.
+BLOCK_PAIRS = {"power-rules": ("derivation", ref.verify_power_rules),
+               "jordan-suite": ("jordan", ref.verify_jordan_suite)}
+
+
+
+@pytest.fixture(scope="module", params=sorted(CONFIGS))
+def block_cases(request):
+    """(config, [(ring, maps, reference reports)]) for each run_suite call
+    of the block tests: the listed derivations and Jordan derivations of
+    M2(Z2) with the forged TANGLED map, those of Z3[X]/(X^3), and those of
+    Z8 with its forged identity map, which fills jordan-suite's witness
+    cap.  The loop references' reports are per checker, None where
+    run_suite skips the map."""
+    config = CONFIGS[request.param]
+    cases = []
+    for spec, forged in ((Matrix(Zn(2), 2), TANGLED), (TruncPoly(3, 3), None),
+                         (Zn(8), range(8))):
+        ring = build_ring(spec)
+        amaps = list(enumerate_derivations(ring))
+        amaps += [m for m in enumerate_jordan_derivations(ring) if not m.is_derivation]
+        if forged is not None:
+            amaps.append(_forged(ring, forged))
+        expected = {cid: [old(ring, amap, config) if getattr(amap, f"is_{law}") else None
+                          for amap in amaps]
+                    for cid, (law, old) in BLOCK_PAIRS.items()}
+        cases.append((ring, amaps, expected))
+    return config, cases
+
+
+def _walks(monkeypatch):
+    """Record every (rows, width, block) that theorems walks."""
+    walked = []
+    row_blocks = theorems._row_blocks
+
+    def recorded(rows, width):
+        for r in row_blocks(rows, width):
+            walked.append((rows, width, r))
+            yield r
+
+    monkeypatch.setattr(theorems, "_row_blocks", recorded)
+    return walked
+
+
+@pytest.mark.parametrize("block", [48, 1000, 5000])
+def test_block_of_maps_matches_reference(block_cases, block, monkeypatch):
+    """run_suite gives power-rules and jordan-suite all their maps at once.
+    With _BLOCK patched, a block of whole maps ends inside the map list,
+    and a block of jordan-suite's (map, x) pair rows starts or ends inside
+    a map; every report must still equal its loop reference."""
+    monkeypatch.setattr(maps, "_BLOCK", block)
+    walked = _walks(monkeypatch)
+    config, cases = block_cases
+    capped = split = several = 0
+    for ring, amaps, expected in cases:
+        walked.clear()
+        got = theorems.run_suite(ring, [(str(i), m) for i, m in enumerate(amaps)],
+                                 list(BLOCK_PAIRS), config)
+        assert len(got) == 2 * len(amaps)
+        for i, amap in enumerate(amaps):
+            for report in got[2 * i:2 * i + 2]:
+                old = expected[report.checker][i]
+                assert report.map_desc == str(i)
+                if old is None:
+                    assert report.status == "skipped", (report.checker, i)
+                else:
+                    assert _strip(report) == _strip(old), (report.checker, amap.as_tuple())
+                    capped += len(old.witnesses) == theorems.MAX_WITNESSES
+        n = ring.size
+        split += any(r[0] % n or len(r) % n for rows, width, r in walked
+                     if rows == len(amaps) * n and width == n)
+        several += any(rows > len(r) > 1 for rows, _, r in walked if rows == len(amaps))
+    assert capped and split
+    # at 48 cells a block of whole maps holds one map of these rings
+    assert bool(several) == (block > 48)
+
+
+def test_block_checkers_on_z1_no_maps_and_one_map():
+    """The zero ring, an empty map list and a one-map call take the same
+    block path."""
+    z1 = build_ring(Zn(1))
+    zero = zero_map(z1)
+    got = theorems.run_suite(z1, [("zero", zero)], list(BLOCK_PAIRS))
+    assert [_strip(r) for r in got] == [_strip(old(z1, zero))
+                                        for _, old in BLOCK_PAIRS.values()]
+    m2z2 = build_ring(Matrix(Zn(2), 2))
+    assert theorems.run_suite(m2z2, [], list(BLOCK_PAIRS)) == []
+    assert theorems._jordan_suite(m2z2, []) == theorems._power_rules(m2z2, []) == []
+    tangled = _forged(m2z2, TANGLED)
+    assert (_strip(theorems.verify_jordan_suite(m2z2, tangled))
+            == _strip(theorems._jordan_suite(m2z2, [tangled])[0])
+            == _strip(ref.verify_jordan_suite(m2z2, tangled)))
+    tp33 = build_ring(TruncPoly(3, 3))
+    d = formal_derivative(tp33)
+    assert (_strip(theorems.verify_power_rules(tp33, d))
+            == _strip(ref.verify_power_rules(tp33, d)))
+
+
+@pytest.mark.parametrize("checkers", [["jordan-suite"], ["power-rules"], "all"],
+                         ids=["jordan-suite", "power-rules", "all"])
+def test_block_checkers_refuse_a_kernel_that_is_no_subgroup(checkers):
+    """A forged Z4 map whose zero fibre {0, 1} is not closed under + is
+    refused inside the block, after a map that passes."""
+    zn4 = build_ring(Zn(4))
+    listed = [(str(i), m) for i, m in enumerate(enumerate_derivations(zn4))]
+    with pytest.raises(MapLawError, match="kernel failed the subgroup check"):
+        theorems.run_suite(zn4, listed + [("forged", _forged(zn4, [0, 0, 1, 1]))],
+                           checkers)
+
+
 # Rings of up to 256 elements, where the two fibre checkers scale kernels
 # of up to 256 elements; the other loop forms are too slow here.
 LARGE_SPECS = [TriPattern(Zn(3)), TruncPoly(2, 8), Zn(256),

@@ -11,8 +11,9 @@ import pytest
 
 from ringlab import (Matrix, Product, RingAxiomError, RingError, Tables,
                      TriPattern, TruncPoly, Zn, build_ring, spec_name)
-from ringlab.rings import check_ring_axioms
+from ringlab.rings import _additive_generators, check_ring_axioms
 
+from reference_rings import additive_generators as reference_generators
 from reference_rings import check_ring_axioms as reference_check
 from reference_rings import reference_build
 
@@ -151,6 +152,30 @@ def test_prime_witness_and_invertible_count(spec):
     if ring.unity is not None:
         assert ring.describe()["invertible_count"] == sum(
             ring.is_invertible(x) for x in ring.elements())
+
+
+# -- the generator search ------------------------------------------------------
+
+
+GENERATOR_SPECS = [
+    Zn(1), Zn(2), Zn(3), Zn(7), Zn(81), Zn(97), Zn(255), Zn(256),
+    Product((Zn(16), Zn(16))), Product((Zn(12), Zn(18))), Product((Zn(6), Zn(10))),
+    Product((Zn(4), Zn(2))), Product((Zn(2), Zn(2), Zn(4))), Product((Zn(4),) * 3),
+    TruncPoly(2, 8), TriPattern(Zn(3)), Matrix(Zn(2), 2), Matrix(Zn(3), 2),
+    Matrix(TruncPoly(2, 2), 2),
+    # zero is element 2, so the search does not start at element 0
+    _z3_moved(),
+]
+
+
+@pytest.mark.parametrize("spec", GENERATOR_SPECS, ids=spec_name)
+def test_generator_search_matches_breadth_first_walk(spec):
+    """Doubling out each generator's multiples picks the same generators as
+    walking the span one addition at a time."""
+    ring = build_ring(spec)
+    got = _additive_generators(ring.add_table, ring.zero)
+    assert got == reference_generators(ring.add_table, ring.zero)
+    assert all(isinstance(g, int) for g in got)
 
 
 # -- the axiom check ---------------------------------------------------------------
