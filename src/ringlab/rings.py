@@ -18,7 +18,9 @@ index order.  The other kinds are tuples of base-ring elements, built by
 one coordinate builder, in lexicographic order of: coefficient tuples,
 constant term first (``TruncPoly``; the constant 1 of Z3[X]/(X^3) has
 index 9); row-major entries (``Matrix``); the stored (a, b, c, d, e)
-(``TriPattern``); factor indices (``Product``).
+(``TriPattern``); factor indices (``Product``).  The builder evaluates a
+kind's product rule only on the elements with one nonzero coordinate, and
+grows both tables from those rows through the ring's own addition.
 """
 
 from __future__ import annotations
@@ -668,40 +670,51 @@ def _coordinate_ring(bases: list[FiniteRing],
     coordinatewise; out[k] of a product sums u[i]*v[j] in ``bases[k]``
     over the pairs (i, j) of ``rule[k]``, left to right.
 
-    Both tables are preallocated.  Each coordinate is folded into one
-    running n x n array as its terms are made, by 1-D takes into the
-    raveled base tables, and the result is added in place with the
-    coordinate's weight in the element index.
+    The rule is evaluated only on the rows of the single-coordinate
+    elements a·e_i, whose coordinate i is a and every other coordinate its
+    base's zero.  Both tables then grow one coordinate at a time through
+    the ring's own addition, from the one row of zero: for every p with
+    coordinates only before i, the rows of p + a·e_i are
+    (p + a·e_i) + v = p + (a·e_i + v) and, once ``add`` is whole,
+    (p + a·e_i)·v = p·v + (a·e_i)·v.
     """
-    n = _within_ceiling(math.prod(base.size for base in bases))
-    coords = np.indices([base.size for base in bases]).reshape(len(bases), n)
-    add = np.zeros((n, n), dtype=_TABLE_DTYPE)
-    mul = np.zeros((n, n), dtype=_TABLE_DTYPE)
-    weight = n
-    for k, (base, pairs) in enumerate(zip(bases, rule)):
-        weight //= base.size
-        ba, bm = base.add_table.ravel(), base.mul_table.ravel()
-        for table, op, terms in ((add, ba, [(k, k)]), (mul, bm, pairs)):
-            out = _fold(ba, op, coords, terms, base.size)
-            out *= weight
-            table += out
+    sizes = [base.size for base in bases]
+    n = _within_ceiling(math.prod(sizes))
+    coords = np.indices(sizes, dtype=_TABLE_DTYPE).reshape(len(bases), n)
+    weights = [n // math.prod(sizes[:k + 1]) for k in range(len(bases))]
+    zero = sum(base.zero * w for base, w in zip(bases, weights))
+    singles = [_single_rows(bases, rule, coords, weights, zero, i) for i in range(len(bases))]
+    add = np.arange(n, dtype=_TABLE_DTYPE)[None]
+    for rows, _ in singles:
+        add = np.take(add, rows, axis=1).reshape(-1, n)
+    flat = add.ravel()      # x + y at x·n + y
+    mul = np.full((1, n), zero, dtype=_TABLE_DTYPE)
+    for _, rows in singles:
+        offset = np.multiply(mul, n, dtype=np.intp)     # x·n passes int32 above n = 46340
+        mul = np.empty((len(offset), len(rows), n), dtype=_TABLE_DTYPE)
+        for a, row in enumerate(rows):      # one index the size of the rows so far
+            mul[:, a] = np.take(flat, offset + row)
+        mul = mul.reshape(-1, n)
     return dict(size=n, add=add, mul=mul, values=[tuple(v) for v in coords.T.tolist()])
 
 
-def _fold(ba: np.ndarray, op: np.ndarray, coords: np.ndarray,
-          terms: list[tuple[int, int]], b: int) -> np.ndarray:
-    """The sum by ba, left to right over the pairs (i, j) of terms, of
-    op(u[i], v[j]) for every pair of elements (u, v).  ba and op are
-    raveled b x b base tables, so u*b + v indexes the pair (u, v)."""
-    def take(table, i, j):
-        return np.take(table, (coords[i] * b)[:, None] + coords[j][None, :])
-
-    acc = take(op, *terms[0])
-    for i, j in terms[1:]:
-        acc *= b
-        acc += take(op, i, j)
-        acc = np.take(ba, acc)
-    return acc
+def _single_rows(bases: list[FiniteRing], rule: list[list[tuple[int, int]]],
+                 coords: np.ndarray, weights: list[int], zero: int, i: int):
+    """The (|B_i|, n) rows of ``add`` and ``mul`` of the elements a·e_i.
+    Only coordinate i moves in a·e_i + v.  Coordinate k of (a·e_i)·v sums
+    a*v[j] over the pairs (i, j) of rule[k]: the other pairs multiply by a
+    zero coordinate, and a coordinate with no such pair stays zero."""
+    add = (np.arange(coords.shape[1], dtype=_TABLE_DTYPE)
+           + (np.take(bases[i].add_table, coords[i], axis=1) - coords[i]) * weights[i])
+    mul = np.full_like(add, zero)
+    for out, pairs, weight in zip(bases, rule, weights):
+        acc = None
+        for j in (j for s, j in pairs if s == i):
+            term = np.take(out.mul_table, coords[j], axis=1)
+            acc = term if acc is None else out.add_table[acc, term]
+        if acc is not None:
+            mul += (acc - out.zero) * weight
+    return add, mul
 
 
 def _matrix_rule(cells) -> list[list[tuple[int, int]]]:

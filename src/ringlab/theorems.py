@@ -195,8 +195,8 @@ def _check_rows(recs: list[_Recorder], owner: np.ndarray, ok, witness,
 
 
 def _tables(maps: list[AdditiveMap], ids: np.ndarray) -> np.ndarray:
-    """The (len(ids), n) stack of the tables of maps[ids], as intp."""
-    return np.stack([maps[i].table for i in ids.tolist()]).astype(np.intp)
+    """The (len(ids), n) stack of the tables of maps[ids], int32 as listed."""
+    return np.stack([maps[i].table for i in ids.tolist()])
 
 
 def _fibres_of(D: np.ndarray):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
@@ -585,3 +586,36 @@ def test_verify_json_deterministic(zn4_file, tmp_path, capsys):
 
     assert normalize(first.read_text()) == normalize(second.read_text())
     capsys.readouterr()
+
+
+TP28 = {"kind": "trunc_poly", "p": 2, "m": 8}
+TRI_Z3 = {"kind": "tri_pattern", "base": {"kind": "zn", "n": 3}}
+Z16_Z16 = {"kind": "product", "factors": [{"kind": "zn", "n": 16}] * 2}
+Z4_Z4 = {"kind": "product", "factors": [{"kind": "zn", "n": 4}] * 2}
+
+# sha256 of the whole stdout of each call: ring-info reads every quantity of
+# the built tables, and derivations every listed map with its description
+JSON_DIGESTS = {
+    "ring-info-tp28": (["ring-info", "--ring", json.dumps(TP28)],
+                       "812defbc64a31b217407faab92cf817d7bf07e7c4c896f57a07a810dc1563bd5"),
+    "ring-info-tri-z3": (["ring-info", "--ring", json.dumps(TRI_Z3)],
+                         "640564d748ed39e513628742686b802300f602b801a2175155aeb6250773671a"),
+    "ring-info-z16xz16": (["ring-info", "--ring", json.dumps(Z16_Z16)],
+                          "b62b07df7c2ec5295e2767057cf6d1669fc5360c19dedb50991969ab269615a1"),
+    "derivations-m2z2": (["derivations", "--ring", json.dumps(M2Z2)],
+                         "aec43d102807b960f102deb105bd584a1e6c608b5983c7b4515237d6bd841017"),
+    "jordan-m2z2": (["derivations", "--ring", json.dumps(M2Z2), "--jordan"],
+                    "8efd932eae8f766f7af532f0a49e8fed074bd72d1704797ebb3291a3e35062a6"),
+    "derivations-z4xz4": (["derivations", "--ring", json.dumps(Z4_Z4)],
+                          "70520396e588e320c5d356abef169edaa90daf2b66c38a9c5e4b0aaaa216338c"),
+    "jordan-z4xz4": (["derivations", "--ring", json.dumps(Z4_Z4), "--jordan"],
+                     "da4236bb10e1d0047d7a108d55b2da4d5251382e9b9e3e1cf85f5a57d05d38ed"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(JSON_DIGESTS))
+def test_json_output_is_pinned(capsys, case):
+    argv, digest = JSON_DIGESTS[case]
+    assert main([*argv, "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

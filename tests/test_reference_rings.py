@@ -56,6 +56,16 @@ BUILDER_SPECS = [
     TriPattern(_z3_moved()),
     Matrix(_z3_moved(), 2),
     Product((_z3_moved(), Zn(4))),
+    # one-element coordinates
+    Matrix(Zn(1), 2),
+    TriPattern(Zn(1)),
+    TruncPoly(2, 1),
+    Product((Zn(1), Zn(5))),
+    # a base generator of additive order 4, 256 elements
+    Matrix(Zn(4), 2),
+    # a factor with two additive generators, and one whose zero is element 2
+    Product((_gf4(), Zn(4))),
+    Product((_z3_moved(), _gf4(), Zn(2))),
 ]
 
 # element texts that are neither an index nor a label
@@ -86,8 +96,9 @@ def test_coordinate_builder_matches_loop_builders(spec):
 
 @pytest.mark.parametrize("spec", [TruncPoly(2, 8), TriPattern(Zn(3))], ids=spec_name)
 def test_coordinate_builder_memory_bound(spec):
-    """The builder folds each coordinate into one running table: its traced
-    peak stays under 8 n x n int32 tables (the tables themselves included)."""
+    """The builder grows both tables one coordinate at a time through the
+    ring's own addition: its traced peak stays under 8 n x n int32 tables
+    (the tables themselves included)."""
     build_ring(spec, check=False)       # warm the imports and the base ring
     tracemalloc.start()
     try:
