@@ -19,13 +19,16 @@ kernel cosets read the coset form: coset-structure, basic's
 integral-maps-outside and jordan-suite's coset-mismatch.
 
 run_suite is checker-major: each checker runs over every map of the call
-before the next checker starts.  power-rules and jordan-suite take all
-their maps at once and evaluate them on (B, n) stacks of map tables:
-blocks of whole maps, and for jordan-suite's pairs blocks of (map, x)
-rows, all walked by _row_blocks.  Each map still gets its own report,
-equal to the one-map call's (verify_power_rules and verify_jordan_suite
-are that call), and a block call's seconds are split evenly among its
-reports' runtime.  The reports come back map-major, herstein last.
+before the next checker starts.  Every map checker has one block form,
+which takes all its maps at once and evaluates them on (B, n) stacks of
+map tables: blocks of whole maps of one widest fibre (_Blocks, walked in
+order of that width), and for the pair laws blocks of (map, x) rows
+(_pair_blocks), all walked by _row_blocks.  The checkers of one run_suite
+call share the blocks, their fibres and their checked kernels.  Each map
+still gets its own report, equal to the one-map call's (each public
+verify_* function is that call), and a block call's seconds are split
+evenly among its reports' runtime.  The reports come back map-major,
+herstein last.
 
 Checker ids, in the fixed order run_suite uses:
 
@@ -45,11 +48,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from .maps import (AdditiveMap, MapLawError, _require_map, _row_blocks, _solve,
+from .maps import (_BLOCK, AdditiveMap, MapLawError, _require_map, _row_blocks, _solve,
                    enumerate_derivations, enumerate_jordan_derivations)
 from .rings import FiniteRing, RingError
 
@@ -164,6 +168,14 @@ class _Recorder:
 # order, so its report equals the one-map call's.
 
 
+def _runs(owner: np.ndarray) -> np.ndarray:
+    """Where each run of equal entries of owner starts."""
+    starts = np.empty(len(owner), dtype=bool)
+    starts[:1] = True
+    np.not_equal(owner[1:], owner[:-1], out=starts[1:])
+    return np.flatnonzero(starts)
+
+
 def _check_rows(recs: list[_Recorder], owner: np.ndarray, ok, witness,
                 present=None):
     """Record a block of checks whose row i belongs to recs[owner[i]], as
@@ -175,13 +187,16 @@ def _check_rows(recs: list[_Recorder], owner: np.ndarray, ok, witness,
     ok = np.asarray(ok, dtype=bool).reshape(len(owner), -1)
     if present is not None:
         present = np.asarray(present, dtype=bool).reshape(len(owner), -1)
-    if owner[0] == owner[-1]:
-        recs[owner[0]].check_all(ok, witness, present)
-        return
     bad = ~ok if present is None else ~ok & present
+    if owner[0] == owner[-1]:
+        if bad.any():
+            recs[owner[0]].check_all(ok, witness, present)
+        else:
+            recs[owner[0]].instances += ok.size if present is None else int(present.sum())
+        return
     per_row = (np.full(len(owner), ok.shape[1]) if present is None
                else np.count_nonzero(present, axis=1))
-    first = np.flatnonzero(np.diff(owner, prepend=-1))
+    first = _runs(owner)
     counts = np.add.reduceat(per_row, first).tolist()
     failing = np.logical_or.reduceat(bad.any(axis=1), first).tolist()
     ends = [*first.tolist()[1:], len(owner)]
@@ -194,20 +209,54 @@ def _check_rows(recs: list[_Recorder], owner: np.ndarray, ok, witness,
                           None if present is None else present[a:b])
 
 
+def _note_first(recs: list[_Recorder], noted: np.ndarray, owner: np.ndarray,
+                hits: np.ndarray, entry):
+    """Note entry(i) for the first row i of hits (increasing row indices,
+    owner nondecreasing) of each map m with noted[m] unset, then set it:
+    a note made once per map, at its first hit in loop order."""
+    if not len(hits):
+        return
+    firsts = hits[_runs(owner[hits])]
+    for i in firsts.tolist():
+        m = int(owner[i])
+        if not noted[m]:
+            recs[m].note(entry(i))
+            noted[m] = True
+
+
 def _tables(maps: list[AdditiveMap], ids: np.ndarray) -> np.ndarray:
     """The (len(ids), n) stack of the tables of maps[ids], int32 as listed."""
     return np.stack([maps[i].table for i in ids.tolist()])
+
+
+def _at(table: np.ndarray, rows, cols) -> np.ndarray:
+    """table[rows, cols] for a 2-D table and broadcast index arrays.  From
+    a few hundred cells on, numpy gathers through one flat intp index
+    about twice as fast as through two index arrays, or through int32
+    ones.  A gather whose index arrays' sizes multiply to under 512, and
+    so is smaller still, and one of more than 16 blocks' cells (from a map
+    whose rows alone are far wider than a block) go through the two,
+    which build no index array."""
+    bound = getattr(rows, "size", 1) * getattr(cols, "size", 1)   # at least the cells
+    if bound < 512 or bound > 16 * _BLOCK and np.broadcast(rows, cols).size > 16 * _BLOCK:
+        return table[rows, cols]
+    return table.ravel()[np.multiply(rows, table.shape[1], dtype=np.intp) + cols]
+
+
+def _counts(D: np.ndarray) -> np.ndarray:
+    """count[b, v] = |{y : D[b, y] = v}|, the fibre sizes of the block D."""
+    B, n = D.shape
+    return np.bincount((D + n * np.arange(B)[:, None]).ravel(),
+                       minlength=B * n).reshape(B, n)
 
 
 def _fibres_of(D: np.ndarray):
     """(order, count, start) of every table of the block D.  order[b]
     lists the elements by (D[b, y], y), so the fibre of v under map b is
     order[b, start[b, v]:start[b, v] + count[b, v]], in increasing order."""
-    B, n = D.shape
-    order = np.argsort(D, axis=1, kind="stable")
-    count = np.bincount((D + n * np.arange(B)[:, None]).ravel(),
-                        minlength=B * n).reshape(B, n)
-    return order, count, np.cumsum(count, axis=1) - count
+    count = _counts(D)
+    return (np.argsort(D, axis=1, kind="stable"), count,
+            np.cumsum(count, axis=1) - count)
 
 
 def _members(fibres, b: np.ndarray, v: np.ndarray, width: int):
@@ -215,8 +264,152 @@ def _members(fibres, b: np.ndarray, v: np.ndarray, width: int):
     width cells, of which present marks the fibre's own."""
     order, count, start = fibres
     cols = np.arange(width)
-    pos = np.minimum(start[b, v][..., None] + cols, order.shape[1] - 1)
-    return order[b[..., None], pos], cols < count[b, v][..., None]
+    pos = np.minimum(_at(start, b, v)[..., None] + cols, order.shape[1] - 1)
+    return _at(order, b[..., None], pos), cols < _at(count, b, v)[..., None]
+
+
+class _Block:
+    """Whole maps of one widest fibre, taken from a list of maps, and what
+    the checks read of them, each computed on first use.
+
+    ids are the maps' positions in the list, in increasing order; D is the
+    (B, n) stack of their tables, fibres its (order, count, start) as
+    _fibres_of gives them, and width the maps' widest fibre.  A fibre
+    check holds one row per (map, element), row b·n + p for (b, p), and
+    pads each fibre to width cells."""
+
+    def __init__(self, ring: FiniteRing, ids: np.ndarray, D: np.ndarray, fibres,
+                 width: int):
+        self.ring, self.ids, self.D, self.fibres, self.width = ring, ids, D, fibres, width
+
+    def part(self, r: np.ndarray) -> "_Block":
+        """The block of this block's maps r, a range of positions."""
+        s = slice(int(r[0]), int(r[-1]) + 1)
+        return _Block(self.ring, self.ids[s], self.D[s], tuple(a[s] for a in self.fibres),
+                      self.width)
+
+    @cached_property
+    def rows(self):
+        """(b, p) of every row."""
+        return np.divmod(np.arange(self.D.size), self.ring.size)
+
+    @cached_property
+    def owner(self) -> np.ndarray:
+        """The id of each row's map."""
+        return self.ids[self.rows[0]]
+
+    @cached_property
+    def sorted_rows(self):
+        """(y, x): row (b, p) holds the p-th element y of map b's sorted
+        order and x = d(y), so x runs over the image in increasing order
+        and y over its fibre, in increasing order."""
+        y = self.fibres[0].ravel()
+        return y, _at(self.D, self.rows[0], y)
+
+    def fibre_rows(self, width: int):
+        """(z, here): the fibre of each row's x, padded to width cells, of
+        which here marks the fibre's own."""
+        return _members(self.fibres, self.rows[0], self.sorted_rows[1], width)
+
+    @cached_property
+    def kernel(self):
+        """(karr, in_ker): each map's kernel in increasing order, padded to
+        the largest, of which in_ker marks the members.  Raises MapLawError
+        unless every kernel holds zero and is closed under addition."""
+        D, (order, count, start) = self.D, self.fibres
+        add, zero = self.ring.add_table, self.ring.zero
+        if not (D[:, zero] == zero).all():
+            raise MapLawError("kernel failed the subgroup check")
+        kernels = count[:, zero]
+        cols = np.arange(int(kernels.max()))
+        karr = _at(order, np.arange(len(D))[:, None],
+                   np.minimum(start[:, zero, None] + cols, D.shape[1] - 1))
+        in_ker = cols < kernels[:, None]
+        for b in _row_blocks(len(D), len(cols) ** 2):
+            sums = _at(D, b[:, None, None], _at(add, karr[b, :, None], karr[b, None, :]))
+            if not ((sums == zero) | ~(in_ker[b, :, None] & in_ker[b, None, :])).all():
+                raise MapLawError("kernel failed the subgroup check")
+        return karr, in_ker
+
+    @cached_property
+    def image(self):
+        """(u, here): each map's image in increasing order, padded to the
+        largest, of which here marks the image's own."""
+        count = self.fibres[1]
+        images = np.count_nonzero(count, axis=1)
+        width = int(images.max())
+        return (np.argsort(count == 0, axis=1, kind="stable")[:, :width],
+                np.arange(width) < images[:, None])
+
+
+class _Blocks:
+    """A list of maps in _Blocks of one widest fibre each, in order of that
+    width, built on first use.  run_suite builds one per list of maps that
+    its checkers take, so they share the blocks and what the blocks
+    compute; a block checker called alone builds its own."""
+
+    def __init__(self, ring: FiniteRing, maps: list[AdditiveMap]):
+        self.ring, self.maps = ring, maps
+
+    @cached_property
+    def blocks(self) -> list[_Block]:
+        """Each map's widest fibre comes from blocks of whole maps, 4n cells
+        a map for D and its three fibre arrays.  A stable sort by width
+        orders the maps, and the maps of one width form blocks of n rows
+        of width cells a map, at most _BLOCK cells, so no map is padded
+        past its own widest fibre (the zero map, whose fibre is the whole
+        ring, comes last).  A block holds at least one map, so a map whose
+        n rows alone are wider than _BLOCK is checked whole."""
+        ring, maps, n = self.ring, self.maps, self.ring.size
+        if not maps:
+            return []
+        widths = np.empty(len(maps), dtype=np.intp)
+        for ids in _row_blocks(len(maps), 4 * n):
+            D = _tables(maps, ids)
+            fibres = _fibres_of(D)
+            widths[ids] = fibres[1].max(axis=1)
+        by_width = np.argsort(widths, kind="stable")
+        widths = widths[by_width]
+        edges = [0, *(np.flatnonzero(widths[1:] != widths[:-1]) + 1).tolist(), len(maps)]
+        blocks = []
+        for a, b in zip(edges, edges[1:]):
+            width = int(widths[a])
+            for r in _row_blocks(b - a, n * width):
+                part = by_width[a + r]
+                if len(ids) == len(maps):       # rows of the one block above
+                    blocks.append(_Block(ring, part, D[part], tuple(f[part] for f in fibres),
+                                         width))
+                else:
+                    stack = _tables(maps, part)
+                    blocks.append(_Block(ring, part, stack, _fibres_of(stack), width))
+        return blocks
+
+    def walk(self, cols=lambda width: width):
+        """The blocks, each split into parts of n rows of cols(width) cells
+        a map, at most _BLOCK cells (at least one map)."""
+        for block in self.blocks:
+            for r in _row_blocks(len(block.ids), self.ring.size * cols(block.width)):
+                yield block if len(r) == len(block.ids) else block.part(r)
+
+
+def _pair_blocks(maps: list[AdditiveMap], n: int):
+    """The (map, x) rows of every map, in map order, walked in _row_blocks
+    of width n with y the whole row, so a block may start or end inside a
+    map: (own, x, D, m) with own[i] the map of row i, D the tables of maps
+    own[0]..own[-1] and m[i] = own[i] - own[0] the row of D that holds row
+    i's map.  A block's pair tables are rows of add and mul."""
+    for r in _row_blocks(len(maps) * n, n):
+        own, x = np.divmod(r, n)
+        lo = int(own[0])
+        yield own, x, _tables(maps, np.arange(lo, int(own[-1]) + 1)), own - lo
+
+
+def _start(ring: FiniteRing, maps: list[AdditiveMap], checker: str, law: str):
+    """The start time and one recorder per map of a block call, after
+    checking that every map satisfies law."""
+    for amap in maps:
+        _require_map(ring, amap, law)
+    return time.perf_counter(), [_Recorder(checker, ring) for _ in maps]
 
 
 def _finish(recs: list[_Recorder], t0: float) -> list[TheoremReport]:
@@ -229,22 +422,26 @@ def _finish(recs: list[_Recorder], t0: float) -> list[TheoremReport]:
     return reports
 
 
-def _additivity(add: np.ndarray, D: np.ndarray, u: np.ndarray, r: np.ndarray):
-    """(ok, witness) for i_d(u) + i_d(v) = i_d(u + v) over u, v in the
-    image of each map of the block D: row b of u lists map b's image in
-    increasing order (padded), r holds rep[u], and ok has one row per
-    (map, u) and one column per v.  Where the fibres are kernel cosets
-    (coset-structure checks that), the left side is (rep[u] + rep[v]) +
-    Ker, so the two are equal exactly when d(rep[u] + rep[v]) = u + v."""
+def _check_additivity(recs: list[_Recorder], block: _Block):
+    """i_d(u) + i_d(v) = i_d(u + v) over u, v in the image of each map of
+    the block, one row per (map, u) and one column per v, both in
+    increasing order.  Where the fibres are kernel cosets (coset-structure
+    checks that), the left side is (rep[u] + rep[v]) + Ker, so the two are
+    equal exactly when d(rep[u] + rep[v]) = u + v, rep[u] being the least
+    element of the fibre of u."""
+    D, (order, _, start) = block.D, block.fibres
+    add = block.ring.add_table
+    u, here = block.image
     width = u.shape[1]
-    b = np.arange(len(D))[:, None, None]
-    ok = D[b, add[r[:, :, None], r[:, None, :]]] == add[u[:, :, None], u[:, None, :]]
-
-    def witness(row, j):
-        m, i = divmod(row, width)
-        return {"kind": "integral-additivity", "x": int(u[m, i]), "y": int(u[m, j])}
-
-    return ok.reshape(-1, width), witness
+    b = np.arange(len(D))[:, None]
+    rep = _at(order, b, np.minimum(_at(start, b, u), D.shape[1] - 1))
+    for m in _row_blocks(len(D), width * width):
+        ok = (_at(D, m[:, None, None], _at(add, rep[m, :, None], rep[m, None, :]))
+              == _at(add, u[m, :, None], u[m, None, :]))
+        _check_rows(recs, np.repeat(block.ids[m], width), ok,
+                    lambda row, j: {"kind": "integral-additivity",
+                                    "x": int(u[m].flat[row]), "y": int(u[m[row // width], j])},
+                    present=here[m, :, None] & here[m, None, :])
 
 
 def _check_criteria(rec: _Recorder, surjective: bool, all_nonempty: bool,
@@ -259,15 +456,11 @@ def _check_criteria(rec: _Recorder, surjective: bool, all_nonempty: bool,
                "all_singletons": all_single})
 
 
-def _member_triples(dmap: AdditiveMap):
-    """(x, y, Z, present): for every x in the image in increasing order and
-    every y in its preimage, one row whose present cells of Z list that
-    preimage again -- the loop order of `for x: for y in pre[x]: for z in
-    pre[x]`."""
-    fib = dmap.fibres
-    group = np.repeat(np.arange(len(fib.values)), fib.present.sum(axis=1))
-    return (fib.values[group], fib.members[fib.present], fib.members[group],
-            fib.present[group])
+def _criteria(count: np.ndarray, zero: int) -> np.ndarray:
+    """_check_criteria's four flags for each map of a block, one row each,
+    from its fibre sizes."""
+    onto = (count > 0).all(axis=1)
+    return np.column_stack([onto, onto, count[:, zero] == 1, (count == 1).all(axis=1)])
 
 
 # ---------------------------------------------------------------------------
@@ -276,26 +469,39 @@ def _member_triples(dmap: AdditiveMap):
 
 def verify_basic(ring: FiniteRing, dmap: AdditiveMap,
                  config: Optional[CheckerConfig] = None) -> TheoremReport:
-    """Membership facts and the surjectivity/injectivity criteria."""
-    _require_map(ring, dmap, "derivation")
-    rec = _Recorder("basic", ring)
-    fib = dmap.fibres
-    d = dmap.table
-    elems = np.arange(ring.size)
+    """Membership facts and the surjectivity/injectivity criteria: the
+    one-map call of _basic."""
+    return _basic(ring, [dmap], config)[0]
 
-    rec.check(d[ring.zero] == ring.zero, {"kind": "zero-membership"})
-    rec.check_all(d[elems] == d,
-                  lambda x, _: {"kind": "element-not-in-own-integral", "x": x})
-    # d maps the coset rep[x] + Ker onto {x}; an empty integral holds vacuously
-    values = d[ring.add_table[fib.rep[:, None], np.flatnonzero(fib.ker)[None, :]]]
-    onto = (values == elems[:, None]).all(axis=1)
-    rec.check_all((fib.rep < 0) | onto,
-                  lambda x, _: {"kind": "integral-maps-outside", "x": x,
-                                "values": sorted({int(v) for v in values[x]})})
-    _check_criteria(rec, len(dmap.image) == ring.size, bool((fib.rep >= 0).all()),
-                    len(dmap.kernel) == 1,
-                    bool((np.bincount(d, minlength=ring.size) == 1).all()))
-    return rec.finish()
+
+def _basic(ring: FiniteRing, maps: list[AdditiveMap], config: Optional[CheckerConfig] = None,
+           blocks: Optional[_Blocks] = None) -> list[TheoremReport]:
+    """basic on every map of the list, one report per map."""
+    t0, recs = _start(ring, maps, "basic", "derivation")
+    add, n, zero = ring.add_table, ring.size, ring.zero
+    for block in (blocks or _Blocks(ring, maps)).walk():
+        ids, D, (order, count, start) = block.ids, block.D, block.fibres
+        karr, in_ker = block.kernel
+        _check_rows(recs, ids, D[:, zero] == zero, lambda i, j: {"kind": "zero-membership"})
+        _check_rows(recs, block.owner, D[:, np.arange(n)] == D,
+                    lambda row, _: {"kind": "element-not-in-own-integral", "x": row % n})
+        # d maps the coset rep[x] + Ker onto {x}, rep[x] the least element
+        # of the fibre of x; an empty integral holds vacuously.  One row per
+        # (map, x), one column per kernel element.
+        b = np.arange(len(ids))[:, None]
+        rep = _at(order, b, np.minimum(start, n - 1))
+        values = _at(D, b[..., None], _at(add, rep[..., None], karr[:, None, :]))
+        onto = (~in_ker[:, None, :] | (values == np.arange(n)[:, None])).all(axis=2)
+
+        def outside(i, _):
+            m, x = divmod(i, n)
+            return {"kind": "integral-maps-outside", "x": x,
+                    "values": sorted(set(values[m, x][in_ker[m]].tolist()))}
+
+        _check_rows(recs, block.owner, (count == 0) | onto, outside)
+        for m, row in zip(ids.tolist(), _criteria(count, zero).tolist()):
+            _check_criteria(recs[m], *row)
+    return _finish(recs, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -306,55 +512,70 @@ def verify_kernel_constants(ring: FiniteRing, dmap: AdditiveMap,
                             config: Optional[CheckerConfig] = None) -> TheoremReport:
     """Integer multiples of unity, and their inverse-scaled combinations,
     always land in the kernel; adding them to any antiderivative stays in
-    the same integral."""
-    _require_map(ring, dmap, "derivation")
+    the same integral: the one-map call of _kernel_constants."""
+    return _kernel_constants(ring, [dmap], config)[0]
+
+
+def _kernel_constants(ring: FiniteRing, maps: list[AdditiveMap],
+                      config: Optional[CheckerConfig] = None,
+                      blocks: Optional[_Blocks] = None) -> list[TheoremReport]:
+    """kernel-constants on every map of the list, one report per map.  The
+    window, bold(n), their inverses and the shifts belong to the ring and
+    are computed once per call."""
     config = config or CheckerConfig()
-    rec = _Recorder("kernel-constants", ring)
+    t0, recs = _start(ring, maps, "kernel-constants", "derivation")
     if ring.unity is None:
-        return rec.skip("ring has no unity")
+        return [rec.skip("ring has no unity") for rec in recs]
+    add, neg, mul = ring.add_table, ring.neg_table, ring.mul_table
+    n, zero = ring.size, ring.zero
     period = ring.additive_order(ring.unity)
     if period <= 2 * config.max_n + 1:
         ns = list(range(period))
-        rec.note({"kind": "range-capped", "additive_order_of_unity": period})
+        for rec in recs:
+            rec.note({"kind": "range-capped", "additive_order_of_unity": period})
     else:
         ns = list(range(-config.max_n, config.max_n + 1))
     bs = np.array([ring.bold(m) for m in ns], dtype=np.intp)
     inverses = [ring.invert(int(b)) for b in bs]
-    ker = dmap.fibres.ker
-
-    # n·1 and -(n·1) in the kernel: one row per n
-    rec.check_all(np.column_stack([ker[bs], ker[ring.neg_table[bs]]]),
-                  lambda i, j: ({"kind": "bold-not-in-kernel", "n": ns[i],
-                                 "element": int(bs[i])},
-                                {"kind": "bold-negative-not-in-kernel", "n": ns[i]})[j])
-
-    # (n·1)^-1·(m·1) and (m·1)·(n·1)^-1 in the kernel: one row per (n, m)
-    # with n·1 invertible, left then right
+    # (n·1)^-1·(m·1) and (m·1)·(n·1)^-1 for each n with n·1 invertible and
+    # each m, left then right
     invertible_ns = [m for m, ib in zip(ns, inverses) if ib is not None]
     ibs = np.array([ib for ib in inverses if ib is not None], dtype=np.intp)
-    mul = ring.mul_table
     shifts = np.stack([mul[ibs[:, None], bs[None, :]],
                        mul[bs[None, :], ibs[:, None]]], axis=-1).reshape(-1)
-    rec.check_all(ker[shifts].reshape(-1, 2),
-                  lambda row, side: {"kind": ("scaled-bold-not-in-kernel",
-                                              "bold-scaled-not-in-kernel")[side],
-                                     "n": invertible_ns[row // len(ns)],
-                                     "m": ns[row % len(ns)]})
 
-    # y plus each of those stays in i_d(d(y)): one row per y, columns in the
-    # same (n, m, left/right) order
-    d = dmap.table
-    ys = np.arange(ring.size)
-    ok = d[ring.add_table[ys[:, None], shifts[None, :]]] == d[:, None]
+    def bold_witness(_, col):
+        i, side = divmod(col, 2)
+        if side:
+            return {"kind": "bold-negative-not-in-kernel", "n": ns[i]}
+        return {"kind": "bold-not-in-kernel", "n": ns[i], "element": int(bs[i])}
 
-    def witness(y, col):
+    def shift_witness(_, col):
+        row, side = divmod(col, 2)
+        return {"kind": ("scaled-bold-not-in-kernel", "bold-scaled-not-in-kernel")[side],
+                "n": invertible_ns[row // len(ns)], "m": ns[row % len(ns)]}
+
+    def shifted_witness(y, col):
         i, rest = divmod(col, 2 * len(ns))
         j, side = divmod(rest, 2)
         return {"kind": ("shifted-left", "shifted-right")[side], "y": y,
                 "n": invertible_ns[i], "m": ns[j]}
 
-    rec.check_all(ok, witness)
-    return rec.finish()
+    for block in (blocks or _Blocks(ring, maps)).walk(lambda width: max(width, len(shifts))):
+        block.kernel
+        ids, D = block.ids, block.D
+        ker = D == zero
+        # n·1 and -(n·1) in the kernel, then the shifts: one row per map
+        _check_rows(recs, ids, np.stack([ker[:, bs], ker[:, neg[bs]]], axis=-1),
+                    bold_witness)
+        _check_rows(recs, ids, ker[:, shifts], shift_witness)
+        # y plus each shift stays in i_d(d(y)): one row per (map, y),
+        # columns in the shifts' (n, m, left/right) order
+        b, y = block.rows
+        _check_rows(recs, block.owner,
+                    _at(D, b[:, None], _at(add, y[:, None], shifts)) == D.ravel()[:, None],
+                    lambda row, col: shifted_witness(int(y[row]), col))
+    return _finish(recs, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -364,29 +585,37 @@ def verify_kernel_constants(ring: FiniteRing, dmap: AdditiveMap,
 def verify_coset_structure(ring: FiniteRing, dmap: AdditiveMap,
                            config: Optional[CheckerConfig] = None) -> TheoremReport:
     """Every nonempty integral equals y + Ker(d) for each of its members,
-    with each member reached by exactly one kernel offset."""
-    _require_map(ring, dmap, "derivation")
-    rec = _Recorder("coset-structure", ring)
-    fib = dmap.fibres
-    karr = np.flatnonzero(fib.ker)
-    k = len(karr)
-    counts = fib.present.sum(axis=1)
-    # one row per member y of each preimage, x in increasing order: the
-    # sorted coset y + Ker equals the preimage, and its offsets are distinct
-    group = np.repeat(np.arange(len(fib.values)), counts)
-    ys = fib.members[fib.present]
+    with each member reached by exactly one kernel offset: the one-map
+    call of _coset_structure."""
+    return _coset_structure(ring, [dmap], config)[0]
+
+
+def _coset_structure(ring: FiniteRing, maps: list[AdditiveMap],
+                     config: Optional[CheckerConfig] = None,
+                     blocks: Optional[_Blocks] = None) -> list[TheoremReport]:
+    """coset-structure on every map of the list, one report per map."""
+    t0, recs = _start(ring, maps, "coset-structure", "derivation")
+    add, n, zero = ring.add_table, ring.size, ring.zero
     kinds = ("coset-mismatch", "nonunique-kernel-offset")
-    for r in _row_blocks(len(ys), k):
-        g, y = group[r], ys[r]
-        shifted = np.sort(ring.add_table[y[:, None], karr[None, :]], axis=1)
-        same = counts[g] == k
-        if k <= fib.members.shape[1]:
-            same &= (shifted == fib.members[g, :k]).all(axis=1)
-        distinct = (np.diff(shifted, axis=1) != 0).all(axis=1)
-        rec.check_all(np.column_stack([same, distinct]),
-                      lambda i, j: {"kind": kinds[j], "x": int(fib.values[g[i]]),
-                                    "y": int(y[i])})
-    return rec.finish()
+    for block in (blocks or _Blocks(ring, maps)).walk():
+        D, count = block.D, block.fibres[1]
+        karr, in_ker = block.kernel
+        # for each member y of each fibre, x = d(y): the coset y + Ker
+        # equals the fibre, and its offsets are distinct.  As + is a group
+        # operation the offsets y + κ are distinct, so the coset equals the
+        # fibre exactly when the sizes agree and d maps every y + κ to x;
+        # the sorted offsets (padding last) show that they are distinct.
+        b = np.arange(len(block.ids))[:, None]
+        y, x = (a.reshape(len(block.ids), n) for a in block.sorted_rows)
+        here = in_ker[:, None, :]
+        shifted = _at(add, y[..., None], karr[:, None, :])
+        same = ((_at(count, b, x) == count[:, zero, None])
+                & (~here | (_at(D, b[..., None], shifted) == x[..., None])).all(axis=2))
+        shifted = np.sort(np.where(here, shifted, n), axis=2)
+        distinct = (~here[..., 1:] | (shifted[..., 1:] != shifted[..., :-1])).all(axis=2)
+        _check_rows(recs, block.owner, np.stack([same, distinct], axis=-1),
+                    lambda i, j: {"kind": kinds[j], "x": int(x.flat[i]), "y": int(y.flat[i])})
+    return _finish(recs, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -397,61 +626,73 @@ def verify_kernel_scaling(ring: FiniteRing, dmap: AdditiveMap,
                           config: Optional[CheckerConfig] = None) -> TheoremReport:
     """Multiplying an integral by a kernel element lands inside the integral
     of the scaled element, with equality for invertible kernel elements;
-    also records one witness that the inclusion can be strict."""
-    _require_map(ring, dmap, "derivation")
-    rec = _Recorder("kernel-scaling", ring)
-    fib = dmap.fibres
-    d, mul = dmap.table, ring.mul_table
-    n = ring.size
-    sizes = np.bincount(d, minlength=n)      # |i_d(x)|
-    ws = np.flatnonzero(fib.ker)
-    if ring.unity is not None:
-        invertible = ring.inverse_table()[ws] >= 0
-    else:
-        invertible = np.zeros(len(ws), dtype=bool)
-    # one row per (w, x), x over the image in increasing order; an x with an
-    # empty integral has two vacuously true inclusions and no row.  Columns:
-    # left and right inclusion, both targets nonempty, left and right
-    # equality (a check only for invertible w).
-    x, members, present = fib.values, fib.members, fib.present
-    groups = len(x)
+    also records one witness that the inclusion can be strict: the one-map
+    call of _kernel_scaling."""
+    return _kernel_scaling(ring, [dmap], config)[0]
+
+
+def _kernel_scaling(ring: FiniteRing, maps: list[AdditiveMap],
+                    config: Optional[CheckerConfig] = None,
+                    blocks: Optional[_Blocks] = None) -> list[TheoremReport]:
+    """kernel-scaling on every map of the list, one report per map.  The
+    inverse table belongs to the ring and is read once per call."""
+    t0, recs = _start(ring, maps, "kernel-scaling", "derivation")
+    mul, n, zero = ring.mul_table, ring.size, ring.zero
+    inverse = ring.inverse_table() if ring.unity is not None else np.full(n, -1)
     kinds = ("left-scaling-escape", "right-scaling-escape",
              "scaled-integral-empty", "left-scaling-not-equal",
              "right-scaling-not-equal")
-    strict_seen = False
-    for r in _row_blocks(len(ws), members.size):
-        w = ws[r, None]
-        inv = invertible[r, None, None]
-        sides = []
-        for wx, wy in ((mul[w, x], mul[w[:, :, None], members]),
-                       (mul[x, w], mul[members, w[:, :, None]])):
-            inside = (~present | (d[wy] == wx[:, :, None])).all(axis=2)
-            # |w·i_d(x)|: distinct cells of the sorted row, with the padding
-            # cells repeating its first member
-            scaled = np.sort(np.where(present, wy, wy[:, :, :1]), axis=2)
-            distinct = 1 + np.count_nonzero(np.diff(scaled, axis=2), axis=2)
-            sides.append((sizes[wx], inside, distinct))
-        (target_l, left_in, left_n), (target_r, right_in, right_n) = sides
-        ok = np.stack([left_in, right_in, (target_l > 0) & (target_r > 0),
-                       left_in & (left_n == target_l),
-                       right_in & (right_n == target_r)], axis=-1)
-        live = np.ones(ok.shape, dtype=bool)
-        live[..., 3:] = inv
-        strict = (~inv[..., 0] & left_in & (left_n < target_l)).ravel()
-        if not strict_seen and strict.any():
-            i, g = divmod(int(np.argmax(strict)), groups)
-            rec.note({"kind": "strict-inclusion", "w": int(w[i, 0]), "x": int(x[g]),
-                      "scaled_size": int(left_n[i, g]),
-                      "integral_size": int(target_l[i, g])})
-            strict_seen = True
+    noted = np.zeros(len(maps), dtype=bool)
+    for block in (blocks or _Blocks(ring, maps)).walk():
+        ids, D, width = block.ids, block.D, block.width
+        count = block.fibres[1]
+        karr, in_ker = block.kernel
+        xs, in_image = block.image
+        k, groups = karr.shape[1], xs.shape[1]
+        integrals = _members(block.fibres, np.arange(len(ids))[:, None], xs, width)
+        # one row per (map, w), w in the kernel, and one group of five
+        # columns per x in the image, both in increasing order; an x with
+        # an empty integral has two vacuously true inclusions and no
+        # column.  Columns: left and right inclusion, both targets
+        # nonempty, left and right equality (a check only for invertible w).
+        for r in _row_blocks(len(ids) * k, groups * width):
+            b, i = np.divmod(r, k)
+            bc, w, x = b[:, None], _at(karr, b, i), xs[b]
+            real = _at(in_ker, b, i)[:, None] & in_image[b]
+            inv = real & (inverse[w] >= 0)[:, None]
+            # the rows of one map share its integrals
+            members, present = (a[b[:1] if b[0] == b[-1] else b] for a in integrals)
+            sides = []
+            for wx, wy in ((_at(mul, w[:, None], x), _at(mul, w[:, None, None], members)),
+                           (_at(mul, x, w[:, None]), _at(mul, members, w[:, None, None]))):
+                inside = (~present | (_at(D, bc[..., None], wy) == wx[..., None])).all(axis=2)
+                # |w·i_d(x)|: distinct cells of the sorted row, with the
+                # padding cells repeating its first member
+                scaled = np.sort(np.where(present, wy, wy[..., :1]), axis=2)
+                distinct = 1 + np.count_nonzero(scaled[..., 1:] != scaled[..., :-1], axis=2)
+                sides.append((_at(count, bc, wx), inside, distinct))
+            (target_l, left_in, left_n), (target_r, right_in, right_n) = sides
+            ok = np.stack([left_in, right_in, (target_l > 0) & (target_r > 0),
+                           left_in & (left_n == target_l),
+                           right_in & (right_n == target_r)], axis=-1)
+            owner = ids[b]
+            _note_first(recs, noted, np.repeat(owner, groups),
+                        np.flatnonzero(real & ~inv & left_in & (left_n < target_l)),
+                        lambda j: {"kind": "strict-inclusion", "w": int(w[j // groups]),
+                                   "x": int(x.flat[j]), "scaled_size": int(left_n.flat[j]),
+                                   "integral_size": int(target_l.flat[j])})
 
-        def witness(row, col):
-            i, g = divmod(row, groups)
-            return {"kind": kinds[col], "w": int(w[i, 0]), "x": int(x[g])}
+            def witness(row, col):
+                g, c = divmod(col, 5)
+                return {"kind": kinds[c], "w": int(w[row]), "x": int(x[row, g])}
 
-        rec.check_all(ok.reshape(-1, 5), witness, present=live.reshape(-1, 5))
-        rec.instances += 2 * (n - groups) * len(w)
-    return rec.finish()
+            _check_rows(recs, owner, ok.reshape(len(r), -1), witness,
+                        present=np.stack([real, real, real, inv, inv], axis=-1)
+                        .reshape(len(r), -1))
+        vacuous = 2 * (n - np.count_nonzero(in_image, axis=1)) * count[:, zero]
+        for m, extra in zip(ids.tolist(), vacuous.tolist()):
+            recs[m].instances += extra
+    return _finish(recs, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -461,44 +702,67 @@ def verify_kernel_scaling(ring: FiniteRing, dmap: AdditiveMap,
 def verify_combination_rules(ring: FiniteRing, dmap: AdditiveMap,
                              config: Optional[CheckerConfig] = None) -> TheoremReport:
     """Sums and products of antiderivatives integrate the matching
-    combinations, plus the inverse membership rules on unity rings."""
-    _require_map(ring, dmap, "derivation")
-    rec = _Recorder("combination-rules", ring)
+    combinations, plus the inverse membership rules on unity rings: the
+    one-map call of _combination_rules."""
+    return _combination_rules(ring, [dmap], config)[0]
+
+
+def _combination_rules(ring: FiniteRing, maps: list[AdditiveMap],
+                       config: Optional[CheckerConfig] = None,
+                       blocks: Optional[_Blocks] = None) -> list[TheoremReport]:
+    """combination-rules on every map of the list, one report per map: the
+    pair rules on (map, y1) rows, then the rules inside one integral and
+    the inverse rules on blocks of whole maps.  The units and their
+    inverses belong to the ring and are read once per call."""
+    t0, recs = _start(ring, maps, "combination-rules", "derivation")
     add, mul, neg = ring.add_table, ring.mul_table, ring.neg_table
-    d = dmap.table
     n = ring.size
 
-    for y1 in _row_blocks(n, n):
-        x1 = d[y1]
-        ok = np.stack([d[add[y1]] == add[x1][:, d],
-                       d[mul[y1]] == add[mul[x1], mul[y1][:, d]]], axis=-1)
-        rec.check_all(ok.reshape(-1, 2), lambda i, j: {
-            "kind": ("sum-rule", "product-rule")[j], "y1": int(y1[i // n]), "y2": i % n})
-
-    # y, z in one integral i_d(x): the sum and product rules inside it
-    x, y, z, present = _member_triples(dmap)
-    x, y = x[:, None], y[:, None]
-    ok = np.stack([d[add[y, z]] == add[x, x],
-                   d[mul[y, z]] == add[mul[x, z], mul[y, x]]], axis=-1)
-    rec.check_all(ok.reshape(len(ok), -1),
-                  lambda i, j: {"kind": ("same-integral-sum",
-                                         "same-integral-product")[j % 2],
-                                "x": int(x[i, 0]),
-                                "y": int(y[i, 0]), "z": int(z[i, j // 2])},
-                  present=np.repeat(present, 2, axis=1))
+    for own, y1, D, m in _pair_blocks(maps, n):
+        d, mc = D[m], m[:, None]
+        x1 = _at(D, m, y1)
+        ok = np.stack([_at(D, mc, add[y1]) == _at(add, x1[:, None], d),
+                       _at(D, mc, mul[y1]) == _at(add, mul[x1], _at(mul, y1[:, None], d))],
+                      axis=-1)
+        _check_rows(recs, own, ok.reshape(len(own), -1),
+                    lambda i, col: {"kind": ("sum-rule", "product-rule")[col % 2],
+                                    "y1": int(y1[i]), "y2": col // 2})
 
     if ring.unity is not None:
         inverse = ring.inverse_table()
         units = np.flatnonzero(inverse >= 0)
         yi = inverse[units]
-        dy = d[units]
-        checks = [d[yi] == neg[mul[mul[yi, dy], yi]]]
-        kinds = ("inverse-rule", "inverse-rule-commutative")
-        if ring.is_commutative():
-            checks.append(d[yi] == neg[mul[mul[yi, yi], dy]])
-        rec.check_all(np.stack(checks, axis=1),
-                      lambda i, j: {"kind": kinds[j], "y": int(units[i])})
-    return rec.finish()
+        commutative = ring.is_commutative()
+        inverse_kinds = ("inverse-rule", "inverse-rule-commutative")[:1 + commutative]
+
+    for block in (blocks or _Blocks(ring, maps)).walk(lambda width: 2 * width):
+        block.kernel
+        ids, D = block.ids, block.D
+        # y, z in one integral i_d(x): the sum and product rules inside it,
+        # in the loop order of `for x: for y in pre[x]: for z in pre[x]`
+        b, _ = block.rows
+        y, x = block.sorted_rows
+        z, here = block.fibre_rows(block.width)
+        xc, yc, bc = x[:, None], y[:, None], b[:, None]
+        ok = np.stack([_at(D, bc, _at(add, yc, z)) == _at(add, x, x)[:, None],
+                       _at(D, bc, _at(mul, yc, z))
+                       == _at(add, _at(mul, xc, z), _at(mul, y, x)[:, None])], axis=-1)
+        _check_rows(recs, block.owner, ok.reshape(len(b), -1),
+                    lambda i, j: {"kind": ("same-integral-sum",
+                                           "same-integral-product")[j % 2],
+                                  "x": int(x[i]), "y": int(y[i]), "z": int(z[i, j // 2])},
+                    present=np.repeat(here, 2, axis=1))
+
+        if ring.unity is not None:
+            # one row per map, one column per (unit y, rule)
+            dy, dyi = D[:, units], D[:, yi]
+            checks = [dyi == neg[_at(mul, _at(mul, yi, dy), yi)]]
+            if commutative:
+                checks.append(dyi == neg[_at(mul, mul[yi, yi], dy)])
+            _check_rows(recs, ids, np.stack(checks, axis=-1),
+                        lambda _, col: {"kind": inverse_kinds[col % len(inverse_kinds)],
+                                        "y": int(units[col // len(inverse_kinds)])})
+    return _finish(recs, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -509,34 +773,44 @@ def verify_additivity_and_parts(ring: FiniteRing, dmap: AdditiveMap,
                                 config: Optional[CheckerConfig] = None) -> TheoremReport:
     """When both integrals are nonempty their pairwise sum is the integral
     of the sum, and x*y lies in the two-part sum; records one witness pair
-    whose part integrals are both empty."""
-    _require_map(ring, dmap, "derivation")
-    rec = _Recorder("additivity-parts", ring)
-    add, mul = ring.add_table, ring.mul_table
-    d = dmap.table
-    rep = dmap.fibres.rep
-    n = ring.size
+    whose part integrals are both empty: the one-map call of
+    _additivity_and_parts."""
+    return _additivity_and_parts(ring, [dmap], config)[0]
 
-    values = dmap.fibres.values
-    rec.check_all(*_additivity(add, d[None], values[None], rep[values][None]))
 
-    empty_witnessed = False
-    for x in _row_blocks(n, n):
-        a, b = mul[d[x]], mul[x][:, d]      # d(x[i])·y and x[i]·d(y) at (i, y)
-        empty_a = rep[a] < 0
-        empty_b = rep[b] < 0
+def _additivity_and_parts(ring: FiniteRing, maps: list[AdditiveMap],
+                          config: Optional[CheckerConfig] = None,
+                          blocks: Optional[_Blocks] = None) -> list[TheoremReport]:
+    """additivity-parts on every map of the list, one report per map:
+    additivity on blocks of whole maps, then the parts rule on (map, x)
+    rows."""
+    t0, recs = _start(ring, maps, "additivity-parts", "derivation")
+    add, mul, n = ring.add_table, ring.mul_table, ring.size
+
+    for block in (blocks or _Blocks(ring, maps)).walk():
+        block.kernel
+        _check_additivity(recs, block)
+
+    noted = np.zeros(len(maps), dtype=bool)
+    for own, x, D, m in _pair_blocks(maps, n):
+        in_image, mc = _counts(D) > 0, m[:, None]
+        a, b = mul[_at(D, m, x)], _at(mul, x[:, None], D[m])   # d(x)·y and x·d(y) at (x, y)
+        empty_a = ~_at(in_image, mc, a)
+        empty_b = ~_at(in_image, mc, b)
         # a pair with an empty part integral counts as a vacuous instance;
         # otherwise i_d(a) + i_d(b) = i_d(a + b), as d is additive
-        ok = empty_a | empty_b | (d[mul[x]] == add[a, b])
-        both = np.flatnonzero(empty_a & empty_b)
-        if not empty_witnessed and len(both):
-            i, y = divmod(int(both[0]), n)
-            rec.note({"kind": "parts-preconditions-empty", "x": int(x[i]), "y": y,
-                      "dx_times_y": int(a[i, y]), "x_times_dy": int(b[i, y])})
-            empty_witnessed = True
-        rec.check_all(ok, lambda i, y: {"kind": "parts-membership",
-                                        "x": int(x[i]), "y": y})
-    return rec.finish()
+        ok = empty_a | empty_b | (_at(D, mc, mul[x]) == _at(add, a, b))
+        both = empty_a & empty_b
+
+        def empty_note(i):
+            y = int(np.argmax(both[i]))
+            return {"kind": "parts-preconditions-empty", "x": int(x[i]), "y": y,
+                    "dx_times_y": int(a[i, y]), "x_times_dy": int(b[i, y])}
+
+        _note_first(recs, noted, own, np.flatnonzero(both.any(axis=1)), empty_note)
+        _check_rows(recs, own, ok, lambda i, y: {"kind": "parts-membership",
+                                                 "x": int(x[i]), "y": y})
+    return _finish(recs, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -552,21 +826,17 @@ def verify_power_rules(ring: FiniteRing, dmap: AdditiveMap,
 
 
 def _power_rules(ring: FiniteRing, maps: list[AdditiveMap],
-                 config: Optional[CheckerConfig] = None) -> list[TheoremReport]:
+                 config: Optional[CheckerConfig] = None,
+                 blocks: Optional[_Blocks] = None) -> list[TheoremReport]:
     """power-rules on every map of the list, in blocks of whole maps, one
     report per map.  The powers, bold(e), their inverses and the inverse
     table belong to the ring and are computed once per call."""
-    for dmap in maps:
-        _require_map(ring, dmap, "derivation")
     config = config or CheckerConfig()
-    t0 = time.perf_counter()
-    recs = [_Recorder("power-rules", ring) for _ in maps]
+    t0, recs = _start(ring, maps, "power-rules", "derivation")
     if ring.unity is None:
         return [rec.skip("ring has no unity") for rec in recs]
     if not ring.is_commutative():
         return [rec.skip("ring is not commutative") for rec in recs]
-    for dmap in maps:
-        dmap.kernel     # raises MapLawError unless it is an additive subgroup
     N = config.max_exp
     mul, neg = ring.mul_table, ring.neg_table
     n = ring.size
@@ -607,48 +877,51 @@ def _power_rules(ring: FiniteRing, maps: list[AdditiveMap],
                            "integer-power-rule-scaled", e, True))
     if checks:      # none when max_exp < 0
         at, outer, factor, kinds, es, unit_only = zip(*checks)
-        at, factor = np.array(at), np.array(factor)
+        at, factor = np.array(at).T, np.array(factor).T     # one row per x
         outer = np.array(outer).ravel()
-        outer_rows = (np.arange(len(checks)) * n)[:, None]
-        present = np.where(unit_only, invertible[:, None], True)
+        outer_cols = np.arange(len(checks)) * n
+        unit_only = np.array(unit_only)
 
-    def check_witness(row, col):
-        return {"kind": kinds[col], "x": row % n, "n": es[col]}
+    # the transfer exponents e, those with e·1 invertible: row t of scale
+    # multiplies by e·1, and row t of unscale by its inverse
+    transfers = [e for e in exps if inv_bolds[e] is not None]
+    scale = mul[[bolds[e] for e in transfers]]
+    unscale = mul[[inv_bolds[e] for e in transfers]]
 
-    # one row per (map, x) for the checks, and per (map, y) for each
-    # transfer exponent, whose columns are a fibre and one more check
-    for ids in _row_blocks(len(maps), n * max(n + 1, len(checks))):
-        D = _tables(maps, ids)
-        fibres = _fibres_of(D)
-        owner = np.repeat(ids, n)
+    # one row per (map, x) for the checks, and per (map, exponent, y) for
+    # the transfers, whose columns are a fibre and one more check
+    for block in (blocks or _Blocks(ring, maps)).walk(
+            lambda width: max(width + 1, len(checks))):
+        block.kernel
+        ids, D, width = block.ids, block.D, block.width
         if checks:
-            ok = D[:, at] == outer[outer_rows + mul[factor, D[:, None, :]]]
-            _check_rows(recs, owner, ok.transpose(0, 2, 1), check_witness,
-                        present=np.tile(present, (len(ids), 1)))
+            b, x = block.rows
+            ok = (_at(D, b[:, None], at[x])
+                  == outer[outer_cols + _at(mul, factor[x], D.ravel()[:, None])])
+            _check_rows(recs, block.owner, ok,
+                        lambda row, col: {"kind": kinds[col], "x": int(x[row]), "n": es[col]},
+                        present=~unit_only | invertible[x][:, None])
 
         # transfer rules: scaling an antiderivative by an invertible
-        # integer.  One row per y: the preimage of n*y, then transfer-up.
-        b = np.arange(len(ids))[:, None]
-        width = int(fibres[1].max())
-        up_present = np.ones((len(ids), n, 1), dtype=bool)
-        for e in exps:
-            ib = inv_bolds[e]
-            if ib is None:
-                continue
-            ny = mul[bolds[e], x]
-            pre, in_pre = _members(fibres, b, ny[None, :], width)
-            down = D[b[..., None], mul[ib, pre]] == x[:, None]
-            up = D == mul[ib, D[:, ny]]
+        # integer.  One row per (map, exponent, y): the preimage of n*y,
+        # then transfer-up.
+        for r in _row_blocks(len(ids) * len(transfers) * n, width + 1):
+            b, rest = np.divmod(r, len(transfers) * n)
+            t, y = np.divmod(rest, n)
+            ny = _at(scale, t, y)
+            pre, in_pre = _members(block.fibres, b, ny, width)
+            down = _at(D, b[:, None], _at(unscale, t[:, None], pre)) == y[:, None]
+            up = _at(D, b, y) == _at(unscale, t, _at(D, b, ny))
 
-            def witness(row, col, e=e, pre=pre):
-                m, y = divmod(row, n)
+            def witness(row, col, t=t, y=y, pre=pre):
+                e = transfers[t[row]]
                 if col == width:
-                    return {"kind": "transfer-up", "n": e, "x": y}
-                return {"kind": "transfer-down", "n": e, "y": y, "x": int(pre[m, y, col])}
+                    return {"kind": "transfer-up", "n": e, "x": int(y[row])}
+                return {"kind": "transfer-down", "n": e, "y": int(y[row]),
+                        "x": int(pre[row, col])}
 
-            _check_rows(recs, owner, np.concatenate([down, up[..., None]], axis=2),
-                        witness, present=np.concatenate([in_pre, up_present], axis=2)
-                        .reshape(len(owner), -1))
+            _check_rows(recs, ids[b], np.column_stack([down, up]), witness,
+                        present=np.column_stack([in_pre, np.ones(len(r), dtype=bool)]))
     return _finish(recs, t0)
 
 
@@ -665,111 +938,84 @@ def verify_jordan_suite(ring: FiniteRing, delta: AdditiveMap,
 
 
 def _jordan_suite(ring: FiniteRing, maps: list[AdditiveMap],
-                  config: Optional[CheckerConfig] = None) -> list[TheoremReport]:
+                  config: Optional[CheckerConfig] = None,
+                  blocks: Optional[_Blocks] = None) -> list[TheoremReport]:
     """jordan-suite on every map of the list, one report per map.  The
     fibre checks walk blocks of whole maps; then the pair checks walk
     (map, x) rows with y the whole row, so a block of them may start or
     end inside a map; then the criteria close each report."""
-    for delta in maps:
-        _require_map(ring, delta, "jordan")
-    t0 = time.perf_counter()
-    recs = [_Recorder("jordan-suite", ring) for _ in maps]
+    t0, recs = _start(ring, maps, "jordan-suite", "jordan")
     add, mul, neg = ring.add_table, ring.mul_table, ring.neg_table
     n, zero = ring.size, ring.zero
-    elems = np.arange(n)
     crit = np.zeros((len(maps), 4), dtype=bool)
 
-    for ids in _row_blocks(len(maps), n * n):
-        D = _tables(maps, ids)
-        B = len(ids)
-        b = np.arange(B)[:, None]
-        fibres = order, count, start = _fibres_of(D)
-        # the kernel holds zero; the pair rows below check that it is
-        # closed under addition
-        if not (D[:, zero] == zero).all():
-            raise MapLawError("kernel failed the subgroup check")
+    for block in (blocks or _Blocks(ring, maps)).walk():
+        ids, D, (_, count, start) = block.ids, block.D, block.fibres
+        karr, in_ker = block.kernel
         _check_rows(recs, ids, D[:, zero] == zero, lambda i, j: {"kind": "zero-membership"})
 
-        # row (b, p) holds the p-th element y of map b's sorted order and
-        # x = d(y), in increasing order; its columns z run over pre[x]: the
-        # loop order of `for x: for y in pre[x]: for z in pre[x]`
-        y = order
-        x = np.take_along_axis(D, order, axis=1)
-        width = int(count.max())
-        z, here = _members(fibres, b, x, width)
-        owner = np.repeat(ids, n)
-        _check_rows(recs, owner, D[b[..., None], add[y[..., None], neg[z]]] == zero,
-                    lambda row, j: {"kind": "difference-not-in-kernel",
-                                    "x": int(x.flat[row]), "y": int(y.flat[row]),
-                                    "z": int(z.reshape(-1, width)[row, j])},
+        # y, z in one fibre differ by a kernel element, in the loop order
+        # of `for x: for y in pre[x]: for z in pre[x]`
+        b, p = block.rows
+        y, x = block.sorted_rows
+        z, here = block.fibre_rows(block.width)
+        owner, bc = block.owner, b[:, None]
+        _check_rows(recs, owner, _at(D, bc, _at(add, y[:, None], neg[z])) == zero,
+                    lambda i, j: {"kind": "difference-not-in-kernel", "x": int(x[i]),
+                                  "y": int(y[i]), "z": int(z[i, j])},
                     present=here)
 
-        _check_rows(recs, owner, D[:, elems] == D,
+        _check_rows(recs, owner, D[:, np.arange(n)] == D,
                     lambda row, _: {"kind": "element-not-in-own-integral", "x": row % n})
 
         # for each member y, y + Ker equals the preimage of x; after the
         # last member, d maps the preimage onto {x}.  Kernel offsets are
         # distinct, so the sorted coset equals the preimage exactly when
         # the sizes agree and every offset stays inside.
-        kernels = count[:, zero]
-        karr, in_ker = _members(fibres, b[:, 0], zero, int(kernels.max()))
-        shifted = D[b[..., None], add[elems[:, None], karr[:, None, :]]]
-        stays = (~in_ker[:, None, :] | (shifted == D[..., None])).all(axis=2)
-        coset_ok = (count[b, D] == kernels[:, None]) & stays
-        last = np.arange(n) == start[b, x] + count[b, x] - 1
-        onto = np.zeros((B, n), dtype=bool)
-        m, p = np.nonzero(last)
-        onto[m, p] = (~here[m, p] | (D[m[:, None], z[m, p]] == x[m, p, None])).all(axis=1)
+        B = len(ids)
+        shifted = _at(D, np.arange(B)[:, None, None],
+                      _at(add, y.reshape(B, n, 1), karr[:, None, :]))
+        coset_ok = ((_at(count, b, x) == count[b, zero])
+                    & (~in_ker[:, None, :] | (shifted == x.reshape(B, n, 1))).all(axis=2)
+                    .ravel())
+        last = p == _at(start, b, x) + _at(count, b, x) - 1
+        onto = np.ones(len(b), dtype=bool)
+        onto[last] = (~here[last] | (_at(D, bc[last], z[last]) == x[last, None])).all(axis=1)
 
         def coset_witness(row, j):
             if j == 1:
-                return {"kind": "integral-maps-outside", "x": int(x.flat[row])}
-            return {"kind": "coset-mismatch", "x": int(x.flat[row]), "y": int(y.flat[row])}
+                return {"kind": "integral-maps-outside", "x": int(x[row])}
+            return {"kind": "coset-mismatch", "x": int(x[row]), "y": int(y[row])}
 
-        _check_rows(recs, owner,
-                    np.stack([np.take_along_axis(coset_ok, y, axis=1), onto], axis=-1),
-                    coset_witness, present=np.stack([np.ones((B, n), dtype=bool), last],
-                                                    axis=-1))
+        _check_rows(recs, owner, np.column_stack([coset_ok, onto]), coset_witness,
+                    present=np.column_stack([np.ones(len(b), dtype=bool), last]))
 
-        images = np.count_nonzero(count, axis=1)
-        u = np.argsort(count == 0, axis=1, kind="stable")[:, :int(images.max())]
-        here = np.arange(u.shape[1]) < images[:, None]
-        _check_rows(recs, np.repeat(ids, u.shape[1]),
-                    *_additivity(add, D, u, order[b, np.minimum(start[b, u], n - 1)]),
-                    present=here[:, :, None] & here[:, None, :])
-        crit[ids] = np.column_stack([images == n, (count > 0).all(axis=1),
-                                     kernels == 1, (count == 1).all(axis=1)])
+        _check_additivity(recs, block)
+        crit[ids] = _criteria(count, zero)
 
     # x∘y = xy + yx, one table per call, the size of add and mul
-    jordan = add[mul, mul.T]
-    for r in _row_blocks(len(maps) * n, n):
-        own, x = r // n, r % n
-        lo = int(own[0])
-        D = _tables(maps, np.arange(lo, int(own[-1]) + 1))
-        flat = D.ravel()
-        base = ((own - lo) * n)[:, None]        # flat[base + y] is d(y) in row i's map
-        d = D[own - lo]
-        dx = flat[base[:, 0] + x]
+    jordan = _at(add, mul, mul.T)
+    for own, x, D, m in _pair_blocks(maps, n):
+        d, mc = D[m], m[:, None]
+        dx = _at(D, m, x)
         # d(x∘y) against the sum of the four parts d(x)y, x d(y), d(y)x and
         # y d(x), which is d(x)∘y + x∘d(y)
-        product_rule = flat[base + jordan[x]] == add[jordan[dx], jordan[x[:, None], d]]
-        dsum = flat[base + add[x]]
-        # K[x] and K[y] imply K[x + y]: the kernel is closed under addition
-        if not ((dx[:, None] != zero) | (d != zero) | (dsum == zero)).all():
-            raise MapLawError("kernel failed the subgroup check")
+        product_rule = (_at(D, mc, jordan[x])
+                        == _at(add, jordan[dx], _at(jordan, x[:, None], d)))
         # a pair with an empty part integral counts as a vacuous instance;
         # otherwise the sum of the four part integrals is i_d(target), so
         # only a pair that fails the product rule needs its parts' integrals
-        parts_rule = product_rule.copy()
-        i, y = np.nonzero(~product_rule)
-        if len(i):
-            in_image = np.bincount((D + n * np.arange(len(D))[:, None]).ravel(),
-                                   minlength=D.size) > 0
+        parts_rule = product_rule
+        if not product_rule.all():
+            parts_rule = product_rule.copy()
+            i, y = np.nonzero(~product_rule)
+            in_image = _counts(D) > 0
             dy = d[i, y]
             parts = (mul[dx[i], y], mul[x[i], dy], mul[dy, x[i]], mul[y, dx[i]])
-            parts_rule[i, y] = ~np.logical_and.reduce([in_image[base[i, 0] + p]
+            parts_rule[i, y] = ~np.logical_and.reduce([_at(in_image, m[i], p)
                                                        for p in parts])
-        ok = np.stack([parts_rule, dsum == add[dx[:, None], d], product_rule], axis=-1)
+        ok = np.stack([parts_rule, _at(D, mc, add[x]) == _at(add, dx[:, None], d),
+                       product_rule], axis=-1)
 
         def pair_witness(i, col, x=x):
             y, j = divmod(col, 3)
@@ -801,23 +1047,54 @@ def verify_separation(ring: FiniteRing, delta: AdditiveMap,
 
 def _separation(ring: FiniteRing, delta: AdditiveMap,
                 derivations: list[AdditiveMap]) -> TheoremReport:
-    """i_d(x) and j_δ(x) differ exactly when some y with d(y) ≠ δ(y) has
-    d(y) = x or δ(y) = x, so the first separating x is the least
-    min(d(y), δ(y)) over those y."""
-    rec = _Recorder("separation", ring)
-    tables = np.stack([d.table for d in derivations])
-    differ = tables != delta.table
-    separated = differ.any(axis=1)
-    rec.check_all(separated, lambda i, _: {"kind": "indistinguishable",
-                                           "derivation": [int(v) for v in tables[i]]})
-    found = np.where(differ, np.minimum(tables, delta.table), ring.size).min(axis=1)
-    for i in np.flatnonzero(separated):
-        rec.note({"kind": "separated", "derivation_index": int(i), "x": int(found[i])})
-    return rec.finish()
+    """delta's report against the given derivations: the one-map call of
+    _separations."""
+    return _separations(ring, [delta], derivations=derivations)[0]
+
+
+def _separations(ring: FiniteRing, maps: list[AdditiveMap],
+                 config: Optional[CheckerConfig] = None, blocks: Optional[_Blocks] = None,
+                 derivations: Optional[list[AdditiveMap]] = None) -> list[TheoremReport]:
+    """separation on every map of the list against Der(R), one report per
+    map; Der(R) is listed once per call unless given, and the fibre blocks
+    go unread.  i_d(x) and j_δ(x) differ exactly when some y with d(y) ≠
+    δ(y) has d(y) = x or δ(y) = x, so the first separating x is the least
+    min(d(y), δ(y)) over those y.  Der(R) is stacked in blocks, each once
+    per call, and a block of rows is (δ, d) pairs."""
+    t0 = time.perf_counter()
+    recs = [_Recorder("separation", ring) for _ in maps]
+    if derivations is None:
+        derivations = enumerate_derivations(ring) if maps else []
+    n = ring.size
+    for dids in _row_blocks(len(derivations), n):
+        tables = _tables(derivations, dids)
+        first, k = int(dids[0]), len(dids)
+        for ids in _row_blocks(len(maps), k * n):
+            deltas = _tables(maps, ids)[:, None, :]
+            differ = tables != deltas
+            separated = differ.any(axis=2)
+            found = np.where(differ, np.minimum(tables, deltas), n).min(axis=2).tolist()
+            _check_rows(recs, np.repeat(ids, k), separated,
+                        lambda row, _: {"kind": "indistinguishable",
+                                        "derivation": tables[row % k].tolist()})
+            for m, row, xs in zip(ids.tolist(), separated.tolist(), found):
+                rec = recs[m]
+                apart = [j for j, differs in enumerate(row) if differs]
+                for j in apart[:MAX_WITNESSES - len(rec.notes)]:
+                    rec.note({"kind": "separated", "derivation_index": first + j, "x": xs[j]})
+    return _finish(recs, t0)
 
 
 def find_jordan_not_derivation(ring: FiniteRing, progress=None) -> Optional[AdditiveMap]:
-    """The canonically first Jordan derivation that fails the Leibniz law."""
+    """The canonically first Jordan derivation that fails the Leibniz law.
+    As Der(R) ⊆ JDer(R), equal solver counts mean there is none, and then
+    nothing is listed; progress gets the listing's one event all the
+    same."""
+    total = _solve(ring, "jordan")[3]
+    if total == _solve(ring, "derivation")[3]:
+        if progress:
+            progress({"nodes": total, "pruned": 0, "found": total})
+        return None
     for jmap in enumerate_jordan_derivations(ring, progress):
         if not jmap.is_derivation:
             return jmap
@@ -861,23 +1138,27 @@ CHECKER_ORDER = (
     "herstein",
 )
 
-_DERIVATION_CHECKERS = {
-    "basic": verify_basic,
-    "kernel-constants": verify_kernel_constants,
-    "coset-structure": verify_coset_structure,
-    "kernel-scaling": verify_kernel_scaling,
-    "combination-rules": verify_combination_rules,
-    "additivity-parts": verify_additivity_and_parts,
+# the block form of each map checker: (ring, maps, config, blocks) -> one
+# report per map
+_CHECKERS = {
+    "basic": _basic,
+    "kernel-constants": _kernel_constants,
+    "coset-structure": _coset_structure,
+    "kernel-scaling": _kernel_scaling,
+    "combination-rules": _combination_rules,
+    "additivity-parts": _additivity_and_parts,
+    "power-rules": _power_rules,
+    "jordan-suite": _jordan_suite,
+    "separation": _separations,
 }
-
-# checkers whose block form takes every applicable map of a call at once
-_BLOCK_CHECKERS = {"power-rules": _power_rules, "jordan-suite": _jordan_suite}
 
 
 def _run_checker(ring: FiniteRing, maps: list[AdditiveMap], checker: str,
-                 config: CheckerConfig) -> list[TheoremReport]:
-    """One checker on every map, one report per map in order; separation
-    lists Der(R) once for all its maps."""
+                 config: CheckerConfig, shared: dict) -> list[TheoremReport]:
+    """One checker's block form on every map it applies to, one report per
+    map in order; the others are skipped.  shared holds the _Blocks of each
+    list of maps a checker of the call has taken, by their positions.
+    run_suite has validated the ids and runs herstein itself."""
     law = "jordan" if checker in ("jordan-suite", "separation") else "derivation"
     reports: list[Optional[TheoremReport]] = [None] * len(maps)
     live = []
@@ -893,15 +1174,8 @@ def _run_checker(ring: FiniteRing, maps: list[AdditiveMap], checker: str,
             continue
         reports[i] = _Recorder(checker, ring).skip(reason)
     chosen = [maps[i] for i in live]
-    if checker in _BLOCK_CHECKERS:
-        got = _BLOCK_CHECKERS[checker](ring, chosen, config)
-    elif checker == "separation":
-        # run_suite has validated the ids and runs herstein itself
-        derivations = enumerate_derivations(ring) if chosen else []
-        got = [_separation(ring, amap, derivations) for amap in chosen]
-    else:
-        got = [_DERIVATION_CHECKERS[checker](ring, amap, config) for amap in chosen]
-    for i, report in zip(live, got):
+    blocks = shared.setdefault(tuple(live), _Blocks(ring, chosen))
+    for i, report in zip(live, _CHECKERS[checker](ring, chosen, config, blocks)):
         reports[i] = report
     return reports
 
@@ -915,12 +1189,12 @@ def run_suite(ring: FiniteRing, maps: list[tuple[str, AdditiveMap]],
     first needs it.
 
     The run is checker-major: each checker runs over every map before the
-    next starts, so power-rules and jordan-suite see all their maps as
-    one list and check them in blocks (see _power_rules and
-    _jordan_suite), splitting a block's seconds evenly among its reports'
-    runtime.  The reports come back map-major all the same: for each map
-    in order, one report per selected checker in CHECKER_ORDER, then
-    herstein's.
+    next starts, so each sees all its maps as one list and checks them in
+    blocks (see _Blocks and _pair_blocks), splitting a block call's seconds
+    evenly among its reports' runtime.  Checkers that take the same list
+    of maps share its _Blocks, built once per call.  The reports come back
+    map-major all the same: for each map in order, one report per selected
+    checker in CHECKER_ORDER, then herstein's.
 
     jobs has no effect: the checkers run one after another in the calling
     thread.  They spend their time in numpy, and a thread pool over them
@@ -936,7 +1210,8 @@ def run_suite(ring: FiniteRing, maps: list[tuple[str, AdditiveMap]],
             raise RingError(f"unknown checker ids: {', '.join(unknown)}")
 
     amaps = [amap for _, amap in maps]
-    by_checker = [_run_checker(ring, amaps, cid, config)
+    shared: dict = {}
+    by_checker = [_run_checker(ring, amaps, cid, config, shared)
                   for cid in CHECKER_ORDER if cid != "herstein" and cid in selected]
     reports = []
     for i, (desc, _) in enumerate(maps):

@@ -156,11 +156,11 @@ def test_verify_text_output(zn4_file, capsys):
 
 
 def test_verify_exit_one_on_failure(zn4_file, monkeypatch, capsys):
-    def failing(ring, amap, config):
-        return TheoremReport("basic", "fail", None, 1,
-                             [{"kind": "forced"}], 0.0)
+    def failing(ring, maps, *_):
+        return [TheoremReport("basic", "fail", None, 1,
+                              [{"kind": "forced"}], 0.0) for _ in maps]
 
-    monkeypatch.setitem(theorems._DERIVATION_CHECKERS, "basic", failing)
+    monkeypatch.setitem(theorems._CHECKERS, "basic", failing)
     assert main(["verify", "--ring", zn4_file, "--map", "trivial",
                  "--checkers", "basic"]) == 1
     out = capsys.readouterr().out

@@ -136,10 +136,40 @@ def test_pair_blocks_split_the_stream(config, block, monkeypatch):
     _compare(tp33, formal_derivative(tp33), CONFIGS[config])
 
 
-# The two checkers whose block form run_suite gives every map of a call.
-BLOCK_PAIRS = {"power-rules": ("derivation", ref.verify_power_rules),
-               "jordan-suite": ("jordan", ref.verify_jordan_suite)}
+def _derivation(amap):
+    return amap.is_derivation
 
+
+def _jordan(amap):
+    return amap.is_jordan
+
+
+def _jordan_only(amap):
+    return amap.is_jordan and not amap.is_derivation
+
+
+# Each map checker, whose block form run_suite gives every map of a call:
+# the maps it checks (run_suite skips the others), its one-map call and its
+# loop reference.
+BLOCK_PAIRS = {
+    "basic": (_derivation, theorems.verify_basic, ref.verify_basic),
+    "kernel-constants": (_derivation, theorems.verify_kernel_constants,
+                         ref.verify_kernel_constants),
+    "coset-structure": (_derivation, theorems.verify_coset_structure,
+                        ref.verify_coset_structure),
+    "kernel-scaling": (_derivation, theorems.verify_kernel_scaling,
+                       ref.verify_kernel_scaling),
+    "combination-rules": (_derivation, theorems.verify_combination_rules,
+                          ref.verify_combination_rules),
+    "additivity-parts": (_derivation, theorems.verify_additivity_and_parts,
+                         ref.verify_additivity_and_parts),
+    "power-rules": (_derivation, theorems.verify_power_rules, ref.verify_power_rules),
+    "jordan-suite": (_jordan, theorems.verify_jordan_suite, ref.verify_jordan_suite),
+    "separation": (_jordan_only, theorems.verify_separation, ref.verify_separation),
+}
+
+# the checkers that read the kernel, and refuse one that is no subgroup
+KERNEL_READERS = [cid for cid in BLOCK_PAIRS if cid != "separation"]
 
 
 @pytest.fixture(scope="module", params=sorted(CONFIGS))
@@ -159,9 +189,9 @@ def block_cases(request):
         amaps += [m for m in enumerate_jordan_derivations(ring) if not m.is_derivation]
         if forged is not None:
             amaps.append(_forged(ring, forged))
-        expected = {cid: [old(ring, amap, config) if getattr(amap, f"is_{law}") else None
+        expected = {cid: [old(ring, amap, config) if checks(amap) else None
                           for amap in amaps]
-                    for cid, (law, old) in BLOCK_PAIRS.items()}
+                    for cid, (checks, _, old) in BLOCK_PAIRS.items()}
         cases.append((ring, amaps, expected))
     return config, cases
 
@@ -182,21 +212,22 @@ def _walks(monkeypatch):
 
 @pytest.mark.parametrize("block", [48, 1000, 5000])
 def test_block_of_maps_matches_reference(block_cases, block, monkeypatch):
-    """run_suite gives power-rules and jordan-suite all their maps at once.
-    With _BLOCK patched, a block of whole maps ends inside the map list,
-    and a block of jordan-suite's (map, x) pair rows starts or ends inside
-    a map; every report must still equal its loop reference."""
+    """run_suite gives every map checker all its maps at once.  With
+    _BLOCK patched, a block of whole maps ends inside the map list, and a
+    block of (map, x) pair rows starts or ends inside a map; every report
+    must still equal its loop reference."""
     monkeypatch.setattr(maps, "_BLOCK", block)
     walked = _walks(monkeypatch)
     config, cases = block_cases
     capped = split = several = 0
+    k = len(BLOCK_PAIRS)
     for ring, amaps, expected in cases:
         walked.clear()
         got = theorems.run_suite(ring, [(str(i), m) for i, m in enumerate(amaps)],
                                  list(BLOCK_PAIRS), config)
-        assert len(got) == 2 * len(amaps)
+        assert len(got) == k * len(amaps)
         for i, amap in enumerate(amaps):
-            for report in got[2 * i:2 * i + 2]:
+            for report in got[k * i:k * i + k]:
                 old = expected[report.checker][i]
                 assert report.map_desc == str(i)
                 if old is None:
@@ -213,29 +244,42 @@ def test_block_of_maps_matches_reference(block_cases, block, monkeypatch):
     assert bool(several) == (block > 48)
 
 
+def _one_map_case(cid):
+    """A (ring, map) that cid checks: the forged TANGLED map of M2(Z2), the
+    formal derivative of Z3[X]/(X^3) for power-rules (M2(Z2) is not
+    commutative), and the first Jordan non-derivation of M2(Z2) for
+    separation."""
+    if cid == "power-rules":
+        tp33 = build_ring(TruncPoly(3, 3))
+        return tp33, formal_derivative(tp33)
+    m2z2 = build_ring(Matrix(Zn(2), 2))
+    if cid == "separation":
+        return m2z2, theorems.find_jordan_not_derivation(m2z2)
+    return m2z2, _forged(m2z2, TANGLED)
+
+
 def test_block_checkers_on_z1_no_maps_and_one_map():
     """The zero ring, an empty map list and a one-map call take the same
-    block path."""
+    block path, for every map checker (one test, so that its id stays)."""
     z1 = build_ring(Zn(1))
     zero = zero_map(z1)
-    got = theorems.run_suite(z1, [("zero", zero)], list(BLOCK_PAIRS))
-    assert [_strip(r) for r in got] == [_strip(old(z1, zero))
-                                        for _, old in BLOCK_PAIRS.values()]
     m2z2 = build_ring(Matrix(Zn(2), 2))
-    assert theorems.run_suite(m2z2, [], list(BLOCK_PAIRS)) == []
-    assert theorems._jordan_suite(m2z2, []) == theorems._power_rules(m2z2, []) == []
-    tangled = _forged(m2z2, TANGLED)
-    assert (_strip(theorems.verify_jordan_suite(m2z2, tangled))
-            == _strip(theorems._jordan_suite(m2z2, [tangled])[0])
-            == _strip(ref.verify_jordan_suite(m2z2, tangled)))
-    tp33 = build_ring(TruncPoly(3, 3))
-    d = formal_derivative(tp33)
-    assert (_strip(theorems.verify_power_rules(tp33, d))
-            == _strip(ref.verify_power_rules(tp33, d)))
+    for cid, (checks, verify, old) in BLOCK_PAIRS.items():
+        [got] = theorems.run_suite(z1, [("zero", zero)], [cid])
+        if checks(zero):
+            assert _strip(got) == _strip(old(z1, zero)), cid
+        else:
+            assert got.status == "skipped", cid
+        assert theorems.run_suite(m2z2, [], [cid]) == []
+        assert theorems._CHECKERS[cid](m2z2, []) == []
+        ring, amap = _one_map_case(cid)
+        assert (_strip(verify(ring, amap))
+                == _strip(theorems._CHECKERS[cid](ring, [amap])[0])
+                == _strip(old(ring, amap))), cid
 
 
-@pytest.mark.parametrize("checkers", [["jordan-suite"], ["power-rules"], "all"],
-                         ids=["jordan-suite", "power-rules", "all"])
+@pytest.mark.parametrize("checkers", [[cid] for cid in KERNEL_READERS] + ["all"],
+                         ids=KERNEL_READERS + ["all"])
 def test_block_checkers_refuse_a_kernel_that_is_no_subgroup(checkers):
     """A forged Z4 map whose zero fibre {0, 1} is not closed under + is
     refused inside the block, after a map that passes."""
@@ -244,6 +288,23 @@ def test_block_checkers_refuse_a_kernel_that_is_no_subgroup(checkers):
     with pytest.raises(MapLawError, match="kernel failed the subgroup check"):
         theorems.run_suite(zn4, listed + [("forged", _forged(zn4, [0, 0, 1, 1]))],
                            checkers)
+
+
+@pytest.mark.parametrize("block", [48, 1000, 1 << 16])
+@pytest.mark.parametrize("spec", [Matrix(Zn(2), 2), TruncPoly(3, 3)], ids=spec_name)
+def test_zero_map_first_or_last_gives_the_same_reports(spec, block, monkeypatch):
+    """Listings put the zero map first, and blocks of whole maps are walked
+    in order of widest fibre, which puts it last.  Every map's reports are
+    the same with the zero map first or last in the call."""
+    monkeypatch.setattr(maps, "_BLOCK", block)
+    ring = build_ring(spec)
+    listed = list(enumerate_jordan_derivations(ring))
+    assert not listed[0].table.any()
+    runs = []
+    for order in (listed, listed[1:] + listed[:1]):
+        got = theorems.run_suite(ring, [(str(listed.index(m)), m) for m in order], "all")
+        runs.append(sorted((r.map_desc or "", r.checker, _strip(r)) for r in got))
+    assert runs[0] == runs[1]
 
 
 # Rings of up to 256 elements, where the two fibre checkers scale kernels

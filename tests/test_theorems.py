@@ -5,8 +5,9 @@ import pytest
 
 from ringlab import (AdditiveMap, CHECKER_ORDER, MapLawError, Product,
                      RingError, TheoremReport, Zn, build_ring,
-                     enumerate_derivations, find_jordan_not_derivation,
-                     formal_derivative, herstein_check, inner_derivation,
+                     enumerate_derivations, enumerate_jordan_derivations,
+                     find_jordan_not_derivation, formal_derivative,
+                     herstein_check, inner_derivation,
                      run_suite, suite_status, verify_basic,
                      verify_coset_structure, verify_jordan_suite,
                      verify_kernel_constants, verify_kernel_scaling,
@@ -142,6 +143,31 @@ def test_find_jordan_not_derivation(zn4, m2z3):
     assert found.as_tuple() == (0, 2, 0, 2)
     assert find_jordan_not_derivation(build_ring(Zn(3))) is None
     assert find_jordan_not_derivation(m2z3) is None
+
+
+def test_jordan_search_lists_nothing_when_the_counts_agree(m2z3, monkeypatch):
+    """|JDer(R)| = |Der(R)| means JDer(R) = Der(R): the search answers None
+    without listing, and progress still gets the listing's one event."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the search listed JDer(R)")
+
+    monkeypatch.setattr(theorems, "enumerate_jordan_derivations", refuse)
+    monkeypatch.setattr(maps, "_listed_maps", refuse)
+    for ring, count in [(m2z3, 27), (build_ring(Zn(3)), 1)]:
+        events = []
+        assert find_jordan_not_derivation(ring, events.append) is None
+        assert events == [{"nodes": count, "pruned": 0, "found": count}]
+
+
+def test_jordan_search_finds_the_first_witness_of_the_listing(m2z2):
+    """Where the counts differ the search lists JDer(R) as before: the
+    first Jordan non-derivation of M2(Z2) in listing order, one event."""
+    listed = enumerate_jordan_derivations(m2z2)
+    first = next(m for m in listed if not m.is_derivation)
+    events = []
+    found = find_jordan_not_derivation(m2z2, events.append)
+    assert found.as_tuple() == first.as_tuple()
+    assert events == [{"nodes": len(listed), "pruned": 0, "found": len(listed)}]
 
 
 def test_checker_map_guards(zn4):
