@@ -53,7 +53,7 @@ from typing import Optional
 
 import numpy as np
 
-from .maps import (_BLOCK, AdditiveMap, MapLawError, _require_map, _row_blocks, _solve,
+from .maps import (AdditiveMap, MapLawError, _require_map, _row_blocks, _solve,
                    enumerate_derivations, enumerate_jordan_derivations)
 from .rings import FiniteRing, RingError
 
@@ -229,20 +229,6 @@ def _tables(maps: list[AdditiveMap], ids: np.ndarray) -> np.ndarray:
     return np.stack([maps[i].table for i in ids.tolist()])
 
 
-def _at(table: np.ndarray, rows, cols) -> np.ndarray:
-    """table[rows, cols] for a 2-D table and broadcast index arrays.  From
-    a few hundred cells on, numpy gathers through one flat intp index
-    about twice as fast as through two index arrays, or through int32
-    ones.  A gather whose index arrays' sizes multiply to under 512, and
-    so is smaller still, and one of more than 16 blocks' cells (from a map
-    whose rows alone are far wider than a block) go through the two,
-    which build no index array."""
-    bound = getattr(rows, "size", 1) * getattr(cols, "size", 1)   # at least the cells
-    if bound < 512 or bound > 16 * _BLOCK and np.broadcast(rows, cols).size > 16 * _BLOCK:
-        return table[rows, cols]
-    return table.ravel()[np.multiply(rows, table.shape[1], dtype=np.intp) + cols]
-
-
 def _counts(D: np.ndarray) -> np.ndarray:
     """count[b, v] = |{y : D[b, y] = v}|, the fibre sizes of the block D."""
     B, n = D.shape
@@ -264,8 +250,8 @@ def _members(fibres, b: np.ndarray, v: np.ndarray, width: int):
     width cells, of which present marks the fibre's own."""
     order, count, start = fibres
     cols = np.arange(width)
-    pos = np.minimum(_at(start, b, v)[..., None] + cols, order.shape[1] - 1)
-    return _at(order, b[..., None], pos), cols < _at(count, b, v)[..., None]
+    pos = np.minimum(start[b, v][..., None] + cols, order.shape[1] - 1)
+    return order[b[..., None], pos], cols < count[b, v][..., None]
 
 
 class _Block:
@@ -304,7 +290,7 @@ class _Block:
         order and x = d(y), so x runs over the image in increasing order
         and y over its fibre, in increasing order."""
         y = self.fibres[0].ravel()
-        return y, _at(self.D, self.rows[0], y)
+        return y, self.D[self.rows[0], y]
 
     def fibre_rows(self, width: int):
         """(z, here): the fibre of each row's x, padded to width cells, of
@@ -322,11 +308,11 @@ class _Block:
             raise MapLawError("kernel failed the subgroup check")
         kernels = count[:, zero]
         cols = np.arange(int(kernels.max()))
-        karr = _at(order, np.arange(len(D))[:, None],
-                   np.minimum(start[:, zero, None] + cols, D.shape[1] - 1))
+        karr = order[np.arange(len(D))[:, None],
+                     np.minimum(start[:, zero, None] + cols, D.shape[1] - 1)]
         in_ker = cols < kernels[:, None]
         for b in _row_blocks(len(D), len(cols) ** 2):
-            sums = _at(D, b[:, None, None], _at(add, karr[b, :, None], karr[b, None, :]))
+            sums = D[b[:, None, None], add[karr[b, :, None], karr[b, None, :]]]
             if not ((sums == zero) | ~(in_ker[b, :, None] & in_ker[b, None, :])).all():
                 raise MapLawError("kernel failed the subgroup check")
         return karr, in_ker
@@ -353,21 +339,20 @@ class _Blocks:
 
     @cached_property
     def blocks(self) -> list[_Block]:
-        """Each map's widest fibre comes from blocks of whole maps, 4n cells
-        a map for D and its three fibre arrays.  A stable sort by width
-        orders the maps, and the maps of one width form blocks of n rows
-        of width cells a map, at most _BLOCK cells, so no map is padded
-        past its own widest fibre (the zero map, whose fibre is the whole
-        ring, comes last).  A block holds at least one map, so a map whose
-        n rows alone are wider than _BLOCK is checked whole."""
+        """Each map's widest fibre comes from its fibre sizes, counted in
+        blocks of whole maps at 4n cells a map, which bounds the stack and
+        the two arrays _counts makes of it by _BLOCK.  A stable sort by
+        width orders the maps, and the maps of one width form blocks of n
+        rows of width cells a map, at most _BLOCK cells, so no map is
+        padded past its own widest fibre (the zero map, whose fibre is the
+        whole ring, comes last).  A block holds at least one map, so a map
+        whose n rows alone are wider than _BLOCK is checked whole."""
         ring, maps, n = self.ring, self.maps, self.ring.size
         if not maps:
             return []
         widths = np.empty(len(maps), dtype=np.intp)
         for ids in _row_blocks(len(maps), 4 * n):
-            D = _tables(maps, ids)
-            fibres = _fibres_of(D)
-            widths[ids] = fibres[1].max(axis=1)
+            widths[ids] = _counts(_tables(maps, ids)).max(axis=1)
         by_width = np.argsort(widths, kind="stable")
         widths = widths[by_width]
         edges = [0, *(np.flatnonzero(widths[1:] != widths[:-1]) + 1).tolist(), len(maps)]
@@ -375,13 +360,9 @@ class _Blocks:
         for a, b in zip(edges, edges[1:]):
             width = int(widths[a])
             for r in _row_blocks(b - a, n * width):
-                part = by_width[a + r]
-                if len(ids) == len(maps):       # rows of the one block above
-                    blocks.append(_Block(ring, part, D[part], tuple(f[part] for f in fibres),
-                                         width))
-                else:
-                    stack = _tables(maps, part)
-                    blocks.append(_Block(ring, part, stack, _fibres_of(stack), width))
+                ids = by_width[a + r]
+                D = _tables(maps, ids)
+                blocks.append(_Block(ring, ids, D, _fibres_of(D), width))
         return blocks
 
     def walk(self, cols=lambda width: width):
@@ -395,13 +376,17 @@ class _Blocks:
 def _pair_blocks(maps: list[AdditiveMap], n: int):
     """The (map, x) rows of every map, in map order, walked in _row_blocks
     of width n with y the whole row, so a block may start or end inside a
-    map: (own, x, D, m) with own[i] the map of row i, D the tables of maps
-    own[0]..own[-1] and m[i] = own[i] - own[0] the row of D that holds row
-    i's map.  A block's pair tables are rows of add and mul."""
+    map: (own, x, D, m, base) with own[i] the map of row i, D the tables of
+    maps own[0]..own[-1], m[i] = own[i] - own[0] the row of D that holds
+    row i's map and base[i] = m[i]·n, a column, so that D.ravel()[base + t]
+    is D[m[:, None], t]: numpy gathers a block's cells about twice as fast
+    through that one flat index.  A block's pair tables are rows of add
+    and mul."""
     for r in _row_blocks(len(maps) * n, n):
         own, x = np.divmod(r, n)
         lo = int(own[0])
-        yield own, x, _tables(maps, np.arange(lo, int(own[-1]) + 1)), own - lo
+        m = own - lo
+        yield own, x, _tables(maps, np.arange(lo, int(own[-1]) + 1)), m, m[:, None] * n
 
 
 def _start(ring: FiniteRing, maps: list[AdditiveMap], checker: str, law: str):
@@ -434,10 +419,10 @@ def _check_additivity(recs: list[_Recorder], block: _Block):
     u, here = block.image
     width = u.shape[1]
     b = np.arange(len(D))[:, None]
-    rep = _at(order, b, np.minimum(_at(start, b, u), D.shape[1] - 1))
+    rep = order[b, np.minimum(start[b, u], D.shape[1] - 1)]
     for m in _row_blocks(len(D), width * width):
-        ok = (_at(D, m[:, None, None], _at(add, rep[m, :, None], rep[m, None, :]))
-              == _at(add, u[m, :, None], u[m, None, :]))
+        ok = (D[m[:, None, None], add[rep[m, :, None], rep[m, None, :]]]
+              == add[u[m, :, None], u[m, None, :]])
         _check_rows(recs, np.repeat(block.ids[m], width), ok,
                     lambda row, j: {"kind": "integral-additivity",
                                     "x": int(u[m].flat[row]), "y": int(u[m[row // width], j])},
@@ -489,8 +474,8 @@ def _basic(ring: FiniteRing, maps: list[AdditiveMap], config: Optional[CheckerCo
         # of the fibre of x; an empty integral holds vacuously.  One row per
         # (map, x), one column per kernel element.
         b = np.arange(len(ids))[:, None]
-        rep = _at(order, b, np.minimum(start, n - 1))
-        values = _at(D, b[..., None], _at(add, rep[..., None], karr[:, None, :]))
+        rep = order[b, np.minimum(start, n - 1)]
+        values = D[b[..., None], add[rep[..., None], karr[:, None, :]]]
         onto = (~in_ker[:, None, :] | (values == np.arange(n)[:, None])).all(axis=2)
 
         def outside(i, _):
@@ -573,7 +558,7 @@ def _kernel_constants(ring: FiniteRing, maps: list[AdditiveMap],
         # columns in the shifts' (n, m, left/right) order
         b, y = block.rows
         _check_rows(recs, block.owner,
-                    _at(D, b[:, None], _at(add, y[:, None], shifts)) == D.ravel()[:, None],
+                    D[b[:, None], add[y[:, None], shifts]] == D.ravel()[:, None],
                     lambda row, col: shifted_witness(int(y[row]), col))
     return _finish(recs, t0)
 
@@ -608,9 +593,9 @@ def _coset_structure(ring: FiniteRing, maps: list[AdditiveMap],
         b = np.arange(len(block.ids))[:, None]
         y, x = (a.reshape(len(block.ids), n) for a in block.sorted_rows)
         here = in_ker[:, None, :]
-        shifted = _at(add, y[..., None], karr[:, None, :])
-        same = ((_at(count, b, x) == count[:, zero, None])
-                & (~here | (_at(D, b[..., None], shifted) == x[..., None])).all(axis=2))
+        shifted = add[y[..., None], karr[:, None, :]]
+        same = ((count[b, x] == count[:, zero, None])
+                & (~here | (D[b[..., None], shifted] == x[..., None])).all(axis=2))
         shifted = np.sort(np.where(here, shifted, n), axis=2)
         distinct = (~here[..., 1:] | (shifted[..., 1:] != shifted[..., :-1])).all(axis=2)
         _check_rows(recs, block.owner, np.stack([same, distinct], axis=-1),
@@ -657,20 +642,20 @@ def _kernel_scaling(ring: FiniteRing, maps: list[AdditiveMap],
         # nonempty, left and right equality (a check only for invertible w).
         for r in _row_blocks(len(ids) * k, groups * width):
             b, i = np.divmod(r, k)
-            bc, w, x = b[:, None], _at(karr, b, i), xs[b]
-            real = _at(in_ker, b, i)[:, None] & in_image[b]
+            bc, w, x = b[:, None], karr[b, i], xs[b]
+            real = in_ker[b, i][:, None] & in_image[b]
             inv = real & (inverse[w] >= 0)[:, None]
             # the rows of one map share its integrals
             members, present = (a[b[:1] if b[0] == b[-1] else b] for a in integrals)
             sides = []
-            for wx, wy in ((_at(mul, w[:, None], x), _at(mul, w[:, None, None], members)),
-                           (_at(mul, x, w[:, None]), _at(mul, members, w[:, None, None]))):
-                inside = (~present | (_at(D, bc[..., None], wy) == wx[..., None])).all(axis=2)
+            for wx, wy in ((mul[w[:, None], x], mul[w[:, None, None], members]),
+                           (mul[x, w[:, None]], mul[members, w[:, None, None]])):
+                inside = (~present | (D[bc[..., None], wy] == wx[..., None])).all(axis=2)
                 # |w·i_d(x)|: distinct cells of the sorted row, with the
                 # padding cells repeating its first member
                 scaled = np.sort(np.where(present, wy, wy[..., :1]), axis=2)
                 distinct = 1 + np.count_nonzero(scaled[..., 1:] != scaled[..., :-1], axis=2)
-                sides.append((_at(count, bc, wx), inside, distinct))
+                sides.append((count[bc, wx], inside, distinct))
             (target_l, left_in, left_n), (target_r, right_in, right_n) = sides
             ok = np.stack([left_in, right_in, (target_l > 0) & (target_r > 0),
                            left_in & (left_n == target_l),
@@ -718,11 +703,11 @@ def _combination_rules(ring: FiniteRing, maps: list[AdditiveMap],
     add, mul, neg = ring.add_table, ring.mul_table, ring.neg_table
     n = ring.size
 
-    for own, y1, D, m in _pair_blocks(maps, n):
-        d, mc = D[m], m[:, None]
-        x1 = _at(D, m, y1)
-        ok = np.stack([_at(D, mc, add[y1]) == _at(add, x1[:, None], d),
-                       _at(D, mc, mul[y1]) == _at(add, mul[x1], _at(mul, y1[:, None], d))],
+    for own, y1, D, m, base in _pair_blocks(maps, n):
+        flat, d = D.ravel(), D[m]
+        x1 = D[m, y1]
+        ok = np.stack([flat[base + add[y1]] == add[x1[:, None], d],
+                       flat[base + mul[y1]] == add[mul[x1], mul[y1[:, None], d]]],
                       axis=-1)
         _check_rows(recs, own, ok.reshape(len(own), -1),
                     lambda i, col: {"kind": ("sum-rule", "product-rule")[col % 2],
@@ -744,9 +729,9 @@ def _combination_rules(ring: FiniteRing, maps: list[AdditiveMap],
         y, x = block.sorted_rows
         z, here = block.fibre_rows(block.width)
         xc, yc, bc = x[:, None], y[:, None], b[:, None]
-        ok = np.stack([_at(D, bc, _at(add, yc, z)) == _at(add, x, x)[:, None],
-                       _at(D, bc, _at(mul, yc, z))
-                       == _at(add, _at(mul, xc, z), _at(mul, y, x)[:, None])], axis=-1)
+        ok = np.stack([D[bc, add[yc, z]] == add[x, x][:, None],
+                       D[bc, mul[yc, z]]
+                       == add[mul[xc, z], mul[y, x][:, None]]], axis=-1)
         _check_rows(recs, block.owner, ok.reshape(len(b), -1),
                     lambda i, j: {"kind": ("same-integral-sum",
                                            "same-integral-product")[j % 2],
@@ -756,9 +741,9 @@ def _combination_rules(ring: FiniteRing, maps: list[AdditiveMap],
         if ring.unity is not None:
             # one row per map, one column per (unit y, rule)
             dy, dyi = D[:, units], D[:, yi]
-            checks = [dyi == neg[_at(mul, _at(mul, yi, dy), yi)]]
+            checks = [dyi == neg[mul[mul[yi, dy], yi]]]
             if commutative:
-                checks.append(dyi == neg[_at(mul, mul[yi, yi], dy)])
+                checks.append(dyi == neg[mul[mul[yi, yi], dy]])
             _check_rows(recs, ids, np.stack(checks, axis=-1),
                         lambda _, col: {"kind": inverse_kinds[col % len(inverse_kinds)],
                                         "y": int(units[col // len(inverse_kinds)])})
@@ -792,14 +777,14 @@ def _additivity_and_parts(ring: FiniteRing, maps: list[AdditiveMap],
         _check_additivity(recs, block)
 
     noted = np.zeros(len(maps), dtype=bool)
-    for own, x, D, m in _pair_blocks(maps, n):
-        in_image, mc = _counts(D) > 0, m[:, None]
-        a, b = mul[_at(D, m, x)], _at(mul, x[:, None], D[m])   # d(x)·y and x·d(y) at (x, y)
-        empty_a = ~_at(in_image, mc, a)
-        empty_b = ~_at(in_image, mc, b)
+    for own, x, D, m, base in _pair_blocks(maps, n):
+        in_image = (_counts(D) > 0).ravel()
+        a, b = mul[D[m, x]], mul[x[:, None], D[m]]   # d(x)·y and x·d(y) at (x, y)
+        empty_a = ~in_image[base + a]
+        empty_b = ~in_image[base + b]
         # a pair with an empty part integral counts as a vacuous instance;
         # otherwise i_d(a) + i_d(b) = i_d(a + b), as d is additive
-        ok = empty_a | empty_b | (_at(D, mc, mul[x]) == _at(add, a, b))
+        ok = empty_a | empty_b | (D.ravel()[base + mul[x]] == add[a, b])
         both = empty_a & empty_b
 
         def empty_note(i):
@@ -896,8 +881,8 @@ def _power_rules(ring: FiniteRing, maps: list[AdditiveMap],
         ids, D, width = block.ids, block.D, block.width
         if checks:
             b, x = block.rows
-            ok = (_at(D, b[:, None], at[x])
-                  == outer[outer_cols + _at(mul, factor[x], D.ravel()[:, None])])
+            ok = (D[b[:, None], at[x]]
+                  == outer[outer_cols + mul[factor[x], D.ravel()[:, None]]])
             _check_rows(recs, block.owner, ok,
                         lambda row, col: {"kind": kinds[col], "x": int(x[row]), "n": es[col]},
                         present=~unit_only | invertible[x][:, None])
@@ -908,10 +893,10 @@ def _power_rules(ring: FiniteRing, maps: list[AdditiveMap],
         for r in _row_blocks(len(ids) * len(transfers) * n, width + 1):
             b, rest = np.divmod(r, len(transfers) * n)
             t, y = np.divmod(rest, n)
-            ny = _at(scale, t, y)
+            ny = scale[t, y]
             pre, in_pre = _members(block.fibres, b, ny, width)
-            down = _at(D, b[:, None], _at(unscale, t[:, None], pre)) == y[:, None]
-            up = _at(D, b, y) == _at(unscale, t, _at(D, b, ny))
+            down = D[b[:, None], unscale[t[:, None], pre]] == y[:, None]
+            up = D[b, y] == unscale[t, D[b, ny]]
 
             def witness(row, col, t=t, y=y, pre=pre):
                 e = transfers[t[row]]
@@ -960,7 +945,7 @@ def _jordan_suite(ring: FiniteRing, maps: list[AdditiveMap],
         y, x = block.sorted_rows
         z, here = block.fibre_rows(block.width)
         owner, bc = block.owner, b[:, None]
-        _check_rows(recs, owner, _at(D, bc, _at(add, y[:, None], neg[z])) == zero,
+        _check_rows(recs, owner, D[bc, add[y[:, None], neg[z]]] == zero,
                     lambda i, j: {"kind": "difference-not-in-kernel", "x": int(x[i]),
                                   "y": int(y[i]), "z": int(z[i, j])},
                     present=here)
@@ -973,14 +958,14 @@ def _jordan_suite(ring: FiniteRing, maps: list[AdditiveMap],
         # distinct, so the sorted coset equals the preimage exactly when
         # the sizes agree and every offset stays inside.
         B = len(ids)
-        shifted = _at(D, np.arange(B)[:, None, None],
-                      _at(add, y.reshape(B, n, 1), karr[:, None, :]))
-        coset_ok = ((_at(count, b, x) == count[b, zero])
+        shifted = D[np.arange(B)[:, None, None],
+                    add[y.reshape(B, n, 1), karr[:, None, :]]]
+        coset_ok = ((count[b, x] == count[b, zero])
                     & (~in_ker[:, None, :] | (shifted == x.reshape(B, n, 1))).all(axis=2)
                     .ravel())
-        last = p == _at(start, b, x) + _at(count, b, x) - 1
+        last = p == start[b, x] + count[b, x] - 1
         onto = np.ones(len(b), dtype=bool)
-        onto[last] = (~here[last] | (_at(D, bc[last], z[last]) == x[last, None])).all(axis=1)
+        onto[last] = (~here[last] | (D[bc[last], z[last]] == x[last, None])).all(axis=1)
 
         def coset_witness(row, j):
             if j == 1:
@@ -994,14 +979,13 @@ def _jordan_suite(ring: FiniteRing, maps: list[AdditiveMap],
         crit[ids] = _criteria(count, zero)
 
     # x∘y = xy + yx, one table per call, the size of add and mul
-    jordan = _at(add, mul, mul.T)
-    for own, x, D, m in _pair_blocks(maps, n):
-        d, mc = D[m], m[:, None]
-        dx = _at(D, m, x)
+    jordan = add[mul, mul.T]
+    for own, x, D, m, base in _pair_blocks(maps, n):
+        flat, d = D.ravel(), D[m]
+        dx = D[m, x]
         # d(x∘y) against the sum of the four parts d(x)y, x d(y), d(y)x and
         # y d(x), which is d(x)∘y + x∘d(y)
-        product_rule = (_at(D, mc, jordan[x])
-                        == _at(add, jordan[dx], _at(jordan, x[:, None], d)))
+        product_rule = flat[base + jordan[x]] == add[jordan[dx], jordan[x[:, None], d]]
         # a pair with an empty part integral counts as a vacuous instance;
         # otherwise the sum of the four part integrals is i_d(target), so
         # only a pair that fails the product rule needs its parts' integrals
@@ -1012,9 +996,9 @@ def _jordan_suite(ring: FiniteRing, maps: list[AdditiveMap],
             in_image = _counts(D) > 0
             dy = d[i, y]
             parts = (mul[dx[i], y], mul[x[i], dy], mul[dy, x[i]], mul[y, dx[i]])
-            parts_rule[i, y] = ~np.logical_and.reduce([_at(in_image, m[i], p)
+            parts_rule[i, y] = ~np.logical_and.reduce([in_image[m[i], p]
                                                        for p in parts])
-        ok = np.stack([parts_rule, _at(D, mc, add[x]) == _at(add, dx[:, None], d),
+        ok = np.stack([parts_rule, flat[base + add[x]] == add[dx[:, None], d],
                        product_rule], axis=-1)
 
         def pair_witness(i, col, x=x):
