@@ -9,19 +9,22 @@ On top of plain additivity the module recognizes two laws:
 Both defects are biadditive once f is additive, so the laws hold
 everywhere exactly when they hold on pairs of additive generators.
 One evaluator, _law_holds, states additivity and both laws, for one
-table or a block of tables, on every pair or on given pairs.
+table or a block of tables, on every pair or on given pairs, and
+_on_generators proves them from generator pairs for the listers and the
+theorem checkers alike.
 
 Der(R) and JDer(R) are kernels of linear systems over Z/N.  In a
 direct-sum generator basis of (R, +) an additive map is fixed by the
 coordinates of its generator images, and either law on generator pairs
 is linear in them.  One Howell-form reduction (Howell 1986; Storjohann
 and Mulders 1998) gives a kernel basis and the exact count before
-anything is listed.  Both laws are listed from that basis by one lister,
-in bounded blocks of whole maps, each block checked for additivity and
-its law and the whole listing sorted.  A derivation count above
-MAX_LISTED_MAPS is refused with TooManyMapsError.  JDer(R) is not
-capped yet: Z2[X]/(X^5), with 2^25 Jordan derivations, is listed in full
-however long that takes.
+anything is listed.  The basis and each law's solution are computed at
+most once per ring and kept on it.  Both laws are listed from that basis
+by one lister, in bounded blocks of whole maps, each block checked for
+additivity and its law and the whole listing sorted.  A derivation
+count above MAX_LISTED_MAPS is refused with TooManyMapsError.  JDer(R) is
+not capped yet: Z2[X]/(X^5), with 2^25 Jordan derivations, is listed in
+full however long that takes.
 """
 
 from __future__ import annotations
@@ -391,6 +394,13 @@ class GeneratorBasis:
 
 
 def generator_basis(ring: FiniteRing) -> GeneratorBasis:
+    """The ring's basis, computed on first use and kept on the ring."""
+    if ring._basis is None:
+        ring._basis = _generator_basis(ring)      # published whole
+    return ring._basis
+
+
+def _generator_basis(ring: FiniteRing) -> GeneratorBasis:
     n = ring.size
     add = ring.add_table
     member = np.zeros(n, dtype=bool)      # in the span so far
@@ -557,20 +567,38 @@ def _kernel_basis(A: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
     return H[[i for i, _ in kernel], m:].reshape(len(kernel), u), radix
 
 
+def _generators(ring: FiniteRing) -> np.ndarray:
+    """Elements whose sums give every element of (R, +): those the checked
+    build found, or else the generator basis' generators."""
+    gens = ring._generators
+    return generator_basis(ring).generators if gens is None else gens
+
+
+def _on_generators(ring: FiniteRing, gens: np.ndarray, F: np.ndarray,
+                   laws) -> dict[str, np.ndarray]:
+    """For each law of laws, where each table of the block F satisfies it:
+    "additive" on the pairs (x, g) of every x and every generator g, and
+    "derivation" or "jordan" on generator pairs.  gens must give every
+    element of (R, +) as a sum.
+
+    Where a table is additive, these prove the laws on every pair.
+    Additivity on (x, g) is exact: x = 0 gives f(0) = 0, and induction on a
+    sum of generators y gives f(x + y) = f(x) + f(y).  Both sides of either
+    product law are then biadditive in (x, y), so they agree everywhere when
+    they agree on generator pairs."""
+    every, ys = np.arange(ring.size)[:, None], gens[None, :]
+    return {law: _law_holds(ring, F, law, every if law == "additive" else gens[:, None],
+                            ys).all(axis=(-2, -1))
+            for law in laws}
+
+
 def _check_listed(ring: FiniteRing, gens: np.ndarray, F: np.ndarray,
                   law: str) -> np.ndarray:
     """Every table of the block F is additive and satisfies law on
     generator pairs, or its lister is at fault.  Returns where the Leibniz
-    law holds on generator pairs, and so everywhere.
-
-    Additivity is checked as f(x + g) = f(x) + f(g) for every x and every
-    generator g, which is exact: x = 0 gives f(0) = 0, and induction on a
-    sum of generators y gives f(x + y) = f(x) + f(y)."""
-    ys = gens[None, :]
-    additive = _law_holds(ring, F, "additive", np.arange(ring.size)[:, None], ys)
-    holds = {name: _law_holds(ring, F, name, gens[:, None], ys).all(axis=(1, 2))
-             for name in dict.fromkeys(("derivation", law))}
-    listed = additive.all(axis=(1, 2)) & holds[law]
+    law holds on generator pairs, and so everywhere (see _on_generators)."""
+    holds = _on_generators(ring, gens, F, dict.fromkeys(("additive", "derivation", law)))
+    listed = holds["additive"] & holds[law]
     if not listed.all():
         bad = int(np.argmin(listed))
         raise MapLawError(f"the {law} lister listed {F[bad].tolist()}, "
@@ -609,13 +637,20 @@ def _listed_maps(ring: FiniteRing, law: str, basis: GeneratorBasis, H: np.ndarra
 
 def _solve(ring: FiniteRing, law: str):
     """(basis, H, radix, total) for law: its maps' unknowns U (see _leibniz_rows)
-    are the Σ c_i·H[i] with 0 ≤ c_i < radix[i], each once, and total counts them."""
-    basis = generator_basis(ring)
-    o, gens = basis.orders, basis.generators
-    A = _leibniz_rows(o, basis.decomp[ring.mul_table[np.ix_(gens, gens)]], law)
-    H, radix = _kernel_basis(np.unique(A[A.any(axis=1)], axis=0),
-                             int(o.max(initial=1)))
-    return basis, H, radix, math.prod(map(int, radix))    # Python ints do not wrap
+    are the Σ c_i·H[i] with 0 ≤ c_i < radix[i], each once, and total counts
+    them.  Solved on first use and kept on the ring; H and radix are
+    read-only."""
+    solved = ring._solutions.get(law)
+    if solved is None:
+        basis = generator_basis(ring)
+        o, gens = basis.orders, basis.generators
+        A = _leibniz_rows(o, basis.decomp[ring.mul_table[np.ix_(gens, gens)]], law)
+        H, radix = _kernel_basis(np.unique(A[A.any(axis=1)], axis=0),
+                                 int(o.max(initial=1)))
+        H.flags.writeable = radix.flags.writeable = False
+        solved = basis, H, radix, math.prod(map(int, radix))    # Python ints do not wrap
+        ring._solutions[law] = solved       # published whole
+    return solved
 
 
 def _enumerate(ring: FiniteRing, law: str, progress) -> list[AdditiveMap]:

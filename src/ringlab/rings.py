@@ -244,11 +244,13 @@ class FiniteRing:
     """A finite ring on elements ``0..size-1`` with dense operation tables.
 
     Instances are immutable once built; the table arrays are flagged
-    read-only.  All arithmetic is table lookup.
+    read-only.  All arithmetic is table lookup.  generators, when the build
+    checked the axioms, are the elements that check found to give every
+    element of (R, +) as a sum.
     """
 
     def __init__(self, spec, size, add_table, mul_table, zero, unity, labels,
-                 values, parser):
+                 values, parser, generators=None):
         self.spec = spec
         self.size = int(size)
         self.add_table = add_table
@@ -272,6 +274,14 @@ class FiniteRing:
         self._inverse: Optional[np.ndarray] = None
         self._commutative: Optional[bool] = None
         self._prime_witness: Optional[tuple] = -1  # -1 = not computed
+        self._generators: Optional[np.ndarray] = None
+        if generators is not None:
+            self._generators = np.array(generators, dtype=np.intp)
+            self._generators.flags.writeable = False
+        # ringlab.maps keeps its generator basis and each law's solution
+        # here, each computed once and published whole
+        self._basis = None
+        self._solutions: dict = {}
 
     # -- basic arithmetic ---------------------------------------------------
 
@@ -515,6 +525,14 @@ def _additive_generators(add: np.ndarray, zero: int) -> list[int]:
 def check_ring_axioms(add: np.ndarray, mul: np.ndarray, size: int,
                       unity: Optional[int] = None) -> int:
     """Verify the ring axioms exactly; returns the zero element index.
+    See _check_axioms."""
+    return _check_axioms(add, mul, size, unity)[0]
+
+
+def _check_axioms(add: np.ndarray, mul: np.ndarray, size: int,
+                  unity: Optional[int] = None) -> tuple[int, list[int]]:
+    """Verify the ring axioms exactly; returns the zero element index and
+    the additive generators A the checks reduced to.
 
     Raises RingAxiomError naming the violated axiom with a witness tuple
     that violates it.  An O(size^2) prelude checks shape, closure,
@@ -585,7 +603,7 @@ def check_ring_axioms(add: np.ndarray, mul: np.ndarray, size: int,
                 and np.array_equal(mul[:, unity], idx)):
             raise RingAxiomError("unity", (unity,),
                                  f"declared unity {unity} is not a two-sided identity")
-    return zero
+    return zero, gens
 
 
 def _detect_unity(mul: np.ndarray) -> Optional[int]:
@@ -972,12 +990,13 @@ def build_ring(spec: RingSpec, check: bool = True) -> FiniteRing:
     else:
         raise RingError(f"unknown ring spec: {spec!r}")
 
+    gens = None
     if check or isinstance(spec, Tables):
-        zero = check_ring_axioms(parts["add"], parts["mul"], parts["size"],
-                                 unity=getattr(spec, "unity", None))
+        zero, gens = _check_axioms(parts["add"], parts["mul"], parts["size"],
+                                   unity=getattr(spec, "unity", None))
     else:
         # in a group x + a = a only for x = 0; take a = element 0
         zero = int(np.argmax(parts["add"][:, 0] == 0))
     return FiniteRing(spec, parts["size"], parts["add"], parts["mul"], zero,
                       _detect_unity(parts["mul"]), parts["labels"],
-                      parts["values"], parts["parser"])
+                      parts["values"], parts["parser"], gens)

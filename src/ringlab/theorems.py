@@ -24,7 +24,12 @@ which takes all its maps at once and evaluates them on (B, n) stacks of
 map tables: blocks of whole maps of one widest fibre (_Blocks, walked in
 order of that width), and for the pair laws blocks of (map, x) rows
 (_pair_blocks), all walked by _row_blocks.  The checkers of one run_suite
-call share the blocks, their fibres and their checked kernels.  Each map
+call share the blocks, their fibres, their checked kernels and their
+generator proofs.  The pair laws of combination-rules and jordan-suite
+are additivity and the map's own law, so a map that maps._on_generators
+proves lawful from generator pairs has its pair instances counted, and
+only the others walk their pairs, which finds their witnesses; the
+solver's count and basis are kept on the ring (maps._solve).  Each map
 still gets its own report, equal to the one-map call's (each public
 verify_* function is that call), and a block call's seconds are split
 evenly among its reports' runtime.  The reports come back map-major,
@@ -53,7 +58,8 @@ from typing import Optional
 
 import numpy as np
 
-from .maps import (AdditiveMap, MapLawError, _require_map, _row_blocks, _solve,
+from .maps import (MAX_LISTED_MAPS, AdditiveMap, MapLawError, _generators,
+                   _on_generators, _require_map, _row_blocks, _solve,
                    enumerate_derivations, enumerate_jordan_derivations)
 from .rings import FiniteRing, RingError
 
@@ -336,6 +342,7 @@ class _Blocks:
 
     def __init__(self, ring: FiniteRing, maps: list[AdditiveMap]):
         self.ring, self.maps = ring, maps
+        self._proved: dict[str, np.ndarray] = {}
 
     @cached_property
     def blocks(self) -> list[_Block]:
@@ -365,6 +372,29 @@ class _Blocks:
                 blocks.append(_Block(ring, ids, D, _fibres_of(D), width))
         return blocks
 
+    def lawful(self, law: str) -> np.ndarray:
+        """Where each map is additive and satisfies law, "derivation" or
+        "jordan", on every pair, as maps._on_generators proves it from
+        generator pairs on the blocks' stacks.  Each law is proved once per
+        list of maps, from the tables alone: a forged map's flags may lie."""
+        proved = self._proved
+        if law == "jordan" and "derivation" in proved and proved["derivation"].all():
+            # for an additive map the Jordan defect at (x, y) is the Leibniz
+            # one at (x, y) plus the one at (y, x), so Leibniz on generator
+            # pairs gives Jordan there; a map that is not additive is not lawful
+            proved.setdefault("jordan", proved["derivation"])
+        missing = [name for name in ("additive", law) if name not in proved]
+        if missing:
+            gens = _generators(self.ring)
+            got = {name: np.empty(len(self.maps), dtype=bool) for name in missing}
+            # additivity reads n rows of one cell per generator a map
+            for block in self.walk(lambda width: max(1, len(gens))):
+                for name, holds in _on_generators(self.ring, gens, block.D,
+                                                  missing).items():
+                    got[name][block.ids] = holds
+            proved.update(got)
+        return proved["additive"] & proved[law]
+
     def walk(self, cols=lambda width: width):
         """The blocks, each split into parts of n rows of cols(width) cells
         a map, at most _BLOCK cells (at least one map)."""
@@ -387,6 +417,18 @@ def _pair_blocks(maps: list[AdditiveMap], n: int):
         lo = int(own[0])
         m = own - lo
         yield own, x, _tables(maps, np.arange(lo, int(own[-1]) + 1)), m, m[:, None] * n
+
+
+def _unproved(recs: list[_Recorder], maps: list[AdditiveMap], lawful: np.ndarray,
+              pairs: int):
+    """Count pairs instances for each map that its generator proof shows
+    lawful.  The others, whose pair laws fail somewhere, go to the pair
+    walk, which finds their witnesses in loop order: (ids, their maps)."""
+    for rec, proved in zip(recs, lawful.tolist()):
+        if proved:
+            rec.instances += pairs
+    ids = np.flatnonzero(~lawful)
+    return ids, [maps[i] for i in ids.tolist()]
 
 
 def _start(ring: FiniteRing, maps: list[AdditiveMap], checker: str, law: str):
@@ -696,14 +738,19 @@ def _combination_rules(ring: FiniteRing, maps: list[AdditiveMap],
                        config: Optional[CheckerConfig] = None,
                        blocks: Optional[_Blocks] = None) -> list[TheoremReport]:
     """combination-rules on every map of the list, one report per map: the
-    pair rules on (map, y1) rows, then the rules inside one integral and
-    the inverse rules on blocks of whole maps.  The units and their
-    inverses belong to the ring and are read once per call."""
+    pair rules, then the rules inside one integral and the inverse rules
+    on blocks of whole maps.  The pair rules are additivity and the
+    Leibniz law, so a map they hold for on generators is counted; the
+    others are walked on (map, y1) rows.  The units and their inverses
+    belong to the ring and are read once per call."""
     t0, recs = _start(ring, maps, "combination-rules", "derivation")
     add, mul, neg = ring.add_table, ring.mul_table, ring.neg_table
     n = ring.size
+    blocks = blocks or _Blocks(ring, maps)
 
-    for own, y1, D, m, base in _pair_blocks(maps, n):
+    walk_ids, walked = _unproved(recs, maps, blocks.lawful("derivation"), 2 * n * n)
+    for own, y1, D, m, base in _pair_blocks(walked, n):
+        own = walk_ids[own]
         flat, d = D.ravel(), D[m]
         x1 = D[m, y1]
         ok = np.stack([flat[base + add[y1]] == add[x1[:, None], d],
@@ -720,7 +767,7 @@ def _combination_rules(ring: FiniteRing, maps: list[AdditiveMap],
         commutative = ring.is_commutative()
         inverse_kinds = ("inverse-rule", "inverse-rule-commutative")[:1 + commutative]
 
-    for block in (blocks or _Blocks(ring, maps)).walk(lambda width: 2 * width):
+    for block in blocks.walk(lambda width: 2 * width):
         block.kernel
         ids, D = block.ids, block.D
         # y, z in one integral i_d(x): the sum and product rules inside it,
@@ -926,15 +973,18 @@ def _jordan_suite(ring: FiniteRing, maps: list[AdditiveMap],
                   config: Optional[CheckerConfig] = None,
                   blocks: Optional[_Blocks] = None) -> list[TheoremReport]:
     """jordan-suite on every map of the list, one report per map.  The
-    fibre checks walk blocks of whole maps; then the pair checks walk
-    (map, x) rows with y the whole row, so a block of them may start or
-    end inside a map; then the criteria close each report."""
+    fibre checks walk blocks of whole maps; then the pair checks, which
+    hold for a map that is additive and satisfies the Jordan law on
+    generators, so such a map is counted and the others walk (map, x) rows
+    with y the whole row, so a block of them may start or end inside a
+    map; then the criteria close each report."""
     t0, recs = _start(ring, maps, "jordan-suite", "jordan")
     add, mul, neg = ring.add_table, ring.mul_table, ring.neg_table
     n, zero = ring.size, ring.zero
     crit = np.zeros((len(maps), 4), dtype=bool)
+    blocks = blocks or _Blocks(ring, maps)
 
-    for block in (blocks or _Blocks(ring, maps)).walk():
+    for block in blocks.walk():
         ids, D, (_, count, start) = block.ids, block.D, block.fibres
         karr, in_ker = block.kernel
         _check_rows(recs, ids, D[:, zero] == zero, lambda i, j: {"kind": "zero-membership"})
@@ -978,9 +1028,13 @@ def _jordan_suite(ring: FiniteRing, maps: list[AdditiveMap],
         _check_additivity(recs, block)
         crit[ids] = _criteria(count, zero)
 
+    # a proved map passes all three pair checks: the parts rule holds
+    # wherever the product rule does
+    walk_ids, walked = _unproved(recs, maps, blocks.lawful("jordan"), 3 * n * n)
     # x∘y = xy + yx, one table per call, the size of add and mul
-    jordan = add[mul, mul.T]
-    for own, x, D, m, base in _pair_blocks(maps, n):
+    jordan = add[mul, mul.T] if walked else None
+    for own, x, D, m, base in _pair_blocks(walked, n):
+        own = walk_ids[own]
         flat, d = D.ravel(), D[m]
         dx = D[m, x]
         # d(x∘y) against the sum of the four parts d(x)y, x d(y), d(y)x and
@@ -1026,7 +1080,7 @@ def verify_separation(ring: FiniteRing, delta: AdditiveMap,
     _require_map(ring, delta, "jordan")
     if delta.is_derivation:
         raise MapLawError("map is a derivation")
-    return _separation(ring, delta, enumerate_derivations(ring))
+    return _separations(ring, [delta])[0]
 
 
 def _separation(ring: FiniteRing, delta: AdditiveMap,
@@ -1040,15 +1094,21 @@ def _separations(ring: FiniteRing, maps: list[AdditiveMap],
                  config: Optional[CheckerConfig] = None, blocks: Optional[_Blocks] = None,
                  derivations: Optional[list[AdditiveMap]] = None) -> list[TheoremReport]:
     """separation on every map of the list against Der(R), one report per
-    map; Der(R) is listed once per call unless given, and the fibre blocks
-    go unread.  i_d(x) and j_δ(x) differ exactly when some y with d(y) ≠
-    δ(y) has d(y) = x or δ(y) = x, so the first separating x is the least
-    min(d(y), δ(y)) over those y.  Der(R) is stacked in blocks, each once
-    per call, and a block of rows is (δ, d) pairs."""
+    map; Der(R) is listed once per call unless given.  i_d(x) and j_δ(x)
+    differ exactly when some y with d(y) ≠ δ(y) has d(y) = x or δ(y) = x,
+    so the first separating x is the least min(d(y), δ(y)) over those y.
+    Der(R) is stacked in blocks, each once per call, and a block of rows
+    is (δ, d) pairs.  A Der(R) larger than a listing may hold is counted by
+    the solver and not listed (see _unlisted_separations)."""
     t0 = time.perf_counter()
     recs = [_Recorder("separation", ring) for _ in maps]
-    if derivations is None:
-        derivations = enumerate_derivations(ring) if maps else []
+    if derivations is None and maps:
+        total = _solve(ring, "derivation")[3]
+        if total > MAX_LISTED_MAPS:
+            _unlisted_separations(recs, maps, blocks or _Blocks(ring, maps), total)
+            return _finish(recs, t0)
+        derivations = enumerate_derivations(ring)
+    derivations = derivations or []
     n = ring.size
     for dids in _row_blocks(len(derivations), n):
         tables = _tables(derivations, dids)
@@ -1067,6 +1127,21 @@ def _separations(ring: FiniteRing, maps: list[AdditiveMap],
                 for j in apart[:MAX_WITNESSES - len(rec.notes)]:
                     rec.note({"kind": "separated", "derivation_index": first + j, "x": xs[j]})
     return _finish(recs, t0)
+
+
+def _unlisted_separations(recs: list[_Recorder], maps: list[AdditiveMap],
+                          blocks: _Blocks, total: int):
+    """separation against the total derivations of Der(R), unlisted: δ is
+    told apart from every derivation unless it equals one, that is unless
+    δ is itself a derivation, which its generator proof decides from its
+    table.  Each report counts total instances and notes the count that
+    was not listed instead of the separating points."""
+    lawful = blocks.lawful("derivation")
+    for m, (rec, amap) in enumerate(zip(recs, maps)):
+        rec._record(total, [{"kind": "indistinguishable",
+                             "derivation": amap.table.tolist()}] if lawful[m] else ())
+        rec.note({"kind": "derivations-not-listed", "derivations": total,
+                  "max_listed_maps": MAX_LISTED_MAPS})
 
 
 def find_jordan_not_derivation(ring: FiniteRing, progress=None) -> Optional[AdditiveMap]:

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from ringlab import AdditiveMap, Zn, build_ring, cli, theorems
+from ringlab import AdditiveMap, Zn, build_ring, cli, spec_from_json, theorems
 from ringlab.cli import main
 from ringlab.theorems import TheoremReport, verify_kernel_constants
 
@@ -131,6 +131,30 @@ def test_verify_separation(zn4_file, capsys):
     assert by_map["enumerate:jordan#0"][0]["status"] == "skipped"
     assert by_map["enumerate:jordan#0"][0]["reason"] == "map is a derivation"
     assert by_map["enumerate:jordan#1"][0]["status"] == "pass"
+
+
+def test_verify_separation_above_the_listing_cap(tmp_path, capsys):
+    """Z2^4 with the zero product, times M2(Z2), has 524288 derivations,
+    more than a listing holds.  separation counts them from the solver and
+    passes δ = (0, δ'), δ' a Jordan non-derivation of M2(Z2), instead of
+    refusing the whole verify."""
+    zero16 = {"kind": "tables", "size": 16,
+              "add": [[a ^ b for b in range(16)] for a in range(16)],
+              "mul": [[0] * 16 for _ in range(16)]}
+    m2z2 = {"kind": "matrix", "base": {"kind": "zn", "n": 2}, "dim": 2}
+    spec = {"kind": "product", "factors": [zero16, m2z2]}
+    ring = build_ring(spec_from_json(spec))
+    inner = theorems.find_jordan_not_derivation(build_ring(spec_from_json(m2z2)))
+    delta = [ring.index_of_value((ring.value(x)[0], int(inner.table[ring.value(x)[1]])))
+             for x in range(ring.size)]
+    ring_file = _spec_file(tmp_path, "ring.json", spec)
+    map_file = _spec_file(tmp_path, "delta.json", delta)
+    assert main(["verify", "--ring", ring_file, "--map", f"table:{map_file}",
+                 "--checkers", "separation", "--format", "json"]) == 0
+    [report] = _json_out(capsys)["results"][0]["reports"]
+    assert (report["status"], report["instances"], report["witnesses"]) == ("pass", 524288, [])
+    assert report["notes"] == [{"kind": "derivations-not-listed", "derivations": 524288,
+                                "max_listed_maps": 65536}]
 
 
 def test_verify_matrix_all(m2z2_file, capsys):

@@ -120,6 +120,27 @@ def test_forged_maps_match_reference(config):
             == ["parts-membership"] * theorems.MAX_WITNESSES)
 
 
+def test_pair_laws_of_a_forged_map_that_is_not_additive():
+    """On Z4 with the zero product both product laws hold on every pair of
+    any table with f(0) = 0, so [0, 1, 3, 2], which is not additive, passes
+    them everywhere: only the additivity half of the generator proof sends
+    it to the pair walk.  Its combination-rules and jordan-suite reports
+    fail with the loop oracle's witnesses, alone and beside the zero map."""
+    ring = build_ring(Tables(4, [[(a + b) % 4 for b in range(4)] for a in range(4)],
+                             [[0] * 4] * 4))
+    forged = _forged(ring, [0, 1, 3, 2])
+    pairs = [(theorems.verify_combination_rules, ref.verify_combination_rules),
+             (theorems.verify_jordan_suite, ref.verify_jordan_suite)]
+    expected = [old(ring, forged) for _, old in pairs]
+    assert [r.status for r in expected] == ["fail", "fail"]
+    assert [_strip(new(ring, forged)) for new, _ in pairs] == [_strip(r) for r in expected]
+    got = theorems.run_suite(ring, [("zero", zero_map(ring)), ("forged", forged)],
+                             ["combination-rules", "jordan-suite"])
+    assert [_strip(r) for r in got] == (
+        [_strip(old(ring, zero_map(ring))) for _, old in pairs]
+        + [_strip(r) for r in expected])
+
+
 # a 5-cell case is named by its config alone, so its id matches earlier runs
 @pytest.mark.parametrize("config, block", [
     pytest.param(c, b, id=c if b == 5 else f"{c}-{b}")

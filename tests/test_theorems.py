@@ -3,8 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ringlab import (AdditiveMap, CHECKER_ORDER, MapLawError, Product,
-                     RingError, TheoremReport, Zn, build_ring,
+from ringlab import (AdditiveMap, CHECKER_ORDER, MapLawError, Matrix, Product,
+                     RingError, Tables, TheoremReport, Zn, build_ring,
                      enumerate_derivations, enumerate_jordan_derivations,
                      find_jordan_not_derivation, formal_derivative,
                      herstein_check, inner_derivation,
@@ -102,6 +102,59 @@ def test_herstein_fails_when_the_counts_differ(m2z3, monkeypatch):
     assert report.instances == 81
     assert report.witnesses == [{"kind": "jordan-not-derivation",
                                  "jordan": 81, "derivations": 27}]
+
+
+def _flagged_jordan_only(ring, table):
+    """A table flagged, unchecked, as a Jordan non-derivation."""
+    return AdditiveMap(ring, table, _trusted=True, _derivation=False, _jordan=True)
+
+
+def test_unlisted_separation_still_finds_a_forged_derivation():
+    """Above the listing cap a δ equal to some derivation is still caught.
+    On Z2^5 with the zero product (2^25 derivations) every additive map is
+    a derivation: the zero and identity maps, flagged as Jordan
+    non-derivations, fail with themselves as the witness, and a table that
+    is not additive, so no derivation, passes; alone and in one call."""
+    add = build_ring(Product((Zn(2),) * 5)).add_table.tolist()
+    zero32 = build_ring(Tables(32, add, [[0] * 32] * 32))
+    tables = [[0] * 32, list(range(32)), [0, 1] + [0] * 30]
+    flagged = [_flagged_jordan_only(zero32, t) for t in tables]
+    note = {"kind": "derivations-not-listed", "derivations": 2 ** 25,
+            "max_listed_maps": maps.MAX_LISTED_MAPS}
+    expected = [("fail", 2 ** 25, [{"kind": "indistinguishable", "derivation": t}], [note])
+                for t in tables[:2]] + [("pass", 2 ** 25, [], [note])]
+    got = run_suite(zero32, [(str(i), m) for i, m in enumerate(flagged)], ["separation"])
+    alone = [verify_separation(zero32, m) for m in flagged]
+    for reports in (got, alone):
+        assert [(r.status, r.instances, r.witnesses, r.notes) for r in reports] == expected
+
+
+def test_one_corpus_op_solves_each_law_once(monkeypatch):
+    """Listing both laws, then every checker, herstein and separation
+    included, reduces one system per law: the ring keeps each solution.
+    On M2(Z3) herstein counts both laws; on M2(Z2) separation runs on the
+    Jordan non-derivations and counts Der(R)."""
+    calls = []
+    howell_form = maps._howell_form
+
+    def counted(M, N):
+        calls.append(N)
+        return howell_form(M, N)
+
+    monkeypatch.setattr(maps, "_howell_form", counted)
+    for spec, ran in ((Matrix(Zn(3), 2), "herstein"), (Matrix(Zn(2), 2), "separation")):
+        calls.clear()
+        ring = build_ring(spec)
+        ders = enumerate_derivations(ring)
+        jordans = enumerate_jordan_derivations(ring)
+        named = [(f"enumerate#{i}", m) for i, m in enumerate(ders)]
+        named += [(f"enumerate:jordan#{i}", m) for i, m in enumerate(jordans)
+                  if not m.is_derivation]
+        named.append(("inner:E11", inner_derivation(ring, ring.parse("E11"))))
+        reports = run_suite(ring, named, "all")
+        assert {r.checker for r in reports} == set(CHECKER_ORDER)
+        assert "pass" in {r.status for r in reports if r.checker == ran}
+        assert len(calls) == 2
 
 
 def test_separation_finds_distinguishing_point(zn4):
