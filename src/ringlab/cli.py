@@ -307,10 +307,10 @@ def _search_ring(ring: FiniteRing, target: str) -> Optional[dict]:
             witness = {"u": u, "v": v, "uv": uv, "u_label": label(u),
                        "v_label": label(v), "uv_label": label(uv)}
         else:                             # empty-parts-witness
-            rep = dmap.fibres.rep         # rep[z] < 0: z is not in the image
+            count = dmap.fibres[1][0]     # count[z] = 0: z is not in the image
             left = mul[f]                 # d(x)*y
             right = mul[:, f]             # x*d(y)
-            hits = np.argwhere((rep[left] < 0) & (rep[right] < 0))
+            hits = np.argwhere((count[left] == 0) & (count[right] == 0))
             if not len(hits):
                 continue
             x, y = (int(v) for v in hits[0])

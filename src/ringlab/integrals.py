@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .maps import AdditiveMap, MapLawError, _require_map
+from .maps import AdditiveMap, MapLawError, _images, _members, _reps, _require_map
 from .rings import ElementSet, FiniteRing, RingError
 
 
@@ -94,10 +94,13 @@ def _integrate_with_flag(ring: FiniteRing, dmap: AdditiveMap, x: int,
                          flag: str) -> Integral:
     _require_map(ring, dmap, flag)
     x = ring._check_index(x)
-    rep = int(dmap.fibres.rep[x])
-    if rep < 0:
+    kernel = dmap.kernel        # checked even where the integral is empty
+    order, count, start = dmap.fibres
+    if not count.item(x):
         return Integral(ring, dmap, x, None, None)
-    return Integral(ring, dmap, x, rep, dmap.kernel)
+    # the fibre's first cell, as maps._reps reads it; item() reads one cell
+    # of the one-row arrays as a Python int
+    return Integral(ring, dmap, x, order.item(start.item(x)), kernel)
 
 
 def integrate(ring: FiniteRing, dmap: AdditiveMap, x: int) -> Integral:
@@ -146,9 +149,10 @@ def is_proper(ring: FiniteRing, dmap: AdditiveMap) -> tuple[bool, Optional[tuple
     so multiplicative closure is the whole question.  On failure the
     witness is the first (u, v, u*v) with u, v in the image and u*v not.
     """
-    img = np.asarray(dmap.image.elements)
+    fibres = dmap.fibres
+    img = _images(fibres)[0][0]
     products = ring.mul_table[np.ix_(img, img)]
-    outside = ~np.isin(products, img)
+    outside = fibres[1][0, products] == 0      # u*v has an empty fibre
     if not outside.any():
         return True, None
     i, j = np.unravel_index(int(np.argmax(outside)), outside.shape)
@@ -176,23 +180,24 @@ def quotient_view(ring: FiniteRing, dmap: AdditiveMap) -> QuotientView:
     if dmap.ring is not ring:
         raise RingError("map belongs to a different ring")
     d, add = dmap.table, ring.add_table
-    fib = dmap.fibres
-    karr = np.flatnonzero(fib.ker)
+    fibres = dmap.fibres
+    karr = np.asarray(dmap.kernel.elements)
     # the kernel passed the subgroup check, so its cosets partition the ring
     if not (d[add[:, karr]] == d[:, None]).all():
         raise MapLawError("induced map is not well defined on a coset")
     # the induced map is onto the image, so it is a bijection when the
     # image has as many elements as there are cosets; each fibre is then
     # one coset
-    if len(fib.values) * len(karr) != ring.size:
+    values = _images(fibres)[0][0]
+    if len(values) * len(karr) != ring.size:
         raise MapLawError("induced map is not a bijection onto the image")
-    order = np.argsort(fib.rep[fib.values])       # cosets by representative
-    images = fib.values[order]
-    reps = fib.rep[images]
+    reps = _reps(fibres, 0, values)
+    order = np.argsort(reps)       # cosets by representative
+    images, reps = values[order], reps[order]
     if not (d[add[np.ix_(reps, reps)]] == add[np.ix_(images, images)]).all():
         raise MapLawError("induced map is not additive on cosets")
     position = np.empty(ring.size, dtype=np.intp)
     position[images] = np.arange(len(images))
-    return QuotientView(ring, dmap,
-                        tuple(ElementSet(ring, fib.members[g]) for g in order),
+    cosets = _members(fibres, 0, images, len(karr))[0].tolist()
+    return QuotientView(ring, dmap, tuple(ElementSet(ring, c) for c in cosets),
                         tuple(position[d].tolist()), tuple(images.tolist()))

@@ -278,10 +278,12 @@ class FiniteRing:
         if generators is not None:
             self._generators = np.array(generators, dtype=np.intp)
             self._generators.flags.writeable = False
-        # ringlab.maps keeps its generator basis and each law's solution
-        # here, each computed once and published whole
+        # ringlab.maps keeps its generator basis, each law's solution and
+        # its inner witnesses (inner table bytes -> least element) here,
+        # each computed once and published whole
         self._basis = None
         self._solutions: dict = {}
+        self._inner_witnesses: Optional[dict] = None
 
     # -- basic arithmetic ---------------------------------------------------
 

@@ -25,15 +25,17 @@ map tables: blocks of whole maps of one widest fibre (_Blocks, walked in
 order of that width), and for the pair laws blocks of (map, x) rows
 (_pair_blocks), all walked by _row_blocks.  The checkers of one run_suite
 call share the blocks, their fibres, their checked kernels and their
-generator proofs.  The pair laws of combination-rules and jordan-suite
-are additivity and the map's own law, so a map that maps._on_generators
-proves lawful from generator pairs has its pair instances counted, and
-only the others walk their pairs, which finds their witnesses; the
-solver's count and basis are kept on the ring (maps._solve).  Each map
-still gets its own report, equal to the one-map call's (each public
-verify_* function is that call), and a block call's seconds are split
-evenly among its reports' runtime.  The reports come back map-major,
-herstein last.
+generator proofs.  Fibres, kernels and images are computed by maps, in
+one implementation whose one-row case is a single AdditiveMap's, so a
+call with one map reads that map's own fibres.  The pair laws of
+combination-rules and jordan-suite are additivity and the map's own law,
+so a map that maps._on_generators proves lawful from generator pairs has
+its pair instances counted, and only the others walk their pairs, which
+finds their witnesses; the solver's count and basis are kept on the ring
+(maps._solve).  Each map still gets its own report, equal to the one-map
+call's (each public verify_* function is that call), and a block call's
+seconds are split evenly among its reports' runtime.  The reports come
+back map-major, herstein last.
 
 Checker ids, in the fixed order run_suite uses:
 
@@ -58,9 +60,10 @@ from typing import Optional
 
 import numpy as np
 
-from .maps import (MAX_LISTED_MAPS, AdditiveMap, MapLawError, _generators,
-                   _on_generators, _require_map, _row_blocks, _solve,
-                   enumerate_derivations, enumerate_jordan_derivations)
+from .maps import (MAX_LISTED_MAPS, AdditiveMap, MapLawError, _counts, _fibres_of,
+                   _generators, _images, _kernels, _members, _on_generators, _reps,
+                   _require_map, _row_blocks, _solve, enumerate_derivations,
+                   enumerate_jordan_derivations)
 from .rings import FiniteRing, RingError
 
 MAX_WITNESSES = 25
@@ -235,40 +238,16 @@ def _tables(maps: list[AdditiveMap], ids: np.ndarray) -> np.ndarray:
     return np.stack([maps[i].table for i in ids.tolist()])
 
 
-def _counts(D: np.ndarray) -> np.ndarray:
-    """count[b, v] = |{y : D[b, y] = v}|, the fibre sizes of the block D."""
-    B, n = D.shape
-    return np.bincount((D + n * np.arange(B)[:, None]).ravel(),
-                       minlength=B * n).reshape(B, n)
-
-
-def _fibres_of(D: np.ndarray):
-    """(order, count, start) of every table of the block D.  order[b]
-    lists the elements by (D[b, y], y), so the fibre of v under map b is
-    order[b, start[b, v]:start[b, v] + count[b, v]], in increasing order."""
-    count = _counts(D)
-    return (np.argsort(D, axis=1, kind="stable"), count,
-            np.cumsum(count, axis=1) - count)
-
-
-def _members(fibres, b: np.ndarray, v: np.ndarray, width: int):
-    """(members, present): the fibre of v[...] under map b[...], padded to
-    width cells, of which present marks the fibre's own."""
-    order, count, start = fibres
-    cols = np.arange(width)
-    pos = np.minimum(start[b, v][..., None] + cols, order.shape[1] - 1)
-    return order[b[..., None], pos], cols < count[b, v][..., None]
-
-
 class _Block:
     """Whole maps of one widest fibre, taken from a list of maps, and what
     the checks read of them, each computed on first use.
 
     ids are the maps' positions in the list, in increasing order; D is the
     (B, n) stack of their tables, fibres its (order, count, start) as
-    _fibres_of gives them, and width the maps' widest fibre.  A fibre
-    check holds one row per (map, element), row b·n + p for (b, p), and
-    pads each fibre to width cells."""
+    maps._fibres_of gives them, and width the maps' widest fibre; kernel
+    and image are maps._kernels and maps._images of those fibres, as for
+    one AdditiveMap.  A fibre check holds one row per (map, element), row
+    b·n + p for (b, p), and pads each fibre to width cells."""
 
     def __init__(self, ring: FiniteRing, ids: np.ndarray, D: np.ndarray, fibres,
                  width: int):
@@ -305,33 +284,13 @@ class _Block:
 
     @cached_property
     def kernel(self):
-        """(karr, in_ker): each map's kernel in increasing order, padded to
-        the largest, of which in_ker marks the members.  Raises MapLawError
-        unless every kernel holds zero and is closed under addition."""
-        D, (order, count, start) = self.D, self.fibres
-        add, zero = self.ring.add_table, self.ring.zero
-        if not (D[:, zero] == zero).all():
-            raise MapLawError("kernel failed the subgroup check")
-        kernels = count[:, zero]
-        cols = np.arange(int(kernels.max()))
-        karr = order[np.arange(len(D))[:, None],
-                     np.minimum(start[:, zero, None] + cols, D.shape[1] - 1)]
-        in_ker = cols < kernels[:, None]
-        for b in _row_blocks(len(D), len(cols) ** 2):
-            sums = D[b[:, None, None], add[karr[b, :, None], karr[b, None, :]]]
-            if not ((sums == zero) | ~(in_ker[b, :, None] & in_ker[b, None, :])).all():
-                raise MapLawError("kernel failed the subgroup check")
-        return karr, in_ker
+        """(karr, in_ker), each map's kernel, checked: maps._kernels."""
+        return _kernels(self.ring, self.D, self.fibres)
 
     @cached_property
     def image(self):
-        """(u, here): each map's image in increasing order, padded to the
-        largest, of which here marks the image's own."""
-        count = self.fibres[1]
-        images = np.count_nonzero(count, axis=1)
-        width = int(images.max())
-        return (np.argsort(count == 0, axis=1, kind="stable")[:, :width],
-                np.arange(width) < images[:, None])
+        """(u, here), each map's image: maps._images."""
+        return _images(self.fibres)
 
 
 class _Blocks:
@@ -353,10 +312,16 @@ class _Blocks:
         rows of width cells a map, at most _BLOCK cells, so no map is
         padded past its own widest fibre (the zero map, whose fibre is the
         whole ring, comes last).  A block holds at least one map, so a map
-        whose n rows alone are wider than _BLOCK is checked whole."""
+        whose n rows alone are wider than _BLOCK is checked whole.  A list
+        of one map is one block of that map's own fibres, counted once and
+        kept on the map."""
         ring, maps, n = self.ring, self.maps, self.ring.size
         if not maps:
             return []
+        if len(maps) == 1:
+            fibres = maps[0].fibres
+            return [_Block(ring, np.zeros(1, dtype=np.intp), maps[0].table[None], fibres,
+                           int(fibres[1].max()))]
         widths = np.empty(len(maps), dtype=np.intp)
         for ids in _row_blocks(len(maps), 4 * n):
             widths[ids] = _counts(_tables(maps, ids)).max(axis=1)
@@ -456,12 +421,10 @@ def _check_additivity(recs: list[_Recorder], block: _Block):
     checks that), the left side is (rep[u] + rep[v]) + Ker, so the two are
     equal exactly when d(rep[u] + rep[v]) = u + v, rep[u] being the least
     element of the fibre of u."""
-    D, (order, _, start) = block.D, block.fibres
-    add = block.ring.add_table
+    D, add = block.D, block.ring.add_table
     u, here = block.image
     width = u.shape[1]
-    b = np.arange(len(D))[:, None]
-    rep = order[b, np.minimum(start[b, u], D.shape[1] - 1)]
+    rep = _reps(block.fibres, np.arange(len(D))[:, None], u)
     for m in _row_blocks(len(D), width * width):
         ok = (D[m[:, None, None], add[rep[m, :, None], rep[m, None, :]]]
               == add[u[m, :, None], u[m, None, :]])
@@ -507,7 +470,7 @@ def _basic(ring: FiniteRing, maps: list[AdditiveMap], config: Optional[CheckerCo
     t0, recs = _start(ring, maps, "basic", "derivation")
     add, n, zero = ring.add_table, ring.size, ring.zero
     for block in (blocks or _Blocks(ring, maps)).walk():
-        ids, D, (order, count, start) = block.ids, block.D, block.fibres
+        ids, D, count = block.ids, block.D, block.fibres[1]
         karr, in_ker = block.kernel
         _check_rows(recs, ids, D[:, zero] == zero, lambda i, j: {"kind": "zero-membership"})
         _check_rows(recs, block.owner, D[:, np.arange(n)] == D,
@@ -516,7 +479,7 @@ def _basic(ring: FiniteRing, maps: list[AdditiveMap], config: Optional[CheckerCo
         # of the fibre of x; an empty integral holds vacuously.  One row per
         # (map, x), one column per kernel element.
         b = np.arange(len(ids))[:, None]
-        rep = order[b, np.minimum(start, n - 1)]
+        rep = _reps(block.fibres, b, np.arange(n))
         values = D[b[..., None], add[rep[..., None], karr[:, None, :]]]
         onto = (~in_ker[:, None, :] | (values == np.arange(n)[:, None])).all(axis=2)
 

@@ -15,7 +15,8 @@ from ringlab import (AdditiveMap, MapLawError, Matrix, NotAdditiveError, Product
                      enumerate_jordan_derivations, formal_derivative,
                      generator_basis, inner_derivation, spec_name, zero_map)
 from ringlab import maps
-from ringlab.maps import _check_listed, _kernel_basis, _law_holds
+from ringlab.integrals import integrate, quotient_view
+from ringlab.maps import _check_listed, _kernel_basis, _law_holds, _members, _reps
 
 
 def _tables(elements, add, mul, unity=None):
@@ -189,22 +190,40 @@ def test_kernel_image_examples(tp33, m2z2):
     assert len(f.kernel) * len(f.image) == tp33.size
 
 
-def test_kernel_must_hold_zero(zn4):
-    # an unchecked table with d(0) != 0 has an empty zero-preimage, which
-    # is no subgroup
-    forged = AdditiveMap(zn4, [1, 1, 1, 1], _trusted=True)
-    with pytest.raises(MapLawError):
-        forged.kernel
+@pytest.mark.parametrize("table", [[1, 1, 1, 1], [0, 0, 1, 1]],
+                         ids=["nonzero-at-zero", "not-closed"])
+def test_kernel_must_hold_zero(zn4, table):
+    # unchecked tables whose zero-preimage is no subgroup: with d(0) != 0
+    # it is empty, and for [0, 0, 1, 1] it is {0, 1}, which holds zero but
+    # is not closed (1 + 1 = 2); the derivation flag is forged so that
+    # integrate reaches the kernel
+    forged = AdditiveMap(zn4, table, _trusted=True, _derivation=True)
+    for read in (lambda: forged.kernel, lambda: integrate(zn4, forged, 0),
+                 lambda: integrate(zn4, forged, 3),
+                 lambda: quotient_view(zn4, forged)):
+        with pytest.raises(MapLawError, match="^kernel failed the subgroup check$"):
+            read()
 
 
 def test_preimages_partition(tp33):
+    """The one-row fibres against a plain loop: they partition the ring,
+    each fibre is in increasing order, and rep is its least member."""
     d = formal_derivative(tp33)
-    pre = d.preimages
-    total = sum(len(v) for v in pre.values())
-    assert total == tp33.size
-    for value, xs in pre.items():
-        assert all(d(x) == value for x in xs)
-        assert xs == tuple(sorted(xs))
+    table = d.table.tolist()
+    loop = {v: tuple(y for y in range(tp33.size) if table[y] == v) for v in range(tp33.size)}
+    members, present = _members(d.fibres, 0, np.arange(tp33.size), tp33.size)
+    assert sorted(members[present].tolist()) == list(range(tp33.size))
+    for v, fibre in loop.items():
+        assert tuple(members[v][present[v]].tolist()) == fibre
+        assert list(fibre) == sorted(fibre)
+        assert d.fibres[1][0, v] == len(fibre)
+        got = integrate(tp33, d, v)
+        if fibre:
+            assert int(_reps(d.fibres, 0, v)) == got.representative == fibre[0]
+        else:
+            assert got.is_empty
+    assert d.image.elements == tuple(v for v, fibre in loop.items() if fibre)
+    assert d.kernel.elements == loop[tp33.zero]
 
 
 @pytest.mark.parametrize("n", range(2, 9))
