@@ -17,6 +17,7 @@ or search miss, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -358,6 +359,7 @@ def _cmd_search(args) -> tuple[int, str, dict]:
 # Parser
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ringlab",

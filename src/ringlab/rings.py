@@ -495,6 +495,26 @@ def _require_equal(lhs: np.ndarray, rhs: np.ndarray, axiom: str, law: str,
         raise RingAxiomError(axiom, w, f"{law} at {w}")
 
 
+_TILE = 128
+_BLOCK = 1 << 16    # array cells per step of the right pass, as in maps._BLOCK
+
+
+def _asymmetry(t: np.ndarray) -> Optional[tuple[int, int]]:
+    """Some (i, j) with t[i, j] != t[j, i], or None if t is symmetric.
+
+    The upper triangle is compared one tile at a time with the mirror
+    tile, so the transposed reads stay in cache on large tables; the
+    first mismatching tile gives its first mismatch in row-major order."""
+    n = t.shape[0]
+    for i in range(0, n, _TILE):
+        for j in range(i, n, _TILE):
+            tile, mirror = t[i:i + _TILE, j:j + _TILE], t[j:j + _TILE, i:i + _TILE].T
+            if not np.array_equal(tile, mirror):
+                r, c = np.argwhere(tile != mirror)[0]
+                return i + int(r), j + int(c)
+    return None
+
+
 def _additive_generators(add: np.ndarray, zero: int) -> list[int]:
     """Elements a_1 < a_2 < ... such that every element is a sum of them;
     each a_i is the least element outside the span of the earlier ones.
@@ -539,23 +559,35 @@ def _check_axioms(add: np.ndarray, mul: np.ndarray, size: int,
     Raises RingAxiomError naming the violated axiom with a witness tuple
     that violates it.  An O(size^2) prelude checks shape, closure,
     additive commutativity, a unique additive identity and additive
-    inverses.  Then A = ``_additive_generators``, and three reductions
+    inverses.  Then A = ``_additive_generators``, and four reductions
     bring the rest to O(size^2 * |A|) (|A| = 1 for Z256, 8 for
     Z2[X]/(X^8)), each exact:
 
     * Additive associativity as (x+a)+y = x+(a+y) for a in A (Light's
       test).  The a that pass are closed under +, zero passes, and every
-      other element is a sum of generators.
-    * Both distributive laws as x*(y+a) = x*y+x*a and
-      (y+a)*x = y*x+a*x for a in A.  The a that pass are closed under +,
-      and with associativity (R, +) is a finite group generated by A, so
-      every element, zero included, is a nonempty sum of generators.
+      other element is a sum of generators.  As + commutes, s =
+      add[add[a]] has s[x, y] = (a+x)+y = (x+a)+y and s[y, x] = (a+y)+x
+      = x+(a+y), so a passes exactly when s is symmetric.
+    * Right distributivity as (y+a)*x = y*x+a*x for a in A, all y and x.
+      The a that pass are closed under +, and with associativity (R, +)
+      is a finite group generated by A, so every element, zero included,
+      is a nonempty sum of generators.  Hence x -> x*w is additive for
+      every w.
+    * Left distributivity as x*(y+a) = x*y+x*a for x and a in A only,
+      all y.  Given right distributivity, each term of
+      d(x) = x*(y+z) - x*y - x*z is additive in x, so d is, and it is
+      zero everywhere once it is zero on A.  For each x, the z that pass
+      for all y are closed under +, as x*(y+z+z') = x*(y+z) + x*z' =
+      x*y + x*z + x*z' = x*y + x*(z+z'); so z in A suffices, by the same
+      sum-of-generators argument.
     * Multiplicative associativity on A x A x A only.  Given
       distributivity, (x*y)*z and x*(y*z) are additive in each argument,
       so agreeing on generators they agree everywhere.
 
     Every raised witness is a violated instance, so the order of the
-    checks changes only which one is named.
+    checks changes only which one is named.  The left check, one
+    (|A|, size, |A|) comparison, runs before the right pass, which takes
+    O(size^2) a generator in blocks of rows.
     """
     n = size
     idx = np.arange(n, dtype=_TABLE_DTYPE)
@@ -567,9 +599,9 @@ def _check_axioms(add: np.ndarray, mul: np.ndarray, size: int,
             raise RingAxiomError("closure", bad,
                                  f"{name} table entry out of range at {bad}")
 
-    if not np.array_equal(add, add.T):
-        bad = np.argwhere(add != add.T)[0]
-        raise RingAxiomError("additive-commutativity", (int(bad[0]), int(bad[1])),
+    bad = _asymmetry(add)
+    if bad is not None:
+        raise RingAxiomError("additive-commutativity", bad,
                              "addition is not commutative")
 
     zero_rows = np.flatnonzero((add == idx[None, :]).all(axis=1))
@@ -585,18 +617,30 @@ def _check_axioms(add: np.ndarray, mul: np.ndarray, size: int,
 
     gens = _additive_generators(add, zero)
     for a in gens:
-        _require_equal(add[add[:, a]], add[:, add[a]],      # (x+a)+y, x+(a+y)
-                       "additive-associativity", "(x+y)+z != x+(y+z)",
-                       lambda x, y: (x, a, y))
-        _require_equal(mul[:, add[:, a]], add[mul, mul[:, a][:, None]],
-                       "left-distributivity", "x*(y+z) != x*y+x*z",
-                       lambda x, y: (x, y, a))
-        _require_equal(mul[add[:, a]], add[mul, mul[a][None, :]],
-                       "right-distributivity", "(y+z)*x != y*x+z*x",
-                       lambda y, x: (y, a, x))
+        bad = _asymmetry(add[add[a]])                       # (a+x)+y at [x, y]
+        if bad is not None:
+            w = (bad[0], a, bad[1])
+            raise RingAxiomError("additive-associativity", w,
+                                 f"(x+y)+z != x+(y+z) at {w}")
+
     g = np.array(gens, dtype=np.intp)
-    gg = mul[np.ix_(g, g)]
-    _require_equal(mul[gg][:, :, g], mul[g][:, gg],         # (a*b)*c, a*(b*c)
+    rows = mul[g]                                           # x*y for x in A
+    gg = rows[:, g]
+    _require_equal(rows[:, add[g].T], add[rows[:, :, None], gg[:, None, :]],
+                   "left-distributivity", "x*(y+z) != x*y+x*z",
+                   lambda i, y, j: (gens[i], y, gens[j]))
+
+    # y*x+a*x is add.flat[(y*x)*n + a*x]; rows go _BLOCK entries at a time
+    flat, step = add.ravel(), max(1, _BLOCK // n)
+    for a in gens:
+        for y0 in range(0, n, step):
+            index = np.multiply(mul[y0:y0 + step], n, dtype=np.intp)
+            index += mul[a]
+            _require_equal(mul[add[a, y0:y0 + step]], flat.take(index),  # (y+a)*x, y*x+a*x
+                           "right-distributivity", "(y+z)*x != y*x+z*x",
+                           lambda y, x: (y0 + y, a, x))
+
+    _require_equal(mul[gg][:, :, g], rows[:, gg],           # (a*b)*c, a*(b*c)
                    "multiplicative-associativity", "(x*y)*z != x*(y*z)",
                    lambda i, j, k: (gens[i], gens[j], gens[k]))
 

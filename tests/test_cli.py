@@ -409,6 +409,33 @@ def test_usage_errors(zn4_file, tmp_path, capsys):
     capsys.readouterr()
 
 
+
+def test_calls_in_one_process_share_no_parser_state(zn4_file, capsys):
+    """main builds its parser once per process; each call still parses
+    from scratch, and argparse writes to the sys.stdout and sys.stderr of
+    the moment."""
+    assert cli._build_parser() is cli._build_parser()
+    assert main(["search", "--target", "non-proper", "--ring", zn4_file,
+                 "--ring", zn4_file, "--format", "json"]) == 1
+    assert _json_out(capsys)["rings_searched"] == [{"kind": "zn", "n": 4}] * 2
+    assert main(["search", "--target", "non-proper", "--zn", "2..3",
+                 "--format", "json"]) == 1
+    assert _json_out(capsys)["rings_searched"] == [{"kind": "zn", "n": 2},
+                                                   {"kind": "zn", "n": 3}]
+    assert main(["ring-info", "--ring", zn4_file, "--format", "json"]) == 0
+    assert _json_out(capsys)["size"] == 4
+    assert main(["ring-info", "--ring", zn4_file]) == 0
+    text = capsys.readouterr().out
+    assert "Z4" in text and not text.startswith("{")
+    assert main(["ring-info"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage: ringlab ring-info")
+    assert "the following arguments are required: --ring" in captured.err
+    assert captured.out == ""
+    assert main(["--help"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: ringlab") and captured.err == ""
+
 def test_table_descriptor_rejects_non_additive(zn4_file, tmp_path, capsys):
     table = _spec_file(tmp_path, "bad_map.json", [0, 1, 0, 1])
     code = main(["integrate", "--ring", zn4_file, "--map", f"table:{table}",

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,10 @@ import pytest
 from ringlab import (ElementParseError, ElementSet, Matrix, Product,
                      RingAxiomError, RingError, Tables, TriPattern, TruncPoly,
                      Zn, build_ring, spec_from_json, spec_name, spec_to_json)
+from ringlab.rings import _asymmetry, check_ring_axioms
 from conftest import CORPUS_SPECS
+from reference_rings import check_ring_axioms as reference_check
+from test_reference_rings import _agree, _table, _verdict, _violates
 
 
 def test_zn4_arithmetic(zn4):
@@ -343,3 +347,65 @@ def test_refusals_keep_their_error_type(tri2, monkeypatch):
     _raises_exactly(RingError, "ring has no unity", tri2.bold, 1)
     monkeypatch.setenv("RINGLAB_MAX_SIZE", "big")
     _raises_exactly(RingError, "RINGLAB_MAX_SIZE must be an integer", build_ring, Zn(4))
+
+
+# -- the exact axiom check -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("product, axiom", [
+    # x*y = x is right distributive and associative, and x*(y+z) = x != 2x
+    (lambda x, y: x, "left-distributivity"),
+    # its mirror x*y = y is left distributive and associative
+    (lambda x, y: y, "right-distributivity"),
+], ids=["x", "y"])
+def test_axiom_check_refuses_near_rings(n, product, axiom):
+    """Zn with a product that keeps associativity and one distributive law
+    but not the other: the left check on generator rows alone must catch
+    the missing left law, the full right pass the missing right law."""
+    tables = (_table(n, lambda x, y: (x + y) % n), _table(n, product))
+    kind, err = _agree(*tables)
+    assert kind == "raise" and err.axiom == axiom
+    assert _verdict(reference_check, *tables, None)[1].axiom == axiom
+
+
+@pytest.mark.parametrize("spec", [TruncPoly(2, 8), TriPattern(Zn(3)), Zn(256)],
+                         ids=spec_name)
+def test_axiom_check_memory_bound(spec):
+    """The right distributive pass gathers a block of rows at a time and no
+    n x n array outlives its stage: the check's traced peak stays under 7
+    n x n int32 tables (the tables themselves excluded)."""
+    ring = build_ring(spec, check=False)
+    args = (ring.add_table, ring.mul_table, ring.size, ring.unity)
+    check_ring_axioms(*args)            # warm the imports
+    tracemalloc.start()
+    try:
+        check_ring_axioms(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7 * ring.size ** 2 * np.dtype(np.int32).itemsize
+
+
+@pytest.mark.parametrize("i, j", [(0, 1), (5, 127), (3, 130), (127, 128), (140, 299),
+                                  (200, 260), (298, 299)])
+def test_asymmetry_finds_a_pair_in_any_tile(i, j):
+    t = np.add.outer(np.arange(300), np.arange(300)) % 7
+    assert _asymmetry(t) is None
+    t[i, j] += 1
+    assert _asymmetry(t) == (i, j)
+    assert _asymmetry(t.T.copy()) == (i, j)
+
+
+def test_right_distributivity_witness_past_the_first_block():
+    """Z300 takes two blocks of rows in the right pass; a product changed
+    in the second is named with its own row."""
+    n = 300
+    add = _table(n, lambda x, y: (x + y) % n)
+    mul = _table(n, lambda x, y: x * y % n)
+    assert check_ring_axioms(add, mul, n, unity=1) == 0
+    mul[250, 7] = 0
+    with pytest.raises(RingAxiomError) as err:
+        check_ring_axioms(add, mul, n)
+    assert (err.value.axiom, err.value.witness) == ("right-distributivity", (249, 1, 7))
+    assert _violates(add, mul, None, err.value.axiom, err.value.witness)
