@@ -32,10 +32,20 @@ combination-rules and jordan-suite are additivity and the map's own law,
 so a map that maps._on_generators proves lawful from generator pairs has
 its pair instances counted, and only the others walk their pairs, which
 finds their witnesses; the solver's count and basis are kept on the ring
-(maps._solve).  Each map still gets its own report, equal to the one-map
+(maps._solve).  separation's verdict is that proof too: a Jordan
+non-derivation δ equals a derivation only if it is one, so each report
+counts the solver's |Der(R)| and fails only where δ's generator proof
+shows it a derivation; Der(R) is listed, within MAX_LISTED_MAPS, only for
+the notes.  Each map still gets its own report, equal to the one-map
 call's (each public verify_* function is that call), and a block call's
 seconds are split evenly among its reports' runtime.  The reports come
 back map-major, herstein last.
+
+One rule, _scope, says which maps a map checker takes: validated
+derivations, validated Jordan derivations for jordan-suite, and Jordan
+derivations that are not derivations for separation.  run_suite skips
+the others with _scope's reason; a block call, and so each verify_*
+function, refuses them (_start).  Both refuse a map of another ring.
 
 Checker ids, in the fixed order run_suite uses:
 
@@ -62,7 +72,7 @@ import numpy as np
 
 from .maps import (MAX_LISTED_MAPS, AdditiveMap, MapLawError, _counts, _fibres_of,
                    _generators, _images, _kernels, _members, _on_generators, _reps,
-                   _require_map, _row_blocks, _solve, enumerate_derivations,
+                   _row_blocks, _solve, enumerate_derivations,
                    enumerate_jordan_derivations)
 from .rings import FiniteRing, RingError
 
@@ -340,8 +350,9 @@ class _Blocks:
     def lawful(self, law: str) -> np.ndarray:
         """Where each map is additive and satisfies law, "derivation" or
         "jordan", on every pair, as maps._on_generators proves it from
-        generator pairs on the blocks' stacks.  Each law is proved once per
-        list of maps, from the tables alone: a forged map's flags may lie."""
+        generator pairs on stacks of the maps' tables in list order.  Each
+        law is proved once per list of maps, from the tables alone: a
+        forged map's flags may lie, and no block or fibre is built."""
         proved = self._proved
         if law == "jordan" and "derivation" in proved and proved["derivation"].all():
             # for an additive map the Jordan defect at (x, y) is the Leibniz
@@ -353,10 +364,10 @@ class _Blocks:
             gens = _generators(self.ring)
             got = {name: np.empty(len(self.maps), dtype=bool) for name in missing}
             # additivity reads n rows of one cell per generator a map
-            for block in self.walk(lambda width: max(1, len(gens))):
-                for name, holds in _on_generators(self.ring, gens, block.D,
+            for ids in _row_blocks(len(self.maps), self.ring.size * max(1, len(gens))):
+                for name, holds in _on_generators(self.ring, gens, _tables(self.maps, ids),
                                                   missing).items():
-                    got[name][block.ids] = holds
+                    got[name][ids] = holds
             proved.update(got)
         return proved["additive"] & proved[law]
 
@@ -396,11 +407,29 @@ def _unproved(recs: list[_Recorder], maps: list[AdditiveMap], lawful: np.ndarray
     return ids, [maps[i] for i in ids.tolist()]
 
 
-def _start(ring: FiniteRing, maps: list[AdditiveMap], checker: str, law: str):
+def _scope(amap: AdditiveMap, checker: str) -> Optional[str]:
+    """Why the map checker does not apply to amap, or None: jordan-suite
+    takes validated Jordan derivations, separation those that are not
+    derivations, and the others validated derivations."""
+    if checker not in ("jordan-suite", "separation"):
+        return None if amap.is_derivation else "map is not a validated derivation"
+    if not amap.is_jordan:
+        return "map is not a validated Jordan derivation"
+    if checker == "separation" and amap.is_derivation:
+        return "map is a derivation"
+    return None
+
+
+def _start(ring: FiniteRing, maps: list[AdditiveMap], checker: str):
     """The start time and one recorder per map of a block call, after
-    checking that every map satisfies law."""
+    checking that every map belongs to ring and that checker applies to
+    it."""
     for amap in maps:
-        _require_map(ring, amap, law)
+        if amap.ring is not ring:
+            raise RingError("map belongs to a different ring")
+        reason = _scope(amap, checker)
+        if reason is not None:
+            raise MapLawError(reason)
     return time.perf_counter(), [_Recorder(checker, ring) for _ in maps]
 
 
@@ -467,7 +496,7 @@ def verify_basic(ring: FiniteRing, dmap: AdditiveMap,
 def _basic(ring: FiniteRing, maps: list[AdditiveMap], config: Optional[CheckerConfig] = None,
            blocks: Optional[_Blocks] = None) -> list[TheoremReport]:
     """basic on every map of the list, one report per map."""
-    t0, recs = _start(ring, maps, "basic", "derivation")
+    t0, recs = _start(ring, maps, "basic")
     add, n, zero = ring.add_table, ring.size, ring.zero
     for block in (blocks or _Blocks(ring, maps)).walk():
         ids, D, count = block.ids, block.D, block.fibres[1]
@@ -513,7 +542,7 @@ def _kernel_constants(ring: FiniteRing, maps: list[AdditiveMap],
     window, bold(n), their inverses and the shifts belong to the ring and
     are computed once per call."""
     config = config or CheckerConfig()
-    t0, recs = _start(ring, maps, "kernel-constants", "derivation")
+    t0, recs = _start(ring, maps, "kernel-constants")
     if ring.unity is None:
         return [rec.skip("ring has no unity") for rec in recs]
     add, neg, mul = ring.add_table, ring.neg_table, ring.mul_table
@@ -584,7 +613,7 @@ def _coset_structure(ring: FiniteRing, maps: list[AdditiveMap],
                      config: Optional[CheckerConfig] = None,
                      blocks: Optional[_Blocks] = None) -> list[TheoremReport]:
     """coset-structure on every map of the list, one report per map."""
-    t0, recs = _start(ring, maps, "coset-structure", "derivation")
+    t0, recs = _start(ring, maps, "coset-structure")
     add, n, zero = ring.add_table, ring.size, ring.zero
     kinds = ("coset-mismatch", "nonunique-kernel-offset")
     for block in (blocks or _Blocks(ring, maps)).walk():
@@ -626,7 +655,7 @@ def _kernel_scaling(ring: FiniteRing, maps: list[AdditiveMap],
                     blocks: Optional[_Blocks] = None) -> list[TheoremReport]:
     """kernel-scaling on every map of the list, one report per map.  The
     inverse table belongs to the ring and is read once per call."""
-    t0, recs = _start(ring, maps, "kernel-scaling", "derivation")
+    t0, recs = _start(ring, maps, "kernel-scaling")
     mul, n, zero = ring.mul_table, ring.size, ring.zero
     inverse = ring.inverse_table() if ring.unity is not None else np.full(n, -1)
     kinds = ("left-scaling-escape", "right-scaling-escape",
@@ -706,7 +735,7 @@ def _combination_rules(ring: FiniteRing, maps: list[AdditiveMap],
     Leibniz law, so a map they hold for on generators is counted; the
     others are walked on (map, y1) rows.  The units and their inverses
     belong to the ring and are read once per call."""
-    t0, recs = _start(ring, maps, "combination-rules", "derivation")
+    t0, recs = _start(ring, maps, "combination-rules")
     add, mul, neg = ring.add_table, ring.mul_table, ring.neg_table
     n = ring.size
     blocks = blocks or _Blocks(ring, maps)
@@ -779,7 +808,7 @@ def _additivity_and_parts(ring: FiniteRing, maps: list[AdditiveMap],
     """additivity-parts on every map of the list, one report per map:
     additivity on blocks of whole maps, then the parts rule on (map, x)
     rows."""
-    t0, recs = _start(ring, maps, "additivity-parts", "derivation")
+    t0, recs = _start(ring, maps, "additivity-parts")
     add, mul, n = ring.add_table, ring.mul_table, ring.size
 
     for block in (blocks or _Blocks(ring, maps)).walk():
@@ -827,7 +856,7 @@ def _power_rules(ring: FiniteRing, maps: list[AdditiveMap],
     report per map.  The powers, bold(e), their inverses and the inverse
     table belong to the ring and are computed once per call."""
     config = config or CheckerConfig()
-    t0, recs = _start(ring, maps, "power-rules", "derivation")
+    t0, recs = _start(ring, maps, "power-rules")
     if ring.unity is None:
         return [rec.skip("ring has no unity") for rec in recs]
     if not ring.is_commutative():
@@ -941,7 +970,7 @@ def _jordan_suite(ring: FiniteRing, maps: list[AdditiveMap],
     generators, so such a map is counted and the others walk (map, x) rows
     with y the whole row, so a block of them may start or end inside a
     map; then the criteria close each report."""
-    t0, recs = _start(ring, maps, "jordan-suite", "jordan")
+    t0, recs = _start(ring, maps, "jordan-suite")
     add, mul, neg = ring.add_table, ring.mul_table, ring.neg_table
     n, zero = ring.size, ring.zero
     crit = np.zeros((len(maps), 4), dtype=bool)
@@ -1039,72 +1068,51 @@ def _jordan_suite(ring: FiniteRing, maps: list[AdditiveMap],
 def verify_separation(ring: FiniteRing, delta: AdditiveMap,
                       config: Optional[CheckerConfig] = None) -> TheoremReport:
     """The given Jordan non-derivation is distinguished from every
-    derivation of the ring by some integral value."""
-    _require_map(ring, delta, "jordan")
-    if delta.is_derivation:
-        raise MapLawError("map is a derivation")
-    return _separations(ring, [delta])[0]
-
-
-def _separation(ring: FiniteRing, delta: AdditiveMap,
-                derivations: list[AdditiveMap]) -> TheoremReport:
-    """delta's report against the given derivations: the one-map call of
+    derivation of the ring by some integral value: the one-map call of
     _separations."""
-    return _separations(ring, [delta], derivations=derivations)[0]
+    return _separations(ring, [delta], config)[0]
 
 
 def _separations(ring: FiniteRing, maps: list[AdditiveMap],
-                 config: Optional[CheckerConfig] = None, blocks: Optional[_Blocks] = None,
-                 derivations: Optional[list[AdditiveMap]] = None) -> list[TheoremReport]:
-    """separation on every map of the list against Der(R), one report per
-    map; Der(R) is listed once per call unless given.  i_d(x) and j_δ(x)
-    differ exactly when some y with d(y) ≠ δ(y) has d(y) = x or δ(y) = x,
-    so the first separating x is the least min(d(y), δ(y)) over those y.
-    Der(R) is stacked in blocks, each once per call, and a block of rows
-    is (δ, d) pairs.  A Der(R) larger than a listing may hold is counted by
-    the solver and not listed (see _unlisted_separations)."""
-    t0 = time.perf_counter()
-    recs = [_Recorder("separation", ring) for _ in maps]
-    if derivations is None and maps:
-        total = _solve(ring, "derivation")[3]
-        if total > MAX_LISTED_MAPS:
-            _unlisted_separations(recs, maps, blocks or _Blocks(ring, maps), total)
-            return _finish(recs, t0)
-        derivations = enumerate_derivations(ring)
-    derivations = derivations or []
-    n = ring.size
-    for dids in _row_blocks(len(derivations), n):
-        tables = _tables(derivations, dids)
-        first, k = int(dids[0]), len(dids)
-        for ids in _row_blocks(len(maps), k * n):
-            deltas = _tables(maps, ids)[:, None, :]
-            differ = tables != deltas
-            separated = differ.any(axis=2)
-            found = np.where(differ, np.minimum(tables, deltas), n).min(axis=2).tolist()
-            _check_rows(recs, np.repeat(ids, k), separated,
-                        lambda row, _: {"kind": "indistinguishable",
-                                        "derivation": tables[row % k].tolist()})
-            for m, row, xs in zip(ids.tolist(), separated.tolist(), found):
-                rec = recs[m]
-                apart = [j for j, differs in enumerate(row) if differs]
-                for j in apart[:MAX_WITNESSES - len(rec.notes)]:
-                    rec.note({"kind": "separated", "derivation_index": first + j, "x": xs[j]})
-    return _finish(recs, t0)
+                 config: Optional[CheckerConfig] = None,
+                 blocks: Optional[_Blocks] = None) -> list[TheoremReport]:
+    """separation on every map of the list, one report per map.  δ is told
+    apart from every derivation unless it equals one, that is unless δ is
+    itself a derivation, which its generator proof decides from its table.
+    So each report counts the solver's |Der(R)| instances and fails only
+    there, with δ's table as the witness.
 
-
-def _unlisted_separations(recs: list[_Recorder], maps: list[AdditiveMap],
-                          blocks: _Blocks, total: int):
-    """separation against the total derivations of Der(R), unlisted: δ is
-    told apart from every derivation unless it equals one, that is unless
-    δ is itself a derivation, which its generator proof decides from its
-    table.  Each report counts total instances and notes the count that
-    was not listed instead of the separating points."""
-    lawful = blocks.lawful("derivation")
-    for m, (rec, amap) in enumerate(zip(recs, maps)):
+    Der(R) is listed only for the notes, once per call and only within
+    MAX_LISTED_MAPS; above it each report notes the count instead.  At most
+    one derivation equals δ, so the first MAX_WITNESSES + 1 in table order
+    give every note: a derivation's index and its first separating x.
+    i_d(x) and j_δ(x) differ exactly when some y with d(y) ≠ δ(y) has
+    d(y) = x or δ(y) = x, so that x is the least min(d(y), δ(y)) over
+    those y."""
+    t0, recs = _start(ring, maps, "separation")
+    if not maps:
+        return []
+    total = _solve(ring, "derivation")[3]
+    lawful = (blocks or _Blocks(ring, maps)).lawful("derivation")
+    for rec, amap, proved in zip(recs, maps, lawful.tolist()):
         rec._record(total, [{"kind": "indistinguishable",
-                             "derivation": amap.table.tolist()}] if lawful[m] else ())
-        rec.note({"kind": "derivations-not-listed", "derivations": total,
-                  "max_listed_maps": MAX_LISTED_MAPS})
+                             "derivation": amap.table.tolist()}] if proved else ())
+    if total > MAX_LISTED_MAPS:
+        for rec in recs:
+            rec.note({"kind": "derivations-not-listed", "derivations": total,
+                      "max_listed_maps": MAX_LISTED_MAPS})
+        return _finish(recs, t0)
+    derivations = enumerate_derivations(ring)[:MAX_WITNESSES + 1]
+    tables = _tables(derivations, np.arange(len(derivations)))
+    n, k = ring.size, len(derivations)
+    for ids in _row_blocks(len(maps), k * n):
+        deltas = _tables(maps, ids)[:, None, :]
+        differ = tables != deltas
+        found = np.where(differ, np.minimum(tables, deltas), n).min(axis=2)
+        for m, row in zip(ids.tolist(), found.tolist()):
+            recs[m].notes = [{"kind": "separated", "derivation_index": j, "x": x}
+                             for j, x in enumerate(row) if x < n][:MAX_WITNESSES]
+    return _finish(recs, t0)
 
 
 def find_jordan_not_derivation(ring: FiniteRing, progress=None) -> Optional[AdditiveMap]:
@@ -1147,19 +1155,6 @@ def herstein_check(ring: FiniteRing,
 # run_suite
 
 
-CHECKER_ORDER = (
-    "basic",
-    "kernel-constants",
-    "coset-structure",
-    "kernel-scaling",
-    "combination-rules",
-    "additivity-parts",
-    "power-rules",
-    "jordan-suite",
-    "separation",
-    "herstein",
-)
-
 # the block form of each map checker: (ring, maps, config, blocks) -> one
 # report per map
 _CHECKERS = {
@@ -1173,28 +1168,23 @@ _CHECKERS = {
     "jordan-suite": _jordan_suite,
     "separation": _separations,
 }
+CHECKER_ORDER = (*_CHECKERS, "herstein")
 
 
 def _run_checker(ring: FiniteRing, maps: list[AdditiveMap], checker: str,
                  config: CheckerConfig, shared: dict) -> list[TheoremReport]:
-    """One checker's block form on every map it applies to, one report per
-    map in order; the others are skipped.  shared holds the _Blocks of each
+    """One checker's block form on every map that _scope lets it take, one
+    report per map in order; the others are skipped.  shared holds the _Blocks of each
     list of maps a checker of the call has taken, by their positions.
     run_suite has validated the ids and runs herstein itself."""
-    law = "jordan" if checker in ("jordan-suite", "separation") else "derivation"
     reports: list[Optional[TheoremReport]] = [None] * len(maps)
     live = []
     for i, amap in enumerate(maps):
-        if law == "derivation" and not amap.is_derivation:
-            reason = "map is not a validated derivation"
-        elif law == "jordan" and not amap.is_jordan:
-            reason = "map is not a validated Jordan derivation"
-        elif checker == "separation" and amap.is_derivation:
-            reason = "map is a derivation"
-        else:
+        reason = _scope(amap, checker)
+        if reason is None:
             live.append(i)
-            continue
-        reports[i] = _Recorder(checker, ring).skip(reason)
+        else:
+            reports[i] = _Recorder(checker, ring).skip(reason)
     chosen = [maps[i] for i in live]
     blocks = shared.setdefault(tuple(live), _Blocks(ring, chosen))
     for i, report in zip(live, _CHECKERS[checker](ring, chosen, config, blocks)):
@@ -1207,8 +1197,9 @@ def run_suite(ring: FiniteRing, maps: list[tuple[str, AdditiveMap]],
               jobs: int = 1) -> list[TheoremReport]:
     """Run the selected checkers, "all" or a list of ids, over the
     (descriptor, map) pairs, with the ring-level herstein checker once at
-    the end.  Der(R) is listed at most once per call, when separation
-    first needs it.
+    the end.  A map of another ring is refused, and a map outside a
+    checker's scope gets a skipped report with _scope's reason.  Der(R) is listed at most once per call, for the
+    notes of separation, whose verdicts come from generator proofs.
 
     The run is checker-major: each checker runs over every map before the
     next starts, so each sees all its maps as one list and checks them in
@@ -1232,9 +1223,11 @@ def run_suite(ring: FiniteRing, maps: list[tuple[str, AdditiveMap]],
             raise RingError(f"unknown checker ids: {', '.join(unknown)}")
 
     amaps = [amap for _, amap in maps]
+    if any(amap.ring is not ring for amap in amaps):
+        raise RingError("map belongs to a different ring")
     shared: dict = {}
     by_checker = [_run_checker(ring, amaps, cid, config, shared)
-                  for cid in CHECKER_ORDER if cid != "herstein" and cid in selected]
+                  for cid in _CHECKERS if cid in selected]
     reports = []
     for i, (desc, _) in enumerate(maps):
         for column in by_checker:

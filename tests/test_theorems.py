@@ -3,12 +3,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import reference_checkers
 from ringlab import (AdditiveMap, CHECKER_ORDER, MapLawError, Matrix, Product,
                      RingError, Tables, TheoremReport, Zn, build_ring,
                      enumerate_derivations, enumerate_jordan_derivations,
                      find_jordan_not_derivation, formal_derivative,
                      herstein_check, inner_derivation,
-                     run_suite, suite_status, verify_basic,
+                     run_suite, suite_status, verify_additivity_and_parts,
+                     verify_basic, verify_combination_rules,
                      verify_coset_structure, verify_jordan_suite,
                      verify_kernel_constants, verify_kernel_scaling,
                      verify_power_rules, verify_separation, zero_map)
@@ -167,16 +169,48 @@ def test_separation_finds_distinguishing_point(zn4):
     assert "separated" in kinds
 
 
-def test_separation_failure_is_witnessed_past_the_note_cap(zn4):
-    """26 separated derivations fill the notes; the indistinguishable one
-    after them is still a witness of the failing report."""
-    delta = find_jordan_not_derivation(zn4)
-    report = theorems._separation(zn4, delta, [zero_map(zn4)] * 26 + [delta])
-    assert report.status == "fail"
-    assert report.witnesses == [{"kind": "indistinguishable",
-                                 "derivation": [int(v) for v in delta.table]}]
-    assert len(report.notes) == theorems.MAX_WITNESSES
-    assert {w["kind"] for w in report.notes} == {"separated"}
+def test_separation_failure_is_witnessed_past_the_note_cap():
+    """On Z2^3 with the zero product every additive map is a derivation,
+    512 of them.  Derivation #30 in table order, flagged as a Jordan
+    non-derivation, equals itself: the report fails with its table as the
+    one witness, and the 25 derivations before it fill the notes.  So do
+    run_suite, the one-map call and the loop reference."""
+    add = build_ring(Product((Zn(2),) * 3)).add_table.tolist()
+    zero8 = build_ring(Tables(8, add, [[0] * 8] * 8))
+    table = enumerate_derivations(zero8)[30].table
+    delta = _flagged_jordan_only(zero8, table)
+    [suite] = run_suite(zero8, [("forged", delta)], ["separation"])
+    for report in (suite, verify_separation(zero8, delta)):
+        assert (report.status, report.instances) == ("fail", 512)
+        assert report.witnesses == [{"kind": "indistinguishable",
+                                     "derivation": table.tolist()}]
+        assert [(w["kind"], w["derivation_index"]) for w in report.notes] == [
+            ("separated", j) for j in range(theorems.MAX_WITNESSES)]
+        expected = reference_checkers.verify_separation(zero8, delta).to_json()
+        assert {**report.to_json(), "runtime": expected["runtime"]} == expected
+
+
+def test_every_map_checker_refuses_a_map_of_another_ring(zn4):
+    """A map of Z4 given to Z2×Z2, a ring of the same size, is refused by
+    every map checker: in run_suite, whether or not the checker would take
+    it, and in the checker's one-map call."""
+    z2z2 = build_ring(Product((Zn(2), Zn(2))))
+    zero, delta = zero_map(zn4), find_jordan_not_derivation(zn4)
+    verify = {"basic": verify_basic, "kernel-constants": verify_kernel_constants,
+              "coset-structure": verify_coset_structure,
+              "kernel-scaling": verify_kernel_scaling,
+              "combination-rules": verify_combination_rules,
+              "additivity-parts": verify_additivity_and_parts,
+              "power-rules": verify_power_rules, "jordan-suite": verify_jordan_suite,
+              "separation": verify_separation}
+    assert (*verify, "herstein") == CHECKER_ORDER
+    foreign = "map belongs to a different ring"
+    for cid, call in verify.items():
+        for amap in (zero, delta):
+            with pytest.raises(RingError, match=foreign):
+                run_suite(z2z2, [("Z4", amap)], [cid])
+        with pytest.raises(RingError, match=foreign):
+            call(z2z2, delta if cid in ("jordan-suite", "separation") else zero)
 
 
 def test_separation_guards(zn4, tp33):
