@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .integrals import integrate, is_proper, jordan_integrate
-from .maps import (AdditiveMap, MapLawError, check_derivation,
+from .maps import (AdditiveMap, MapLawError, _describe_maps, check_derivation,
                    enumerate_derivations, enumerate_jordan_derivations,
                    formal_derivative, inner_derivation, zero_map)
 from .rings import (FiniteRing, RingError, Zn, build_ring, spec_from_json,
@@ -157,7 +157,8 @@ def _cmd_derivations(args) -> tuple[int, str, dict]:
         "ring": spec_to_json(ring.spec),
         "law": law,
         "count": len(named),
-        "maps": [dict(desc=desc, **m.describe()) for desc, m in named],
+        "maps": [dict(desc=desc, **entry) for (desc, _), entry
+                 in zip(named, _describe_maps([m for _, m in named]))],
     }
     lines = [f"ring: {spec_name(ring.spec)} (size {ring.size})",
              f"law: {law}", f"count: {len(named)}"]

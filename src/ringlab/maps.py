@@ -9,9 +9,11 @@ On top of plain additivity the module recognizes two laws:
 Both defects are biadditive once f is additive, so the laws hold
 everywhere exactly when they hold on pairs of additive generators.
 One evaluator, _law_holds, states additivity and both laws, for one
-table or a block of tables, on every pair or on given pairs, and
-_on_generators proves them from generator pairs for the listers and the
-theorem checkers alike.
+table or a block of tables, on every pair or on generator pairs, and
+_on_generators proves them from generator pairs for every entry point:
+the listers, the theorem checkers, the check_* functions, the map
+constructors and the law flags.  The all-pairs walk runs only where a
+proof fails, to name the first failing pair.
 
 Der(R) and JDer(R) are kernels of linear systems over Z/N.  In a
 direct-sum generator basis of (R, +) an additive map is fixed by the
@@ -73,34 +75,44 @@ def _as_table(ring: FiniteRing, table) -> np.ndarray:
 
 
 def _law_holds(ring: FiniteRing, F: np.ndarray, law: str,
-               xs: Optional[np.ndarray] = None,
-               ys: Optional[np.ndarray] = None) -> np.ndarray:
-    """Where a law holds for the table F, or for each table of a block F,
-    at the pairs of the index arrays xs and ys, which broadcast against
-    each other with equal ndim, as (n, 1) and (1, k) do; the result has
-    shape F.shape[:-1] + their broadcast shape.  xs = ys = None means
-    every pair, row-major, with the operation table itself as the pair
-    table x ⋆ y rather than one gathered through index arrays.
+               gens: Optional[np.ndarray] = None) -> np.ndarray:
+    """Where a law holds for the table F, or for each table of a block F:
+    on every pair (x, y), an (n, n) result per table in row-major order,
+    when gens is None; else on the pairs (x, g) of every x and every
+    generator g for "additive", (n, k), and on generator pairs (g, h) for
+    "derivation" and "jordan", (k, k).
 
     With x ⋆ y the sum for "additive", the product for "derivation" and
     x∘y = xy + yx for "jordan", the laws are
 
         additive:            f(x + y) = f(x) + f(y)
         derivation, jordan:  f(x ⋆ y) = f(x) ⋆ y + x ⋆ f(y)
+
+    On every pair the operation table itself is the pair table x ⋆ y.  On
+    generators "jordan" builds only the k columns x∘g, an n×k table, and
+    reads g∘f(h) there as f(h)∘g, since x∘y = y∘x: no n×n x∘y table is
+    made.  Each term is one gather.  The gathers go through index arrays,
+    not slices: add[:, gens] is laid out in Fortran order, and F[..., x]
+    and F[..., ys] index the tables about twice as fast as views of F.
     """
     add, mul = ring.add_table, ring.mul_table
-    op = (add if law == "additive" else mul if law == "derivation"
-          else add[mul, mul.T])
-    if xs is None:
-        xs = np.arange(ring.size)[:, None]
-        ys, xy = xs.T, op
-        Fx, Fy = F[..., :, None], F[..., None, :]     # F[..., xs], F[..., ys]
-    else:
-        xy = op[xs, ys]
-        Fx, Fy = F[..., xs], F[..., ys]
+    x = np.arange(ring.size)[:, None]
+    if gens is None:
+        op = (add if law == "additive" else mul if law == "derivation"
+              else add[mul, mul.T])
+        Fx, Fy = F[..., :, None], F[..., None, :]
+        if law == "additive":
+            return F[..., op] == add[Fx, Fy]
+        return F[..., op] == add[op[Fx, x.T], op[x, Fy]]
+    ys = gens[None, :]
+    Fx, Fy = F[..., ys.T], F[..., ys]
     if law == "additive":
-        return F[..., xy] == add[Fx, Fy]
-    return F[..., xy] == add[op[Fx, ys], op[xs, Fy]]
+        return F[..., add[x, ys]] == add[F[..., x], Fy]
+    if law == "derivation":
+        return F[..., mul[ys.T, ys]] == add[mul[Fx, ys], mul[ys.T, Fy]]
+    col = add[mul[x, ys], mul[ys.T, x.T].T]         # col[x, j] = x∘g_j
+    j = np.arange(len(gens))
+    return F[..., col[gens]] == add[col[Fx, j], col[Fy, j[:, None]]]
 
 
 def _first_failure(holds: np.ndarray) -> tuple[bool, Optional[tuple[int, int]]]:
@@ -111,10 +123,21 @@ def _first_failure(holds: np.ndarray) -> tuple[bool, Optional[tuple[int, int]]]:
     return False, (int(x), int(y))
 
 
+def _check(ring: FiniteRing, f: np.ndarray,
+           law: str) -> tuple[bool, Optional[tuple[int, int]]]:
+    """(ok, witness) of law on every pair of the table f, which must be
+    additive unless law is "additive".  _on_generators proves the law from
+    generators; only where that proof fails does the all-pairs walk run,
+    to name the first failing pair in row-major order."""
+    if _on_generators(ring, _generators(ring), f, (law,))[law]:
+        return True, None
+    return _first_failure(_law_holds(ring, f, law))
+
+
 def _additive_table(ring: FiniteRing, table) -> np.ndarray:
     """The table as an array; NotAdditiveError if it is not additive."""
     f = _as_table(ring, table)
-    ok, witness = _first_failure(_law_holds(ring, f, "additive"))
+    ok, witness = _check(ring, f, "additive")
     if not ok:
         raise NotAdditiveError(witness, f"map is not additive at {witness}")
     return f
@@ -123,21 +146,21 @@ def _additive_table(ring: FiniteRing, table) -> np.ndarray:
 def check_additive(ring: FiniteRing, table) -> tuple[bool, Optional[tuple[int, int]]]:
     """Does the table satisfy f(x+y) = f(x) + f(y)?  Returns (ok, witness),
     the witness the first failing pair (x, y) in row-major order."""
-    return _first_failure(_law_holds(ring, _as_table(ring, table), "additive"))
+    return _check(ring, _as_table(ring, table), "additive")
 
 
 def check_derivation(ring: FiniteRing, table) -> tuple[bool, Optional[tuple[int, int]]]:
     """Does the table satisfy f(xy) = f(x)y + xf(y)?  Returns (ok, witness)
     as check_additive does; a table that is not additive raises
     NotAdditiveError."""
-    return _first_failure(_law_holds(ring, _additive_table(ring, table), "derivation"))
+    return _check(ring, _additive_table(ring, table), "derivation")
 
 
 def check_jordan_derivation(ring: FiniteRing,
                             table) -> tuple[bool, Optional[tuple[int, int]]]:
     """Does the table satisfy f(x∘y) = f(x)∘y + x∘f(y), x∘y = xy + yx?
     Returns (ok, witness) as check_derivation does."""
-    return _first_failure(_law_holds(ring, _additive_table(ring, table), "jordan"))
+    return _check(ring, _additive_table(ring, table), "jordan")
 
 
 # ---------------------------------------------------------------------------
@@ -182,25 +205,31 @@ def _reps(fibres, b, v):
 
 def _kernels(ring: FiniteRing, D: np.ndarray, fibres):
     """(karr, in_ker): each map's kernel in increasing order, padded to the
-    largest, of which in_ker marks the members.  Raises MapLawError unless
-    every kernel holds zero and is closed under addition.  The closure
-    check pads each kernel with zero, which adds only sums of members, and
-    reads D through one flat index, b·n added in place to the sums t:
-    numpy gathers that about twice as fast as D[b, t], and the index needs
-    no array of its own."""
+    largest, of which in_ker marks the members, checked by _check_kernels."""
+    zero = ring.zero
+    karr, in_ker = _members(fibres, np.arange(len(D)), zero, fibres[1][:, zero].max())
+    _check_kernels(ring, D, np.where(in_ker, karr, zero))
+    return karr, in_ker
+
+
+def _check_kernels(ring: FiniteRing, D: np.ndarray, K: np.ndarray) -> None:
+    """Raise MapLawError unless every map of the block D maps zero to zero
+    and has a kernel closed under addition; row b of K is map b's kernel,
+    padded with zero, which adds only sums of members.  The closure check
+    reads D through one flat index, b·n added in place to the sums t: numpy
+    gathers that about twice as fast as D[b, t], and the index needs no
+    array of its own."""
     B, n = D.shape
     zero = ring.zero
     if not (D[:, zero] == zero).all():
         raise MapLawError("kernel failed the subgroup check")
-    karr, in_ker = _members(fibres, np.arange(B), zero, fibres[1][:, zero].max())
-    padded, flat = np.where(in_ker, karr, zero), D.ravel()
-    for b in _row_blocks(B, karr.shape[1] ** 2):
-        k = padded[b]
+    flat = D.ravel()
+    for b in _row_blocks(B, K.shape[1] ** 2):
+        k = K[b]
         sums = ring.add_table[k[:, :, None], k[:, None, :]]
         sums += (b * n).astype(sums.dtype)[:, None, None]
         if not (flat[sums] == zero).all():
             raise MapLawError("kernel failed the subgroup check")
-    return karr, in_ker
 
 
 def _images(fibres):
@@ -265,18 +294,27 @@ class AdditiveMap:
 
     # -- law flags ----------------------------------------------------------
 
+    def _holds(self, law: str) -> bool:
+        """Whether the table satisfies law on every pair: proved from
+        generators where additivity on (x, generator) pairs shows the table
+        additive, and else the all-pairs verdict, which a table passed as
+        _trusted without being additive gets."""
+        holds = _on_generators(self.ring, _generators(self.ring), self.table,
+                               ("additive", law))
+        if holds["additive"]:
+            return bool(holds[law])
+        return bool(_law_holds(self.ring, self.table, law).all())
+
     @property
     def is_derivation(self) -> bool:
         if self._derivation is None:
-            holds = _law_holds(self.ring, self.table, "derivation")
-            self._derivation = bool(holds.all())
+            self._derivation = self._holds("derivation")
         return self._derivation
 
     @property
     def is_jordan(self) -> bool:
         if self._jordan is None:
-            holds = _law_holds(self.ring, self.table, "jordan")
-            self._jordan = bool(holds.all())
+            self._jordan = self._holds("jordan")
         return self._jordan
 
     @property
@@ -323,19 +361,45 @@ class AdditiveMap:
         return ElementSet(self.ring, _images(self.fibres)[0][0].tolist())
 
     def describe(self) -> dict:
-        out = {
-            "table": self.table.tolist(),
-            "additive": True,
-            "derivation": self.is_derivation,
-            "jordan": self.is_jordan,
-            "kernel_size": len(self.kernel),
-            "image_size": int(np.count_nonzero(self.fibres[1])),
-        }
-        witness = self.inner_witness
-        out["inner_witness"] = witness
-        if witness is not None:
-            out["inner_witness_label"] = self.ring.label(witness)
-        return out
+        """The map's JSON profile: _describe_maps of the one map."""
+        return _describe_maps([self])[0]
+
+
+def _tables(maps: list[AdditiveMap], ids: np.ndarray) -> np.ndarray:
+    """The (len(ids), n) stack of the tables of maps[ids], int32 as listed."""
+    return np.stack([maps[i].table for i in ids.tolist()])
+
+
+def _describe_maps(maps: list[AdditiveMap]) -> list[dict]:
+    """describe() of each map of a list of one ring's maps, on blocks of
+    whole maps: _counts gives the kernel and image sizes, and the maps of
+    each kernel size in a block take _check_kernels together, their
+    kernels read from the table without padding.  The inner witness is
+    one dict lookup a map."""
+    if not maps:
+        return []
+    ring = maps[0].ring
+    n, zero = ring.size, ring.zero
+    out = []
+    for ids in _row_blocks(len(maps), n):
+        D = _tables(maps, ids)
+        count = _counts(D)
+        kernel = count[:, zero]
+        for size in np.unique(kernel).tolist():
+            same = D[kernel == size]
+            members = np.nonzero(same == zero)[1].reshape(len(same), size)
+            _check_kernels(ring, same, members)
+        for b, table, k, i in zip(ids.tolist(), D.tolist(), kernel.tolist(),
+                                  np.count_nonzero(count, axis=1).tolist()):
+            amap = maps[b]
+            witness = amap.inner_witness
+            entry = {"table": table, "additive": True, "derivation": amap.is_derivation,
+                     "jordan": amap.is_jordan, "kernel_size": k, "image_size": i,
+                     "inner_witness": witness}
+            if witness is not None:
+                entry["inner_witness_label"] = ring.label(witness)
+            out.append(entry)
+    return out
 
 
 def _require_map(ring: FiniteRing, dmap: AdditiveMap, law: str) -> None:
@@ -383,12 +447,11 @@ def formal_derivative(ring: FiniteRing) -> AdditiveMap:
     if not isinstance(ring.spec, TruncPoly):
         raise RingError("the formal derivative needs a truncated polynomial ring")
     p, m = ring.spec.p, ring.spec.m
-    table = np.empty(ring.size, dtype=np.int32)
-    for x in range(ring.size):
-        coeffs = ring.value(x)
-        deriv = tuple(((k + 1) * coeffs[k + 1]) % p if k + 1 < m else 0
-                      for k in range(m))
-        table[x] = ring.index_of_value(deriv)
+    # x's coefficient of X^k is digit m-1-k of x in base p (constant term
+    # most significant), and d/dX takes it, times k, to X^(k-1)
+    weights = p ** np.arange(m - 1, -1, -1)
+    coeffs = np.arange(ring.size)[:, None] // weights % p
+    table = (np.arange(1, m) * coeffs[:, 1:] % p @ weights[:-1]).astype(np.int32)
     ok, witness = check_derivation(ring, table)
     if not ok:
         raise MapLawError(f"the formal derivative of Z{p}[X]/(X^{m}) fails "
@@ -612,10 +675,7 @@ def _on_generators(ring: FiniteRing, gens: np.ndarray, F: np.ndarray,
     sum of generators y gives f(x + y) = f(x) + f(y).  Both sides of either
     product law are then biadditive in (x, y), so they agree everywhere when
     they agree on generator pairs."""
-    every, ys = np.arange(ring.size)[:, None], gens[None, :]
-    return {law: _law_holds(ring, F, law, every if law == "additive" else gens[:, None],
-                            ys).all(axis=(-2, -1))
-            for law in laws}
+    return {law: _law_holds(ring, F, law, gens).all(axis=(-2, -1)) for law in laws}
 
 
 def _check_listed(ring: FiniteRing, gens: np.ndarray, F: np.ndarray,

@@ -72,7 +72,7 @@ import numpy as np
 
 from .maps import (MAX_LISTED_MAPS, AdditiveMap, MapLawError, _counts, _fibres_of,
                    _generators, _images, _kernels, _members, _on_generators, _reps,
-                   _row_blocks, _solve, enumerate_derivations,
+                   _row_blocks, _solve, _tables, enumerate_derivations,
                    enumerate_jordan_derivations)
 from .rings import FiniteRing, RingError
 
@@ -241,11 +241,6 @@ def _note_first(recs: list[_Recorder], noted: np.ndarray, owner: np.ndarray,
         if not noted[m]:
             recs[m].note(entry(i))
             noted[m] = True
-
-
-def _tables(maps: list[AdditiveMap], ids: np.ndarray) -> np.ndarray:
-    """The (len(ids), n) stack of the tables of maps[ids], int32 as listed."""
-    return np.stack([maps[i].table for i in ids.tolist()])
 
 
 class _Block:

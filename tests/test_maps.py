@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from ringlab import (AdditiveMap, MapLawError, Matrix, NotAdditiveError, Product
                      generator_basis, inner_derivation, spec_name, zero_map)
 from ringlab import maps
 from ringlab.integrals import integrate, quotient_view
-from ringlab.maps import _check_listed, _kernel_basis, _law_holds, _members, _reps
+from ringlab.maps import (_check_listed, _describe_maps, _kernel_basis, _law_holds,
+                          _members, _reps)
 
 
 def _tables(elements, add, mul, unity=None):
@@ -125,7 +127,7 @@ def test_generator_pairs_agree_with_all_pairs(zn4, tp22):
             f = np.array(table)
             for law, check in (("derivation", check_derivation),
                                ("jordan", check_jordan_derivation)):
-                on_gens = _law_holds(ring, f, law, gens[:, None], gens[None, :])
+                on_gens = _law_holds(ring, f, law, gens)
                 assert on_gens.all() == check(ring, f)[0]
 
 
@@ -316,6 +318,218 @@ def test_generator_basis_decomposition(corpus_rings):
                 for _ in range(c):
                     acc = ring.add(acc, g)
             assert acc == e
+
+
+# ---------------------------------------------------------------------------
+# Generator proofs against the all-pairs scan
+
+# corpus-like rings built unchecked, whose generators come from the
+# generator basis rather than from the axiom check
+UNCHECKED_SPECS = [TruncPoly(3, 3), Matrix(Zn(2), 2), TriPattern(Zn(2))]
+
+
+def _scan(ring, table, law):
+    """(ok, witness) of law by a plain loop over every pair in row-major
+    order, the witness the first failing pair."""
+    add, mul = ring.add_table.tolist(), ring.mul_table.tolist()
+    if law == "additive":
+        op = add
+    elif law == "derivation":
+        op = mul
+    else:
+        op = [[add[mul[x][y]][mul[y][x]] for y in range(ring.size)]
+              for x in range(ring.size)]
+    for x in range(ring.size):
+        for y in range(ring.size):
+            if law == "additive":
+                ok = table[op[x][y]] == add[table[x]][table[y]]
+            else:
+                ok = table[op[x][y]] == add[op[table[x]][y]][op[x][table[y]]]
+            if not ok:
+                return False, (x, y)
+    return True, None
+
+
+def _random_additive(ring, rng):
+    """An additive table from random images of the generator basis, each
+    image killed by its generator's order."""
+    basis, add = generator_basis(ring), ring.add_table.tolist()
+    images = [rng.choice([v for v in range(ring.size) if o % ring.additive_order(v) == 0])
+              for o in basis.orders.tolist()]
+    table = []
+    for coords in basis.decomp.tolist():
+        v = ring.zero
+        for c, image in zip(coords, images):
+            for _ in range(c):
+                v = add[v][image]
+        table.append(v)
+    return table
+
+
+def _proof_rings(corpus_rings):
+    return (corpus_rings + [build_ring(spec) for spec in MIXED_SPECS]
+            + [build_ring(spec, check=False) for spec in UNCHECKED_SPECS])
+
+
+def test_checks_match_the_all_pairs_scan(corpus_rings):
+    """check_additive, check_derivation and check_jordan_derivation prove
+    their law from generators, and where the proof fails the all-pairs
+    walk names the witness: (ok, witness), and NotAdditiveError's witness,
+    are exactly the plain scan's.  Random tables are mostly not additive,
+    random additive tables mostly break a law, and listed maps keep it."""
+    rng = random.Random(30)
+    for ring in _proof_rings(corpus_rings):
+        n = ring.size
+        tables = [[ring.zero] + [rng.randrange(n) for _ in range(n - 1)] for _ in range(4)]
+        tables += [[rng.randrange(n) for _ in range(n)] for _ in range(2)]
+        tables += [_random_additive(ring, rng) for _ in range(6)]
+        tables += [m.table.tolist() for m in enumerate_derivations(ring)[-3:]]
+        tables += [m.table.tolist() for m in enumerate_jordan_derivations(ring)[-3:]]
+        for table in tables:
+            additive = _scan(ring, table, "additive")
+            assert check_additive(ring, table) == additive
+            for law, check in (("derivation", check_derivation),
+                               ("jordan", check_jordan_derivation)):
+                if additive[0]:
+                    assert check(ring, table) == _scan(ring, table, law)
+                else:
+                    with pytest.raises(NotAdditiveError) as err:
+                        check(ring, table)
+                    assert err.value.witness == additive[1]
+
+
+def test_flags_of_tables_that_are_not_additive_are_exact(corpus_rings):
+    """A table passed as _trusted need not be additive, and then its law
+    flags are the all-pairs verdicts.  On Z4 the generator pair (1, 1)
+    alone cannot tell: [0, 0, 1, 0] keeps the Leibniz law there and breaks
+    it at (2, 3), and [0, 0, 0, 1] keeps the Jordan law there and breaks it
+    at (1, 3)."""
+    zn4 = build_ring(Zn(4))
+    for table, law in (([0, 0, 1, 0], "derivation"), ([0, 0, 0, 1], "jordan")):
+        assert _law_holds(zn4, np.array(table), law, maps._generators(zn4)).all()
+        forged = AdditiveMap(zn4, table, _trusted=True)
+        assert (forged.is_derivation, forged.is_jordan) == (False, False)
+    rng = random.Random(31)
+    for ring in _proof_rings(corpus_rings):
+        tables = [[ring.zero] + [rng.randrange(ring.size) for _ in range(ring.size - 1)]
+                  for _ in range(4)]
+        tables += [_random_additive(ring, rng) for _ in range(3)]
+        for table in tables:
+            forged = AdditiveMap(ring, table, _trusted=True)
+            assert forged.is_derivation == _scan(ring, table, "derivation")[0]
+            assert forged.is_jordan == _scan(ring, table, "jordan")[0]
+
+
+@pytest.mark.parametrize("p, m", [(2, 1), (3, 1), (2, 2), (2, 4), (3, 3), (2, 6), (2, 8)])
+def test_formal_derivative_is_the_coefficient_shift(p, m):
+    """The formal derivative's table, read from coefficient digits in one
+    pass, against ring.value and index_of_value element by element."""
+    ring = build_ring(TruncPoly(p, m))
+    expected = [ring.index_of_value(tuple((k + 1) * ring.value(x)[k + 1] % p if k + 1 < m
+                                          else 0 for k in range(m)))
+                for x in range(ring.size)]
+    assert formal_derivative(ring).table.tolist() == expected
+
+
+@pytest.mark.parametrize("p, m, witness", [(3, 2, (1, 1)), (2, 3, (1, 2)), (3, 4, (1, 9))])
+def test_formal_derivative_that_breaks_the_leibniz_law_is_refused(p, m, witness):
+    """Unless p divides m, d(X^m) = m·X^(m-1) is not zero, and the refusal
+    names the all-pairs walk's first failing pair."""
+    with pytest.raises(MapLawError, match=rf"fails the Leibniz law at \({witness[0]}, "
+                                          rf"{witness[1]}\)$"):
+        formal_derivative(build_ring(TruncPoly(p, m)))
+
+
+def test_lawful_maps_take_no_all_pairs_walk(tp33, m2z2, monkeypatch):
+    """The entry points prove a lawful map's laws from generators alone:
+    the all-pairs walk, the witness finder, runs only where a proof
+    fails."""
+    law_holds = maps._law_holds
+
+    def spy(ring, F, law, gens=None):
+        assert gens is not None, f"a lawful map walked every pair for {law}"
+        return law_holds(ring, F, law, gens)
+
+    monkeypatch.setattr(maps, "_law_holds", spy)
+    table = inner_derivation(m2z2, m2z2.parse("E12")).table.tolist()
+    for check in (check_additive, check_derivation, check_jordan_derivation):
+        assert check(m2z2, table) == (True, None)
+    amap = AdditiveMap(m2z2, table)
+    assert amap.is_derivation and amap.is_jordan
+    formal = formal_derivative(tp33)
+    assert AdditiveMap(tp33, formal.table).is_derivation
+
+
+# ---------------------------------------------------------------------------
+# Describing a listing as one block
+
+
+def _describe_loop(ring, amap):
+    """describe() by plain loops: the kernel counted and checked closed,
+    the image as a set, the least inner a by comparing x·a − a·x."""
+    n, table = ring.size, amap.table.tolist()
+    kernel = [y for y in range(n) if table[y] == ring.zero]
+    if any(table[ring.add(a, b)] != ring.zero for a in kernel for b in kernel):
+        raise MapLawError("kernel failed the subgroup check")
+    inner = next((a for a in range(n)
+                  if all(table[x] == ring.add(ring.mul(x, a), ring.neg(ring.mul(a, x)))
+                         for x in range(n))), None)
+    entry = {"table": table, "additive": True,
+             "derivation": check_derivation(ring, table)[0],
+             "jordan": check_jordan_derivation(ring, table)[0],
+             "kernel_size": len(kernel), "image_size": len(set(table)),
+             "inner_witness": inner}
+    if inner is not None:
+        entry["inner_witness_label"] = ring.label(inner)
+    return entry
+
+
+@pytest.mark.parametrize("cells", [None, 1], ids=["blocks", "one-map-blocks"])
+def test_block_describe_matches_a_plain_loop(corpus_rings, monkeypatch, cells):
+    """Both listings of every corpus and mixed ring, and of the one-element
+    rings, described as blocks and map by map, against _describe_loop.
+    With _BLOCK cut to n cells every block holds one map."""
+    rings = (corpus_rings + [build_ring(spec) for spec in MIXED_SPECS]
+             + [build_ring(Zn(1)), build_ring(Matrix(Zn(1), 2))])
+    for ring in rings:
+        if cells is not None:
+            monkeypatch.setattr(maps, "_BLOCK", cells * ring.size)
+        for enumerate_maps in (enumerate_derivations, enumerate_jordan_derivations):
+            listed = enumerate_maps(ring)
+            expected = [_describe_loop(ring, m) for m in listed]
+            assert _describe_maps(listed) == expected
+            assert [m.describe() for m in listed] == expected
+
+
+@pytest.mark.parametrize("at", [0, 1, 3])
+def test_block_describe_checks_every_kernel(zn4, at):
+    """A forged map whose kernel {0, 1} is not closed under addition fails
+    the subgroup check wherever it sits in a block with kernels of sizes
+    4, 2 and 1."""
+    listing = [zero_map(zn4), AdditiveMap(zn4, [0, 2, 0, 2]), AdditiveMap(zn4, [0, 1, 2, 3])]
+    listing.insert(at, AdditiveMap(zn4, [0, 0, 1, 1], _trusted=True, _derivation=True,
+                                   _jordan=True))
+    with pytest.raises(MapLawError, match="^kernel failed the subgroup check$"):
+        _describe_maps(listing)
+
+
+def test_block_describe_pads_no_kernel():
+    """Der(Z2[X]/(X^8)) holds 256 maps, and the zero map's kernel is the
+    whole ring.  Each map's kernel is checked at its own size: padded to 256
+    members, the kernel arrays alone of a 256-map block would peak near
+    3.5 MB, against about 1.5 MB for the whole describe."""
+    ring = build_ring(TruncPoly(2, 8))
+    listed = enumerate_derivations(ring)
+    assert max(int(np.count_nonzero(m.table == ring.zero)) for m in listed) == 256
+    _describe_maps(listed[:1])          # the ring's inner-witness dict, kept on it
+    tracemalloc.start()
+    try:
+        described = _describe_maps(listed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(described) == 256
+    assert peak < 2.5 * 2 ** 20
 
 
 def test_describe_shape(tp33):
