@@ -16,7 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from .maps import AdditiveMap, MapLawError, _images, _members, _reps, _require_map
+from .maps import (AdditiveMap, MapLawError, _counts, _images, _members, _reps,
+                   _require_map)
 from .rings import ElementSet, FiniteRing, RingError
 
 
@@ -149,10 +150,10 @@ def is_proper(ring: FiniteRing, dmap: AdditiveMap) -> tuple[bool, Optional[tuple
     so multiplicative closure is the whole question.  On failure the
     witness is the first (u, v, u*v) with u, v in the image and u*v not.
     """
-    fibres = dmap.fibres
-    img = _images(fibres)[0][0]
+    count = _counts(dmap.table[None])
+    img = _images(count)[0]
     products = ring.mul_table[np.ix_(img, img)]
-    outside = fibres[1][0, products] == 0      # u*v has an empty fibre
+    outside = count[0, products] == 0      # u*v has an empty fibre
     if not outside.any():
         return True, None
     i, j = np.unravel_index(int(np.argmax(outside)), outside.shape)
@@ -188,7 +189,7 @@ def quotient_view(ring: FiniteRing, dmap: AdditiveMap) -> QuotientView:
     # the induced map is onto the image, so it is a bijection when the
     # image has as many elements as there are cosets; each fibre is then
     # one coset
-    values = _images(fibres)[0][0]
+    values = _images(fibres[1])[0]
     if len(values) * len(karr) != ring.size:
         raise MapLawError("induced map is not a bijection onto the image")
     reps = _reps(fibres, 0, values)

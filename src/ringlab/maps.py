@@ -169,6 +169,13 @@ def check_jordan_derivation(ring: FiniteRing,
 # A block is a (B, n) stack D of tables; one map is the one-row block
 # table[None].  The fibre of v under map b is {y : D[b, y] = v}: its
 # kernel is the fibre of zero, and its image the v with a nonempty fibre.
+# _kernels and _images read a block whose maps share one kernel size and
+# one image size, one row a map.  An additive map's nonempty fibres are
+# cosets of its kernel, so its widest fibre is its kernel and its image
+# has n / |Ker| elements: its widest fibre fixes its shape, and only
+# tables that are not additive can differ in shape at one width.  Fibres
+# themselves are read padded (_members), as such a table's fibres may
+# differ in size and an empty fibre has no cells.
 
 
 def _counts(D: np.ndarray) -> np.ndarray:
@@ -203,22 +210,20 @@ def _reps(fibres, b, v):
     return order[b, np.minimum(start[b, v], order.shape[1] - 1)]
 
 
-def _kernels(ring: FiniteRing, D: np.ndarray, fibres):
-    """(karr, in_ker): each map's kernel in increasing order, padded to the
-    largest, of which in_ker marks the members, checked by _check_kernels."""
-    zero = ring.zero
-    karr, in_ker = _members(fibres, np.arange(len(D)), zero, fibres[1][:, zero].max())
-    _check_kernels(ring, D, np.where(in_ker, karr, zero))
-    return karr, in_ker
+def _kernels(ring: FiniteRing, D: np.ndarray) -> np.ndarray:
+    """Each map's kernel in increasing order, one row per map of the block
+    D, whose maps have one kernel size; checked by _check_kernels."""
+    K = np.nonzero(D == ring.zero)[1].reshape(len(D), -1)
+    _check_kernels(ring, D, K)
+    return K
 
 
 def _check_kernels(ring: FiniteRing, D: np.ndarray, K: np.ndarray) -> None:
     """Raise MapLawError unless every map of the block D maps zero to zero
-    and has a kernel closed under addition; row b of K is map b's kernel,
-    padded with zero, which adds only sums of members.  The closure check
-    reads D through one flat index, b·n added in place to the sums t: numpy
-    gathers that about twice as fast as D[b, t], and the index needs no
-    array of its own."""
+    and has a kernel closed under addition; row b of K is map b's kernel.
+    The closure check reads D through one flat index, b·n added in place to
+    the sums t: numpy gathers that about twice as fast as D[b, t], and the
+    index needs no array of its own."""
     B, n = D.shape
     zero = ring.zero
     if not (D[:, zero] == zero).all():
@@ -232,14 +237,10 @@ def _check_kernels(ring: FiniteRing, D: np.ndarray, K: np.ndarray) -> None:
             raise MapLawError("kernel failed the subgroup check")
 
 
-def _images(fibres):
-    """(u, here): each map's image in increasing order, padded to the
-    largest, of which here marks the image's own."""
-    count = fibres[1]
-    images = np.count_nonzero(count, axis=1)
-    width = int(images.max())
-    return (np.argsort(count == 0, axis=1, kind="stable")[:, :width],
-            np.arange(width) < images[:, None])
+def _images(count: np.ndarray) -> np.ndarray:
+    """Each map's image in increasing order, one row per map of a block
+    whose maps have one image size, from its fibre sizes count."""
+    return np.nonzero(count)[1].reshape(len(count), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -352,13 +353,13 @@ class AdditiveMap:
         """Preimage of zero, verified to be an additive subgroup on first
         use and then kept, as each integral holds it."""
         if self._kernel is None:
-            karr, _ = _kernels(self.ring, self.table[None], self.fibres)
-            self._kernel = ElementSet(self.ring, karr[0].tolist())
+            kernel = _kernels(self.ring, self.table[None])[0]
+            self._kernel = ElementSet(self.ring, kernel.tolist())
         return self._kernel
 
     @property
     def image(self) -> ElementSet:
-        return ElementSet(self.ring, _images(self.fibres)[0][0].tolist())
+        return ElementSet(self.ring, _images(_counts(self.table[None]))[0].tolist())
 
     def describe(self) -> dict:
         """The map's JSON profile: _describe_maps of the one map."""
@@ -373,9 +374,8 @@ def _tables(maps: list[AdditiveMap], ids: np.ndarray) -> np.ndarray:
 def _describe_maps(maps: list[AdditiveMap]) -> list[dict]:
     """describe() of each map of a list of one ring's maps, on blocks of
     whole maps: _counts gives the kernel and image sizes, and the maps of
-    each kernel size in a block take _check_kernels together, their
-    kernels read from the table without padding.  The inner witness is
-    one dict lookup a map."""
+    each kernel size in a block take _kernels together.  The inner witness
+    is one dict lookup a map."""
     if not maps:
         return []
     ring = maps[0].ring
@@ -386,9 +386,7 @@ def _describe_maps(maps: list[AdditiveMap]) -> list[dict]:
         count = _counts(D)
         kernel = count[:, zero]
         for size in np.unique(kernel).tolist():
-            same = D[kernel == size]
-            members = np.nonzero(same == zero)[1].reshape(len(same), size)
-            _check_kernels(ring, same, members)
+            _kernels(ring, D[kernel == size])
         for b, table, k, i in zip(ids.tolist(), D.tolist(), kernel.tolist(),
                                   np.count_nonzero(count, axis=1).tolist()):
             amap = maps[b]

@@ -385,9 +385,6 @@ class FiniteRing:
             self._inverse = inverse
         return self._inverse
 
-    def is_invertible(self, x: int) -> bool:
-        return self.invert(x) is not None
-
     # -- structural predicates ------------------------------------------------
 
     def additive_order(self, x: int) -> int:
@@ -400,7 +397,7 @@ class FiniteRing:
 
     def is_commutative(self) -> bool:
         if self._commutative is None:
-            self._commutative = bool(np.array_equal(self.mul_table, self.mul_table.T))
+            self._commutative = _asymmetry(self.mul_table) is None
         return self._commutative
 
     def is_n_torsion_free(self, n: int) -> bool:

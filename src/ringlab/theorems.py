@@ -21,13 +21,15 @@ integral-maps-outside and jordan-suite's coset-mismatch.
 run_suite is checker-major: each checker runs over every map of the call
 before the next checker starts.  Every map checker has one block form,
 which takes all its maps at once and evaluates them on (B, n) stacks of
-map tables: blocks of whole maps of one widest fibre (_Blocks, walked in
-order of that width), and for the pair laws blocks of (map, x) rows
-(_pair_blocks), all walked by _row_blocks.  The checkers of one run_suite
-call share the blocks, their fibres, their checked kernels and their
-generator proofs.  Fibres, kernels and images are computed by maps, in
-one implementation whose one-row case is a single AdditiveMap's, so a
-call with one map reads that map's own fibres.  The pair laws of
+map tables: blocks of whole maps of one fibre shape, the widest fibre,
+kernel size and image size (_Blocks, walked in order of widest fibre),
+and for the pair laws blocks of (map, x) rows (_pair_blocks), all walked
+by _row_blocks.  A block's kernels and images are read unpadded, one row
+a map.  The checkers of one run_suite call share the blocks, their
+fibres, their checked kernels and their generator proofs.  Fibres,
+kernels and images are computed by maps, in one implementation whose
+one-row case is a single AdditiveMap's, so a call with one map reads
+that map's own fibres.  The pair laws of
 combination-rules and jordan-suite are additivity and the map's own law,
 so a map that maps._on_generators proves lawful from generator pairs has
 its pair instances counted, and only the others walk their pairs, which
@@ -244,15 +246,16 @@ def _note_first(recs: list[_Recorder], noted: np.ndarray, owner: np.ndarray,
 
 
 class _Block:
-    """Whole maps of one widest fibre, taken from a list of maps, and what
+    """Whole maps of one fibre shape, taken from a list of maps, and what
     the checks read of them, each computed on first use.
 
     ids are the maps' positions in the list, in increasing order; D is the
     (B, n) stack of their tables, fibres its (order, count, start) as
-    maps._fibres_of gives them, and width the maps' widest fibre; kernel
-    and image are maps._kernels and maps._images of those fibres, as for
-    one AdditiveMap.  A fibre check holds one row per (map, element), row
-    b·n + p for (b, p), and pads each fibre to width cells."""
+    maps._fibres_of gives them, and width the maps' widest fibre.  The maps
+    share one kernel size and one image size, so kernel and image are
+    maps._kernels and maps._images of the block, one unpadded row a map,
+    as for one AdditiveMap.  A fibre check holds one row per (map,
+    element), row b·n + p for (b, p), and pads each fibre to width cells."""
 
     def __init__(self, ring: FiniteRing, ids: np.ndarray, D: np.ndarray, fibres,
                  width: int):
@@ -288,21 +291,21 @@ class _Block:
         return _members(self.fibres, self.rows[0], self.sorted_rows[1], width)
 
     @cached_property
-    def kernel(self):
-        """(karr, in_ker), each map's kernel, checked: maps._kernels."""
-        return _kernels(self.ring, self.D, self.fibres)
+    def kernel(self) -> np.ndarray:
+        """Each map's kernel, checked: maps._kernels."""
+        return _kernels(self.ring, self.D)
 
     @cached_property
-    def image(self):
-        """(u, here), each map's image: maps._images."""
-        return _images(self.fibres)
+    def image(self) -> np.ndarray:
+        """Each map's image: maps._images."""
+        return _images(self.fibres[1])
 
 
 class _Blocks:
-    """A list of maps in _Blocks of one widest fibre each, in order of that
-    width, built on first use.  run_suite builds one per list of maps that
-    its checkers take, so they share the blocks and what the blocks
-    compute; a block checker called alone builds its own."""
+    """A list of maps in _Blocks of one fibre shape each, in order of
+    widest fibre, built on first use.  run_suite builds one per list of
+    maps that its checkers take, so they share the blocks and what the
+    blocks compute; a block checker called alone builds its own."""
 
     def __init__(self, ring: FiniteRing, maps: list[AdditiveMap]):
         self.ring, self.maps = ring, maps
@@ -310,16 +313,19 @@ class _Blocks:
 
     @cached_property
     def blocks(self) -> list[_Block]:
-        """Each map's widest fibre comes from its fibre sizes, counted in
-        blocks of whole maps at 4n cells a map, which bounds the stack and
-        the two arrays _counts makes of it by _BLOCK.  A stable sort by
-        width orders the maps, and the maps of one width form blocks of n
-        rows of width cells a map, at most _BLOCK cells, so no map is
-        padded past its own widest fibre (the zero map, whose fibre is the
-        whole ring, comes last).  A block holds at least one map, so a map
-        whose n rows alone are wider than _BLOCK is checked whole.  A list
-        of one map is one block of that map's own fibres, counted once and
-        kept on the map."""
+        """Each map's fibre shape, (widest fibre, kernel size, image size),
+        comes from its fibre sizes, counted in blocks of whole maps at 4n
+        cells a map, which bounds the stack and the two arrays _counts makes
+        of it by _BLOCK.  A stable sort by shape orders the maps, and the
+        maps of one shape form blocks of n rows of width cells a map, at
+        most _BLOCK cells, so no map is padded past its own widest fibre
+        (the zero map, whose fibre is the whole ring, comes last), and no
+        kernel or image is padded at all.  An additive map's widest fibre
+        fixes its shape (see the fibre section of maps), so only tables
+        that are not additive split a width.  A block holds at least one
+        map, so a map whose n rows alone are wider than _BLOCK is checked
+        whole.  A list of one map is one block of that map's own fibres,
+        counted once and kept on the map."""
         ring, maps, n = self.ring, self.maps, self.ring.size
         if not maps:
             return []
@@ -327,17 +333,20 @@ class _Blocks:
             fibres = maps[0].fibres
             return [_Block(ring, np.zeros(1, dtype=np.intp), maps[0].table[None], fibres,
                            int(fibres[1].max()))]
-        widths = np.empty(len(maps), dtype=np.intp)
+        shapes = np.empty((3, len(maps)), dtype=np.intp)
         for ids in _row_blocks(len(maps), 4 * n):
-            widths[ids] = _counts(_tables(maps, ids)).max(axis=1)
-        by_width = np.argsort(widths, kind="stable")
-        widths = widths[by_width]
-        edges = [0, *(np.flatnonzero(widths[1:] != widths[:-1]) + 1).tolist(), len(maps)]
+            count = _counts(_tables(maps, ids))
+            shapes[:, ids] = (count.max(axis=1), count[:, ring.zero],
+                              np.count_nonzero(count, axis=1))
+        by_shape = np.lexsort(shapes[::-1])
+        shapes = shapes[:, by_shape]
+        cuts = np.flatnonzero((shapes[:, 1:] != shapes[:, :-1]).any(axis=0)) + 1
+        edges = [0, *cuts.tolist(), len(maps)]
         blocks = []
         for a, b in zip(edges, edges[1:]):
-            width = int(widths[a])
+            width = int(shapes[0, a])
             for r in _row_blocks(b - a, n * width):
-                ids = by_width[a + r]
+                ids = by_shape[a + r]
                 D = _tables(maps, ids)
                 blocks.append(_Block(ring, ids, D, _fibres_of(D), width))
         return blocks
@@ -445,8 +454,7 @@ def _check_additivity(recs: list[_Recorder], block: _Block):
     checks that), the left side is (rep[u] + rep[v]) + Ker, so the two are
     equal exactly when d(rep[u] + rep[v]) = u + v, rep[u] being the least
     element of the fibre of u."""
-    D, add = block.D, block.ring.add_table
-    u, here = block.image
+    D, add, u = block.D, block.ring.add_table, block.image
     width = u.shape[1]
     rep = _reps(block.fibres, np.arange(len(D))[:, None], u)
     for m in _row_blocks(len(D), width * width):
@@ -454,8 +462,7 @@ def _check_additivity(recs: list[_Recorder], block: _Block):
               == add[u[m, :, None], u[m, None, :]])
         _check_rows(recs, np.repeat(block.ids[m], width), ok,
                     lambda row, j: {"kind": "integral-additivity",
-                                    "x": int(u[m].flat[row]), "y": int(u[m[row // width], j])},
-                    present=here[m, :, None] & here[m, None, :])
+                                    "x": int(u[m].flat[row]), "y": int(u[m[row // width], j])})
 
 
 def _check_criteria(rec: _Recorder, surjective: bool, all_nonempty: bool,
@@ -494,8 +501,7 @@ def _basic(ring: FiniteRing, maps: list[AdditiveMap], config: Optional[CheckerCo
     t0, recs = _start(ring, maps, "basic")
     add, n, zero = ring.add_table, ring.size, ring.zero
     for block in (blocks or _Blocks(ring, maps)).walk():
-        ids, D, count = block.ids, block.D, block.fibres[1]
-        karr, in_ker = block.kernel
+        ids, D, count, karr = block.ids, block.D, block.fibres[1], block.kernel
         _check_rows(recs, ids, D[:, zero] == zero, lambda i, j: {"kind": "zero-membership"})
         _check_rows(recs, block.owner, D[:, np.arange(n)] == D,
                     lambda row, _: {"kind": "element-not-in-own-integral", "x": row % n})
@@ -505,12 +511,12 @@ def _basic(ring: FiniteRing, maps: list[AdditiveMap], config: Optional[CheckerCo
         b = np.arange(len(ids))[:, None]
         rep = _reps(block.fibres, b, np.arange(n))
         values = D[b[..., None], add[rep[..., None], karr[:, None, :]]]
-        onto = (~in_ker[:, None, :] | (values == np.arange(n)[:, None])).all(axis=2)
+        onto = (values == np.arange(n)[:, None]).all(axis=2)
 
         def outside(i, _):
             m, x = divmod(i, n)
             return {"kind": "integral-maps-outside", "x": x,
-                    "values": sorted(set(values[m, x][in_ker[m]].tolist()))}
+                    "values": sorted(set(values[m, x].tolist()))}
 
         _check_rows(recs, block.owner, (count == 0) | onto, outside)
         for m, row in zip(ids.tolist(), _criteria(count, zero).tolist()):
@@ -609,24 +615,22 @@ def _coset_structure(ring: FiniteRing, maps: list[AdditiveMap],
                      blocks: Optional[_Blocks] = None) -> list[TheoremReport]:
     """coset-structure on every map of the list, one report per map."""
     t0, recs = _start(ring, maps, "coset-structure")
-    add, n, zero = ring.add_table, ring.size, ring.zero
+    add, n = ring.add_table, ring.size
     kinds = ("coset-mismatch", "nonunique-kernel-offset")
     for block in (blocks or _Blocks(ring, maps)).walk():
-        D, count = block.D, block.fibres[1]
-        karr, in_ker = block.kernel
+        D, count, karr = block.D, block.fibres[1], block.kernel
         # for each member y of each fibre, x = d(y): the coset y + Ker
         # equals the fibre, and its offsets are distinct.  As + is a group
         # operation the offsets y + κ are distinct, so the coset equals the
         # fibre exactly when the sizes agree and d maps every y + κ to x;
-        # the sorted offsets (padding last) show that they are distinct.
+        # the sorted offsets show that they are distinct.
         b = np.arange(len(block.ids))[:, None]
         y, x = (a.reshape(len(block.ids), n) for a in block.sorted_rows)
-        here = in_ker[:, None, :]
         shifted = add[y[..., None], karr[:, None, :]]
-        same = ((count[b, x] == count[:, zero, None])
-                & (~here | (D[b[..., None], shifted] == x[..., None])).all(axis=2))
-        shifted = np.sort(np.where(here, shifted, n), axis=2)
-        distinct = (~here[..., 1:] | (shifted[..., 1:] != shifted[..., :-1])).all(axis=2)
+        same = ((count[b, x] == karr.shape[1])
+                & (D[b[..., None], shifted] == x[..., None]).all(axis=2))
+        shifted = np.sort(shifted, axis=2)
+        distinct = (shifted[..., 1:] != shifted[..., :-1]).all(axis=2)
         _check_rows(recs, block.owner, np.stack([same, distinct], axis=-1),
                     lambda i, j: {"kind": kinds[j], "x": int(x.flat[i]), "y": int(y.flat[i])})
     return _finish(recs, t0)
@@ -651,7 +655,7 @@ def _kernel_scaling(ring: FiniteRing, maps: list[AdditiveMap],
     """kernel-scaling on every map of the list, one report per map.  The
     inverse table belongs to the ring and is read once per call."""
     t0, recs = _start(ring, maps, "kernel-scaling")
-    mul, n, zero = ring.mul_table, ring.size, ring.zero
+    mul, n = ring.mul_table, ring.size
     inverse = ring.inverse_table() if ring.unity is not None else np.full(n, -1)
     kinds = ("left-scaling-escape", "right-scaling-escape",
              "scaled-integral-empty", "left-scaling-not-equal",
@@ -659,9 +663,7 @@ def _kernel_scaling(ring: FiniteRing, maps: list[AdditiveMap],
     noted = np.zeros(len(maps), dtype=bool)
     for block in (blocks or _Blocks(ring, maps)).walk():
         ids, D, width = block.ids, block.D, block.width
-        count = block.fibres[1]
-        karr, in_ker = block.kernel
-        xs, in_image = block.image
+        count, karr, xs = block.fibres[1], block.kernel, block.image
         k, groups = karr.shape[1], xs.shape[1]
         integrals = _members(block.fibres, np.arange(len(ids))[:, None], xs, width)
         # one row per (map, w), w in the kernel, and one group of five
@@ -672,8 +674,7 @@ def _kernel_scaling(ring: FiniteRing, maps: list[AdditiveMap],
         for r in _row_blocks(len(ids) * k, groups * width):
             b, i = np.divmod(r, k)
             bc, w, x = b[:, None], karr[b, i], xs[b]
-            real = in_ker[b, i][:, None] & in_image[b]
-            inv = real & (inverse[w] >= 0)[:, None]
+            inv = (inverse[w] >= 0)[:, None]
             # the rows of one map share its integrals
             members, present = (a[b[:1] if b[0] == b[-1] else b] for a in integrals)
             sides = []
@@ -691,7 +692,7 @@ def _kernel_scaling(ring: FiniteRing, maps: list[AdditiveMap],
                            right_in & (right_n == target_r)], axis=-1)
             owner = ids[b]
             _note_first(recs, noted, np.repeat(owner, groups),
-                        np.flatnonzero(real & ~inv & left_in & (left_n < target_l)),
+                        np.flatnonzero(~inv & left_in & (left_n < target_l)),
                         lambda j: {"kind": "strict-inclusion", "w": int(w[j // groups]),
                                    "x": int(x.flat[j]), "scaled_size": int(left_n.flat[j]),
                                    "integral_size": int(target_l.flat[j])})
@@ -700,12 +701,12 @@ def _kernel_scaling(ring: FiniteRing, maps: list[AdditiveMap],
                 g, c = divmod(col, 5)
                 return {"kind": kinds[c], "w": int(w[row]), "x": int(x[row, g])}
 
+            checked = np.ones(ok.shape, dtype=bool)
+            checked[..., 3:] = inv[..., None]
             _check_rows(recs, owner, ok.reshape(len(r), -1), witness,
-                        present=np.stack([real, real, real, inv, inv], axis=-1)
-                        .reshape(len(r), -1))
-        vacuous = 2 * (n - np.count_nonzero(in_image, axis=1)) * count[:, zero]
-        for m, extra in zip(ids.tolist(), vacuous.tolist()):
-            recs[m].instances += extra
+                        present=checked.reshape(len(r), -1))
+        for m in ids.tolist():
+            recs[m].instances += 2 * (n - groups) * k
     return _finish(recs, t0)
 
 
@@ -972,8 +973,7 @@ def _jordan_suite(ring: FiniteRing, maps: list[AdditiveMap],
     blocks = blocks or _Blocks(ring, maps)
 
     for block in blocks.walk():
-        ids, D, (_, count, start) = block.ids, block.D, block.fibres
-        karr, in_ker = block.kernel
+        ids, D, (_, count, start), karr = block.ids, block.D, block.fibres, block.kernel
         _check_rows(recs, ids, D[:, zero] == zero, lambda i, j: {"kind": "zero-membership"})
 
         # y, z in one fibre differ by a kernel element, in the loop order
@@ -997,9 +997,8 @@ def _jordan_suite(ring: FiniteRing, maps: list[AdditiveMap],
         B = len(ids)
         shifted = D[np.arange(B)[:, None, None],
                     add[y.reshape(B, n, 1), karr[:, None, :]]]
-        coset_ok = ((count[b, x] == count[b, zero])
-                    & (~in_ker[:, None, :] | (shifted == x.reshape(B, n, 1))).all(axis=2)
-                    .ravel())
+        coset_ok = ((count[b, x] == karr.shape[1])
+                    & (shifted == x.reshape(B, n, 1)).all(axis=2).ravel())
         last = p == start[b, x] + count[b, x] - 1
         onto = np.ones(len(b), dtype=bool)
         onto[last] = (~here[last] | (D[bc[last], z[last]] == x[last, None])).all(axis=1)

@@ -265,6 +265,36 @@ def test_block_of_maps_matches_reference(block_cases, block, monkeypatch):
     assert bool(several) == (block > 48)
 
 
+@pytest.mark.parametrize("block", [None, 5, 48], ids=["default", "5", "48"])
+def test_maps_of_one_width_and_two_shapes_match_reference(block, monkeypatch):
+    """Two forged Z6 maps of widest fibre 3: [0,1,0,1,0,1] has kernel 3 and
+    image 2, [0,1,1,1,2,2] kernel 1 and image 3.  Blocks group maps by
+    fibre shape and read kernels and images unpadded, so the two must not
+    share a block; beside the zero map, every report of run_suite(...,
+    "all") equals its one-map call and its loop reference.  Neither map is
+    additive, and jordan-suite reads a failed Jordan product rule as a
+    failed parts rule, which holds for additive maps only, so its reports
+    of the two are held to the one-map call alone."""
+    if block is not None:
+        monkeypatch.setattr(maps, "_BLOCK", block)
+    zn6 = build_ring(Zn(6))
+    amaps = [_forged(zn6, [0, 1, 0, 1, 0, 1]), _forged(zn6, [0, 1, 1, 1, 2, 2]),
+             zero_map(zn6)]
+    got = theorems.run_suite(zn6, [(str(i), m) for i, m in enumerate(amaps)], "all")
+    k = len(BLOCK_PAIRS)
+    assert len(got) == k * len(amaps) + 1
+    for i, amap in enumerate(amaps):
+        for report in got[k * i:k * i + k]:
+            checks, verify, old = BLOCK_PAIRS[report.checker]
+            if not checks(amap):
+                assert report.status == "skipped", (report.checker, i)
+                continue
+            assert _strip(report) == _strip(verify(zn6, amap)), (report.checker, i)
+            if report.checker != "jordan-suite" or i == 2:
+                assert _strip(report) == _strip(old(zn6, amap)), (report.checker, i)
+    assert _strip(got[-1]) == _strip(theorems.herstein_check(zn6))
+
+
 def _one_map_case(cid):
     """A (ring, map) that cid checks: the forged TANGLED map of M2(Z2), the
     formal derivative of Z3[X]/(X^3) for power-rules (M2(Z2) is not
