@@ -25,15 +25,13 @@ import re
 import sys
 from typing import Optional
 
-import numpy as np
-
 from .integrals import integrate, is_proper, jordan_integrate
 from .maps import (AdditiveMap, MapLawError, _describe_maps, check_derivation,
                    enumerate_derivations, enumerate_jordan_derivations,
                    formal_derivative, inner_derivation, zero_map)
 from .rings import (FiniteRing, RingError, Zn, build_ring, spec_from_json,
                     spec_name, spec_to_json)
-from .theorems import (CHECKER_ORDER, CheckerConfig, TheoremReport,
+from .theorems import (CHECKER_ORDER, CheckerConfig, TheoremReport, _empty_parts,
                        find_jordan_not_derivation, run_suite, suite_status)
 
 
@@ -298,9 +296,8 @@ def _search_ring(ring: FiniteRing, target: str) -> Optional[dict]:
         return {"ring": spec_to_json(ring.spec),
                 "map_table": [int(v) for v in witness.table],
                 "leibniz_failure_at": list(pair)}
-    mul, label = ring.mul_table, ring.label
+    label = ring.label
     for i, dmap in enumerate(enumerate_derivations(ring, progress)):
-        f = dmap.table
         if target == "non-proper":
             proper, wit = is_proper(ring, dmap)
             if proper:
@@ -309,18 +306,14 @@ def _search_ring(ring: FiniteRing, target: str) -> Optional[dict]:
             witness = {"u": u, "v": v, "uv": uv, "u_label": label(u),
                        "v_label": label(v), "uv_label": label(uv)}
         else:                             # empty-parts-witness
-            count = dmap.fibres[1][0]     # count[z] = 0: z is not in the image
-            left = mul[f]                 # d(x)*y
-            right = mul[:, f]             # x*d(y)
-            hits = np.argwhere((count[left] == 0) & (count[right] == 0))
-            if not len(hits):
+            hit = next(_empty_parts(ring, [dmap]))
+            if hit is None:
                 continue
-            x, y = (int(v) for v in hits[0])
+            x, y, a, b = hit
             witness = {"x": x, "y": y, "x_label": label(x), "y_label": label(y),
-                       "dx_times_y": int(left[x, y]),
-                       "x_times_dy": int(right[x, y])}
+                       "dx_times_y": a, "x_times_dy": b}
         return {"ring": spec_to_json(ring.spec), "map": f"enumerate#{i}",
-                "map_table": [int(v) for v in f], "witness": witness}
+                "map_table": [int(v) for v in dmap.table], "witness": witness}
     return None
 
 

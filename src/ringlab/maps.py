@@ -9,11 +9,12 @@ On top of plain additivity the module recognizes two laws:
 Both defects are biadditive once f is additive, so the laws hold
 everywhere exactly when they hold on pairs of additive generators.
 One evaluator, _law_holds, states additivity and both laws, for one
-table or a block of tables, on every pair or on generator pairs, and
-_on_generators proves them from generator pairs for every entry point:
-the listers, the theorem checkers, the check_* functions, the map
-constructors and the law flags.  The all-pairs walk runs only where a
-proof fails, to name the first failing pair.
+table or a block of tables, on rows x against every y or on generator
+pairs, and _on_generators proves them from generator pairs for every
+entry point: the listers, the theorem checkers, the check_* functions,
+the map constructors and the law flags.  Only where a proof fails are
+pairs walked, in row blocks of at most _BLOCK cells up to the first
+failing block, to name the first failing pair (_first_failure).
 
 Der(R) and JDer(R) are kernels of linear systems over Z/N.  In a
 direct-sum generator basis of (R, +) an additive map is fixed by the
@@ -39,7 +40,7 @@ from typing import Optional
 import numpy as np
 
 from .rings import (ElementSet, FiniteRing, TruncPoly, RingError, _orders_modulo,
-                    _times)
+                    _row_blocks, _times)
 
 class MapLawError(RingError):
     """A map does not satisfy the law required by an operation."""
@@ -75,12 +76,14 @@ def _as_table(ring: FiniteRing, table) -> np.ndarray:
 
 
 def _law_holds(ring: FiniteRing, F: np.ndarray, law: str,
-               gens: Optional[np.ndarray] = None) -> np.ndarray:
+               gens: Optional[np.ndarray] = None,
+               rows: Optional[np.ndarray] = None) -> np.ndarray:
     """Where a law holds for the table F, or for each table of a block F:
-    on every pair (x, y), an (n, n) result per table in row-major order,
-    when gens is None; else on the pairs (x, g) of every x and every
-    generator g for "additive", (n, k), and on generator pairs (g, h) for
-    "derivation" and "jordan", (k, k).
+    on the pairs (x, y) of each x of rows (every x by default) and every
+    y, a (len(rows), n) result per table in row-major order, when gens is
+    None; else on the pairs (x, g) of every x and every generator g for
+    "additive", (n, k), and on generator pairs (g, h) for "derivation" and
+    "jordan", (k, k).
 
     With x ⋆ y the sum for "additive", the product for "derivation" and
     x∘y = xy + yx for "jordan", the laws are
@@ -88,22 +91,25 @@ def _law_holds(ring: FiniteRing, F: np.ndarray, law: str,
         additive:            f(x + y) = f(x) + f(y)
         derivation, jordan:  f(x ⋆ y) = f(x) ⋆ y + x ⋆ f(y)
 
-    On every pair the operation table itself is the pair table x ⋆ y.  On
-    generators "jordan" builds only the k columns x∘g, an n×k table, and
-    reads g∘f(h) there as f(h)∘g, since x∘y = y∘x: no n×n x∘y table is
-    made.  Each term is one gather.  The gathers go through index arrays,
+    On rows each term is a gather of the result's shape (x∘y two products
+    and a sum), so no pair table is larger than the result.  On generators
+    "jordan" builds only the k columns x∘g, an n×k table, and reads g∘f(h)
+    there as f(h)∘g, since x∘y = y∘x.  The gathers go through index arrays,
     not slices: add[:, gens] is laid out in Fortran order, and F[..., x]
     and F[..., ys] index the tables about twice as fast as views of F.
     """
     add, mul = ring.add_table, ring.mul_table
-    x = np.arange(ring.size)[:, None]
+    x = (np.arange(ring.size) if rows is None else rows)[:, None]
     if gens is None:
-        op = (add if law == "additive" else mul if law == "derivation"
-              else add[mul, mul.T])
-        Fx, Fy = F[..., :, None], F[..., None, :]
+        y = np.arange(ring.size)
+        Fx, Fy = F[..., x], F[..., None, :]
         if law == "additive":
-            return F[..., op] == add[Fx, Fy]
-        return F[..., op] == add[op[Fx, x.T], op[x, Fy]]
+            return F[..., add[x, y]] == add[Fx, Fy]
+
+        def star(a, b):         # a ⋆ b of the product laws
+            return mul[a, b] if law == "derivation" else add[mul[a, b], mul[b, a]]
+
+        return F[..., star(x, y)] == add[star(Fx, y), star(x, Fy)]
     ys = gens[None, :]
     Fx, Fy = F[..., ys.T], F[..., ys]
     if law == "additive":
@@ -115,23 +121,30 @@ def _law_holds(ring: FiniteRing, F: np.ndarray, law: str,
     return F[..., col[gens]] == add[col[Fx, j], col[Fy, j[:, None]]]
 
 
-def _first_failure(holds: np.ndarray) -> tuple[bool, Optional[tuple[int, int]]]:
-    """(ok, witness), the witness the first failing pair in row-major order."""
-    if holds.all():
-        return True, None
-    x, y = np.unravel_index(int(np.argmin(holds)), holds.shape)
-    return False, (int(x), int(y))
+def _first_failure(ring: FiniteRing, f: np.ndarray,
+                   law: str) -> tuple[bool, Optional[tuple[int, int]]]:
+    """(ok, witness) of law on every pair of the table f, the witness the
+    first failing pair in row-major order: rows x against every y are
+    walked in _row_blocks up to the first block with a failure, so no
+    step holds more than _BLOCK cells."""
+    n = ring.size
+    for x in _row_blocks(n, n):
+        holds = _law_holds(ring, f, law, rows=x)
+        if not holds.all():
+            i, y = divmod(int(np.argmin(holds)), n)
+            return False, (int(x[i]), y)
+    return True, None
 
 
 def _check(ring: FiniteRing, f: np.ndarray,
            law: str) -> tuple[bool, Optional[tuple[int, int]]]:
     """(ok, witness) of law on every pair of the table f, which must be
     additive unless law is "additive".  _on_generators proves the law from
-    generators; only where that proof fails does the all-pairs walk run,
-    to name the first failing pair in row-major order."""
+    generators; only where that proof fails does _first_failure walk the
+    pairs, to name the first failing pair in row-major order."""
     if _on_generators(ring, _generators(ring), f, (law,))[law]:
         return True, None
-    return _first_failure(_law_holds(ring, f, law))
+    return _first_failure(ring, f, law)
 
 
 def _additive_table(ring: FiniteRing, table) -> np.ndarray:
@@ -298,13 +311,13 @@ class AdditiveMap:
     def _holds(self, law: str) -> bool:
         """Whether the table satisfies law on every pair: proved from
         generators where additivity on (x, generator) pairs shows the table
-        additive, and else the all-pairs verdict, which a table passed as
-        _trusted without being additive gets."""
+        additive, and else _first_failure's verdict, which a table passed
+        as _trusted without being additive gets."""
         holds = _on_generators(self.ring, _generators(self.ring), self.table,
                                ("additive", law))
         if holds["additive"]:
             return bool(holds[law])
-        return bool(_law_holds(self.ring, self.table, law).all())
+        return _first_failure(self.ring, self.table, law)[0]
 
     @property
     def is_derivation(self) -> bool:
@@ -529,18 +542,6 @@ def _generator_basis(ring: FiniteRing) -> GeneratorBasis:
 
 
 MAX_LISTED_MAPS = 65536
-_BLOCK = 1 << 16    # array cells per step, which bounds a step's memory
-
-
-def _row_blocks(rows: int, width: int):
-    """Row indices 0..rows-1 in blocks of consecutive whole rows of any
-    width: at least one row, at most _BLOCK cells.  A listing block holds
-    whole maps.  A pair block x of theorems has y the whole row, its
-    tables are rows (add[x], mul[x], mul[d[x]], ...), and its raveled pair
-    i is (x[i // n], i % n)."""
-    step = max(1, _BLOCK // width)
-    for r0 in range(0, rows, step):
-        yield np.arange(r0, min(rows, r0 + step))
 
 
 class TooManyMapsError(RingError):

@@ -493,7 +493,16 @@ def _require_equal(lhs: np.ndarray, rhs: np.ndarray, axiom: str, law: str,
 
 
 _TILE = 128
-_BLOCK = 1 << 16    # array cells per step of the right pass, as in maps._BLOCK
+_BLOCK = 1 << 16    # array cells per step, which bounds a step's memory
+
+
+def _row_blocks(rows: int, width: int):
+    """Row indices 0..rows-1 in blocks of consecutive whole rows of any
+    width: at least one row, at most _BLOCK cells, read at each call.  The
+    one block-size rule of rings, maps and theorems."""
+    step = max(1, _BLOCK // width)
+    for r0 in range(0, rows, step):
+        yield np.arange(r0, min(rows, r0 + step))
 
 
 def _asymmetry(t: np.ndarray) -> Optional[tuple[int, int]]:
@@ -507,8 +516,8 @@ def _asymmetry(t: np.ndarray) -> Optional[tuple[int, int]]:
         for j in range(i, n, _TILE):
             tile, mirror = t[i:i + _TILE, j:j + _TILE], t[j:j + _TILE, i:i + _TILE].T
             if not np.array_equal(tile, mirror):
-                r, c = np.argwhere(tile != mirror)[0]
-                return i + int(r), j + int(c)
+                r, c = divmod(int(np.argmax(tile != mirror)), tile.shape[1])
+                return i + r, j + c
     return None
 
 
@@ -627,15 +636,17 @@ def _check_axioms(add: np.ndarray, mul: np.ndarray, size: int,
                    "left-distributivity", "x*(y+z) != x*y+x*z",
                    lambda i, y, j: (gens[i], y, gens[j]))
 
-    # y*x+a*x is add.flat[(y*x)*n + a*x]; rows go _BLOCK entries at a time
-    flat, step = add.ravel(), max(1, _BLOCK // n)
+    # y*x+a*x is add.flat[(y*x)*n + a*x]; each block's rows y are read as
+    # a slice, a view, which numpy reads faster than a gather of the rows
+    flat = add.ravel()
     for a in gens:
-        for y0 in range(0, n, step):
-            index = np.multiply(mul[y0:y0 + step], n, dtype=np.intp)
+        for r in _row_blocks(n, n):
+            y = slice(int(r[0]), int(r[-1]) + 1)
+            index = np.multiply(mul[y], n, dtype=np.intp)
             index += mul[a]
-            _require_equal(mul[add[a, y0:y0 + step]], flat.take(index),  # (y+a)*x, y*x+a*x
+            _require_equal(mul[add[a, y]], flat.take(index),    # (y+a)*x, y*x+a*x
                            "right-distributivity", "(y+z)*x != y*x+z*x",
-                           lambda y, x: (y0 + y, a, x))
+                           lambda i, x: (y.start + i, a, x))
 
     _require_equal(mul[gg][:, :, g], rows[:, gg],           # (a*b)*c, a*(b*c)
                    "multiplicative-associativity", "(x*y)*z != x*(y*z)",

@@ -7,46 +7,49 @@ exhaustively, so a report depends only on the ring, the map and the
 checker windows.
 
 The membership checks are array identities over the Cayley tables: a
-checker evaluates one law on a block of whole rows at once (every bounded
-loop walks _row_blocks, and a pair block's tables are rows of add and mul)
-and records its instances and counterexamples in the order of the loop that
-states the law (see _Recorder.check_all).  A report keeps counterexamples
-in `witnesses` and informational entries (a capped range, a strict
-inclusion, ...) in `notes`.  Membership is the definition:
-y ∈ i_d(x) is d[y] == x, and z ∈ i_d(a) + i_d(b), both nonempty, is
-d[z] == a + b, since d is additive.  Only the checks that the fibres are
-kernel cosets read the coset form, from one gather a block
-(_Block.coset_to_x): coset-structure, basic's integral-maps-outside and
-jordan-suite's coset-mismatch.  Instances that hold by definition are
-counted, not computed: 0 ∈ i_d(0) in basic and jordan-suite (a block's
-kernel raises unless d(0) = 0), x ∈ i_d(d(x)) and the surjectivity
-criterion in both, jordan-suite's integral-maps-outside and
-coset-structure's distinct kernel offsets (y + _ permutes (R, +)).
+checker evaluates one law on a block of whole rows at once (every
+bounded loop walks _row_blocks) and records its instances and
+counterexamples in the order of the loop that states the law (see
+_Recorder.check_all).  A report keeps counterexamples in `witnesses` and
+informational entries (a capped range, a strict inclusion, ...) in
+`notes`.  Membership is the definition: y ∈ i_d(x) is d[y] == x, and z ∈
+i_d(a) + i_d(b), both nonempty, is d[z] == a + b, since d is additive.
+Only the checks that the fibres are kernel cosets read the coset form,
+from one gather a block (_Block.coset_to_x): coset-structure, basic's
+integral-maps-outside and jordan-suite's coset-mismatch.  Instances that
+hold by definition are counted, not computed: 0 ∈ i_d(0) in basic and
+jordan-suite (a block's kernel raises unless d(0) = 0), x ∈ i_d(d(x))
+and the surjectivity criterion in both, jordan-suite's
+integral-maps-outside and coset-structure's distinct kernel offsets
+(y + _ permutes (R, +)).
 
 run_suite is checker-major: each checker runs over every map of the call
 before the next checker starts.  Every map checker has one block form,
 which takes all its maps at once and evaluates them on (B, n) stacks of
 map tables: blocks of whole maps of one fibre shape, the widest fibre,
-kernel size and image size (_Blocks, walked in order of widest fibre),
-and for the pair laws blocks of (map, x) rows (_pair_blocks), all walked
-by _row_blocks.  A block's kernels and images are read unpadded, one row
-a map.  The checkers of one run_suite call share the blocks, their
-fibres, their checked kernels, their coset gather and their generator
-proofs.  Fibres, kernels and images are computed by maps, in one
-implementation whose one-row case is a single AdditiveMap's, so a call
-with one map reads that map's own fibres.  The pair laws of
-combination-rules and jordan-suite are additivity and the map's own law,
-so a map that maps._on_generators proves lawful from generator pairs has
-its pair instances counted, and only the others walk their pairs, which
-finds their witnesses; the solver's count and basis are kept on the ring
-(maps._solve).  separation's verdict is that proof too: a Jordan
-non-derivation δ equals a derivation only if it is one, so each report
-counts the solver's |Der(R)| and fails only where δ's generator proof
-shows it a derivation; Der(R) is listed, within MAX_LISTED_MAPS, only for
-the notes.  Each map still gets its own report, equal to the one-map
-call's (each public verify_* function is that call), and a block call's
-seconds are split evenly among its reports' runtime.  The reports come
-back map-major, herstein last.
+kernel size and image size (_Blocks, walked in order of widest fibre).
+A block's kernels and images are read unpadded, one row a map.  The
+checkers of one run_suite call share the blocks, their fibres, their
+checked kernels, their coset gather and their generator proofs.  Fibres,
+kernels and images are computed by maps, in one implementation whose
+one-row case is a single AdditiveMap's, so a call with one map reads
+that map's own fibres.  The pair rules of combination-rules and
+jordan-suite, and additivity-parts' parts rule, restate additivity and
+the map's own law, so a map that maps._on_generators proves lawful from
+generator pairs has those instances counted, and each other map (only a
+forged one) walks its rows x against every y alone through
+maps._law_holds, which finds its witnesses (_unproved).
+additivity-parts' note, the first pair whose two part integrals are
+empty, comes from _empty_parts, which search's empty-parts witness calls
+too.  The solver's count and basis are kept on the ring (maps._solve).
+separation's verdict is the generator proof too: a Jordan non-derivation
+δ equals a derivation only if it is one, so each report counts the
+solver's |Der(R)| and fails only where δ's generator proof shows it a
+derivation; Der(R) is listed, within MAX_LISTED_MAPS, only for the
+notes.  Each map still gets its own report, equal to the one-map call's
+(each public verify_* function is that call), and a block call's seconds
+are split evenly among its reports' runtime.  The reports come back
+map-major, herstein last.
 
 One rule, _scope, says which maps a map checker takes: validated
 derivations, validated Jordan derivations for jordan-suite, and Jordan
@@ -78,10 +81,10 @@ from typing import Optional
 import numpy as np
 
 from .maps import (MAX_LISTED_MAPS, AdditiveMap, MapLawError, _counts, _fibres_of,
-                   _generators, _images, _kernels, _members, _on_generators, _reps,
-                   _row_blocks, _solve, _tables, enumerate_derivations,
+                   _generators, _images, _kernels, _law_holds, _members, _on_generators,
+                   _reps, _solve, _tables, enumerate_derivations,
                    enumerate_jordan_derivations)
-from .rings import FiniteRing, RingError
+from .rings import FiniteRing, RingError, _row_blocks
 
 MAX_WITNESSES = 25
 
@@ -398,32 +401,64 @@ class _Blocks:
                 yield block if len(r) == len(block.ids) else block.part(r)
 
 
-def _pair_blocks(maps: list[AdditiveMap], n: int):
-    """The (map, x) rows of every map, in map order, walked in _row_blocks
-    of width n with y the whole row, so a block may start or end inside a
-    map: (own, x, D, m, base) with own[i] the map of row i, D the tables of
-    maps own[0]..own[-1], m[i] = own[i] - own[0] the row of D that holds
-    row i's map and base[i] = m[i]·n, a column, so that D.ravel()[base + t]
-    is D[m[:, None], t]: numpy gathers a block's cells about twice as fast
-    through that one flat index.  A block's pair tables are rows of add
-    and mul."""
-    for r in _row_blocks(len(maps) * n, n):
-        own, x = np.divmod(r, n)
-        lo = int(own[0])
-        m = own - lo
-        yield own, x, _tables(maps, np.arange(lo, int(own[-1]) + 1)), m, m[:, None] * n
-
-
-def _unproved(recs: list[_Recorder], maps: list[AdditiveMap], lawful: np.ndarray,
-              pairs: int):
-    """Count pairs instances for each map that its generator proof shows
-    lawful.  The others, whose pair laws fail somewhere, go to the pair
-    walk, which finds their witnesses in loop order: (ids, their maps)."""
-    for rec, proved in zip(recs, lawful.tolist()):
+def _unproved(ring: FiniteRing, recs: list[_Recorder], maps: list[AdditiveMap],
+              lawful: np.ndarray, cols: int, rule, witness):
+    """Record cols pair rules at each pair (x, y) of each map: counted where
+    the generator proof lawful holds, else walked for the map alone, rows x
+    against every y in _row_blocks, as rule(table, x) gives them, (len(x),
+    n, cols) in loop order; witness(x, y, col) names a failure."""
+    n = ring.size
+    for rec, amap, proved in zip(recs, maps, lawful.tolist()):
         if proved:
-            rec.instances += pairs
-    ids = np.flatnonzero(~lawful)
-    return ids, [maps[i] for i in ids.tolist()]
+            rec.instances += cols * n * n
+            continue
+        for x in _row_blocks(n, cols * n):
+            rec.check_all(rule(amap.table, x).reshape(len(x), -1),
+                          lambda i, col: witness(int(x[i]), *divmod(col, cols)))
+
+
+def _parts_rule(ring: FiniteRing, table: np.ndarray, x: np.ndarray, law: str):
+    """(parts, product): where the parts rule and the product rule of law
+    hold for the table at the pairs of the rows x and every y.  Where the
+    product rule holds, so does the parts rule, as d is additive; elsewhere
+    only where a part integral is empty, and only those pairs read the
+    parts: d(x)y and x d(y), and for "jordan" also d(y)x and y d(x)."""
+    product = _law_holds(ring, table, law, rows=x)
+    if product.all():
+        return product, product
+    mul, parts = ring.mul_table, product.copy()
+    i, y = np.nonzero(~product)
+    dx, xi, dy = table[x[i]], x[i], table[y]
+    factors = [mul[dx, y], mul[xi, dy]]
+    if law == "jordan":
+        factors += [mul[dy, xi], mul[y, dx]]
+    in_image = _counts(table[None])[0] > 0
+    parts[i, y] = ~np.logical_and.reduce([in_image[p] for p in factors])
+    return parts, product
+
+
+def _empty_parts(ring: FiniteRing, maps: list[AdditiveMap]):
+    """For each map of the list, in order, the first pair (x, y) in
+    row-major order at which both part integrals of the Leibniz rule,
+    i_d(d(x)y) and i_d(x d(y)), are empty, as (x, y, d(x)y, x d(y)), or
+    None.  Each map walks its rows x against every y alone, in _row_blocks
+    up to its first hit, and is yielded before the next map starts."""
+    n, mul = ring.size, ring.mul_table
+    for amap in maps:
+        d, hit = amap.table, None
+        empty = _counts(d[None])[0] == 0
+        for x in _row_blocks(n, n):
+            # d(x)y and x d(y) outside the image: rows d(x) of mul, and rows
+            # x permuted by d, read with take, which numpy 2.4 runs about
+            # twice as fast as the same indexing
+            both = (empty.take(mul.take(d.take(x), axis=0))
+                    & empty.take(mul.take(x, axis=0).take(d, axis=1)))
+            if both.any():
+                i, y = divmod(int(np.argmax(both)), n)
+                x = int(x[i])
+                hit = (x, y, int(mul[d[x], y]), int(mul[x, d[y]]))
+                break
+        yield hit
 
 
 def _count(recs: list[_Recorder], ids: np.ndarray, instances: int):
@@ -740,25 +775,17 @@ def _combination_rules(ring: FiniteRing, maps: list[AdditiveMap],
     """combination-rules on every map of the list, one report per map: the
     pair rules, then the rules inside one integral and the inverse rules
     on blocks of whole maps.  The pair rules are additivity and the
-    Leibniz law, so a map they hold for on generators is counted; the
-    others are walked on (map, y1) rows.  The units and their inverses
-    belong to the ring and are read once per call."""
+    Leibniz law, so a map they hold for on generators is counted, and
+    each other map walks its rows y1 alone (_unproved).  The units and
+    their inverses belong to the ring and are read once per call."""
     t0, recs = _start(ring, maps, "combination-rules")
     add, mul, neg = ring.add_table, ring.mul_table, ring.neg_table
-    n = ring.size
     blocks = blocks or _Blocks(ring, maps)
 
-    walk_ids, walked = _unproved(recs, maps, blocks.lawful("derivation"), 2 * n * n)
-    for own, y1, D, m, base in _pair_blocks(walked, n):
-        own = walk_ids[own]
-        flat, d = D.ravel(), D[m]
-        x1 = D[m, y1]
-        ok = np.stack([flat[base + add[y1]] == add[x1[:, None], d],
-                       flat[base + mul[y1]] == add[mul[x1], mul[y1[:, None], d]]],
-                      axis=-1)
-        _check_rows(recs, own, ok.reshape(len(own), -1),
-                    lambda i, col: {"kind": ("sum-rule", "product-rule")[col % 2],
-                                    "y1": int(y1[i]), "y2": col // 2})
+    _unproved(ring, recs, maps, blocks.lawful("derivation"), 2,
+              lambda t, x: np.stack([_law_holds(ring, t, law, rows=x)
+                                     for law in ("additive", "derivation")], axis=-1),
+              lambda y1, y2, j: {"kind": ("sum-rule", "product-rule")[j], "y1": y1, "y2": y2})
 
     if ring.unity is not None:
         inverse = ring.inverse_table()
@@ -814,34 +841,24 @@ def _additivity_and_parts(ring: FiniteRing, maps: list[AdditiveMap],
                           config: Optional[CheckerConfig] = None,
                           blocks: Optional[_Blocks] = None) -> list[TheoremReport]:
     """additivity-parts on every map of the list, one report per map:
-    additivity on blocks of whole maps, then the parts rule on (map, x)
-    rows."""
+    additivity on blocks of whole maps, the parts rule (_unproved), then
+    each map's note of its first pair of empty part integrals (_empty_parts)."""
     t0, recs = _start(ring, maps, "additivity-parts")
-    add, mul, n = ring.add_table, ring.mul_table, ring.size
-
-    for block in (blocks or _Blocks(ring, maps)).walk():
+    blocks = blocks or _Blocks(ring, maps)
+    for block in blocks.walk():
         block.kernel
         _check_additivity(recs, block)
-
-    noted = np.zeros(len(maps), dtype=bool)
-    for own, x, D, m, base in _pair_blocks(maps, n):
-        in_image = (_counts(D) > 0).ravel()
-        a, b = mul[D[m, x]], mul[x[:, None], D[m]]   # d(x)·y and x·d(y) at (x, y)
-        empty_a = ~in_image[base + a]
-        empty_b = ~in_image[base + b]
-        # a pair with an empty part integral counts as a vacuous instance;
-        # otherwise i_d(a) + i_d(b) = i_d(a + b), as d is additive
-        ok = empty_a | empty_b | (D.ravel()[base + mul[x]] == add[a, b])
-        both = empty_a & empty_b
-
-        def empty_note(i):
-            y = int(np.argmax(both[i]))
-            return {"kind": "parts-preconditions-empty", "x": int(x[i]), "y": y,
-                    "dx_times_y": int(a[i, y]), "x_times_dy": int(b[i, y])}
-
-        _note_first(recs, noted, own, np.flatnonzero(both.any(axis=1)), empty_note)
-        _check_rows(recs, own, ok, lambda i, y: {"kind": "parts-membership",
-                                                 "x": int(x[i]), "y": y})
+    # a pair with an empty part integral counts as a vacuous instance;
+    # otherwise i_d(d(x)y) + i_d(x d(y)) = i_d(d(x)y + x d(y)), which
+    # contains xy exactly where the Leibniz law holds at (x, y)
+    _unproved(ring, recs, maps, blocks.lawful("derivation"), 1,
+              lambda t, x: _parts_rule(ring, t, x, "derivation")[0],
+              lambda x, y, _: {"kind": "parts-membership", "x": x, "y": y})
+    for rec, hit in zip(recs, _empty_parts(ring, maps)):
+        if hit is not None:
+            x, y, a, b = hit
+            rec.note({"kind": "parts-preconditions-empty", "x": x, "y": y,
+                      "dx_times_y": a, "x_times_dy": b})
     return _finish(recs, t0)
 
 
@@ -975,11 +992,10 @@ def _jordan_suite(ring: FiniteRing, maps: list[AdditiveMap],
     """jordan-suite on every map of the list, one report per map.  The
     fibre checks walk blocks of whole maps; then the pair checks, which
     hold for a map that is additive and satisfies the Jordan law on
-    generators, so such a map is counted and the others walk (map, x) rows
-    with y the whole row, so a block of them may start or end inside a
-    map; then the criteria close each report."""
+    generators, so such a map is counted and each other map walks its rows
+    x alone (_unproved); then the criteria close each report."""
     t0, recs = _start(ring, maps, "jordan-suite")
-    add, mul, neg = ring.add_table, ring.mul_table, ring.neg_table
+    add, neg = ring.add_table, ring.neg_table
     n, zero = ring.size, ring.zero
     crit = np.zeros((len(maps), 2), dtype=bool)
     blocks = blocks or _Blocks(ring, maps)
@@ -1007,42 +1023,18 @@ def _jordan_suite(ring: FiniteRing, maps: list[AdditiveMap],
         _check_additivity(recs, block)
         crit[ids] = _criteria(count, zero)
 
-    # a proved map passes all three pair checks: the parts rule holds
+    def pair_rules(t, x):
+        parts, product = _parts_rule(ring, t, x, "jordan")
+        return np.stack([parts, _law_holds(ring, t, "additive", rows=x), product], axis=-1)
+
+    def pair_witness(x, y, j):
+        if j == 0:
+            return {"kind": "jordan-parts-membership", "x": x, "y": y}
+        return {"kind": ("sum-rule", "jordan-product-rule")[j - 1], "y1": x, "y2": y}
+
+    # a proved map passes all three pair rules: the parts rule holds
     # wherever the product rule does
-    walk_ids, walked = _unproved(recs, maps, blocks.lawful("jordan"), 3 * n * n)
-    # x∘y = xy + yx, one table per call, the size of add and mul
-    jordan = add[mul, mul.T] if walked else None
-    for own, x, D, m, base in _pair_blocks(walked, n):
-        own = walk_ids[own]
-        flat, d = D.ravel(), D[m]
-        dx = D[m, x]
-        # d(x∘y) against the sum of the four parts d(x)y, x d(y), d(y)x and
-        # y d(x), which is d(x)∘y + x∘d(y)
-        product_rule = flat[base + jordan[x]] == add[jordan[dx], jordan[x[:, None], d]]
-        # a pair with an empty part integral counts as a vacuous instance;
-        # otherwise the sum of the four part integrals is i_d(target), so
-        # only a pair that fails the product rule needs its parts' integrals
-        parts_rule = product_rule
-        if not product_rule.all():
-            parts_rule = product_rule.copy()
-            i, y = np.nonzero(~product_rule)
-            in_image = _counts(D) > 0
-            dy = d[i, y]
-            parts = (mul[dx[i], y], mul[x[i], dy], mul[dy, x[i]], mul[y, dx[i]])
-            parts_rule[i, y] = ~np.logical_and.reduce([in_image[m[i], p]
-                                                       for p in parts])
-        ok = np.stack([parts_rule, flat[base + add[x]] == add[dx[:, None], d],
-                       product_rule], axis=-1)
-
-        def pair_witness(i, col, x=x):
-            y, j = divmod(col, 3)
-            if j == 0:
-                return {"kind": "jordan-parts-membership", "x": int(x[i]), "y": y}
-            return {"kind": ("sum-rule", "jordan-product-rule")[j - 1],
-                    "y1": int(x[i]), "y2": y}
-
-        _check_rows(recs, own, ok, pair_witness)
-
+    _unproved(ring, recs, maps, blocks.lawful("jordan"), 3, pair_rules, pair_witness)
     for rec, row in zip(recs, crit.tolist()):
         _check_criteria(rec, *row)
     return _finish(recs, t0)
@@ -1190,7 +1182,7 @@ def run_suite(ring: FiniteRing, maps: list[tuple[str, AdditiveMap]],
 
     The run is checker-major: each checker runs over every map before the
     next starts, so each sees all its maps as one list and checks them in
-    blocks (see _Blocks and _pair_blocks), splitting a block call's seconds
+    blocks (see _Blocks), splitting a block call's seconds
     evenly among its reports' runtime.  Checkers that take the same list
     of maps share its _Blocks, built once per call.  The reports come back
     map-major all the same: for each map in order, one report per selected

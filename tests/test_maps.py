@@ -446,9 +446,9 @@ def test_lawful_maps_take_no_all_pairs_walk(tp33, m2z2, monkeypatch):
     fails."""
     law_holds = maps._law_holds
 
-    def spy(ring, F, law, gens=None):
-        assert gens is not None, f"a lawful map walked every pair for {law}"
-        return law_holds(ring, F, law, gens)
+    def spy(ring, F, law, gens=None, rows=None):
+        assert gens is not None, f"a lawful map walked its pairs for {law}"
+        return law_holds(ring, F, law, gens, rows)
 
     monkeypatch.setattr(maps, "_law_holds", spy)
     table = inner_derivation(m2z2, m2z2.parse("E12")).table.tolist()
@@ -493,7 +493,7 @@ def test_block_describe_matches_a_plain_loop(corpus_rings, monkeypatch, cells):
              + [build_ring(Zn(1)), build_ring(Matrix(Zn(1), 2))])
     for ring in rings:
         if cells is not None:
-            monkeypatch.setattr(maps, "_BLOCK", cells * ring.size)
+            monkeypatch.setattr("ringlab.rings._BLOCK", cells * ring.size)
         for enumerate_maps in (enumerate_derivations, enumerate_jordan_derivations):
             listed = enumerate_maps(ring)
             expected = [_describe_loop(ring, m) for m in listed]
@@ -752,7 +752,7 @@ def test_ladder_listings_survive_small_blocks(spec, enumerate_maps, derivations,
     tables, and each map's derivation flag is the one its table has."""
     ring = build_ring(spec)
     k = len(generator_basis(ring).generators)
-    monkeypatch.setattr(maps, "_BLOCK", 3 * k * (ring.size + k))
+    monkeypatch.setattr("ringlab.rings._BLOCK", 3 * k * (ring.size + k))
     sizes = []
     check_listed = maps._check_listed
 

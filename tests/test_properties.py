@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ringlab import (AdditiveMap, ElementSet, Matrix, NotAdditiveError, Product,
+from ringlab import (AdditiveMap, ElementSet, Matrix, NotAdditiveError, Product, Tables,
                      TriPattern, TruncPoly, Zn, build_ring, check_additive,
                      check_derivation, check_jordan_derivation,
                      enumerate_jordan_derivations, generator_basis,
                      inner_derivation, integrate, jordan_integrate, set_add,
                      set_mul, spec_from_json, spec_to_json, zero_map)
+from ringlab import maps, rings
 from ringlab.maps import _law_holds
 
 RINGS = [build_ring(spec) for spec in (
@@ -182,6 +183,52 @@ def test_generator_pairs_match_all_pairs(data):
                        ("jordan", check_jordan_derivation)):
         on_gens = _law_holds(ring, table, law, gens)
         assert on_gens.all() == check(ring, table)[0]
+
+
+def _evens_first(m):
+    """(ring, value, index): Z_m, m even, with the even elements first.
+    value[i], the element at index i, is 2i below m/2 and 2(i - m/2) + 1
+    from there, so the first half of the rows is the subgroup 2Z_m; index
+    inverts value."""
+    value = [2 * i for i in range(m // 2)] + [2 * i + 1 for i in range(m // 2)]
+    index = {v: i for i, v in enumerate(value)}
+    ring = build_ring(Tables(m, [[index[(a + b) % m] for b in value] for a in value],
+                             [[index[a * b % m] for b in value] for a in value]))
+    return ring, value, index
+
+
+@pytest.mark.parametrize("block_rows", [3, 8])
+def test_witness_walk_is_bounded_and_exact(block_rows, monkeypatch):
+    """On Z16 with its even elements first, three tables first break a law
+    at a pair of odd elements, so in a row of the second half: additivity
+    (x ↦ x mod 2), the Leibniz law (x ↦ 8x) and the Jordan law (x ↦ 4x).
+    With _BLOCK cut to a few rows, 8 of them put that row in the last row
+    block.  Each check walks past its first row block and returns the
+    loop's first failing pair, and no _law_holds call without generators
+    covers more than _BLOCK pairs."""
+    ring, value, index = _evens_first(16)
+    n = ring.size
+    monkeypatch.setattr(rings, "_BLOCK", block_rows * n)
+    covered = []
+    law_holds = maps._law_holds
+
+    def spy(ring, F, law, gens=None, rows=None):
+        if gens is None:
+            covered.append(len(rows) * ring.size)
+        return law_holds(ring, F, law, gens, rows)
+
+    monkeypatch.setattr(maps, "_law_holds", spy)
+    parity = [index[v % 2] for v in value]
+    eight, four = ([index[c * v % 16] for v in value] for c in (8, 4))
+    for check, table, holds in [
+            (check_additive, parity, _additivity(ring, parity)),
+            (check_derivation, eight, _leibniz(ring, eight, ring.mul)),
+            (check_jordan_derivation, four, _leibniz(ring, four, _jordan_product(ring)))]:
+        expected = _first_failure(ring, holds)
+        assert not expected[0] and expected[1][0] >= n // 2
+        covered.clear()
+        assert check(ring, table) == expected
+        assert len(covered) > 1 and max(covered) <= block_rows * n
 
 
 @given(data=st.data())

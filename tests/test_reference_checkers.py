@@ -14,10 +14,11 @@ import pytest
 
 import reference_checkers as ref
 from conftest import CORPUS_SPECS
+from test_maps import _random_additive
 from ringlab import (AdditiveMap, CheckerConfig, MapLawError, Matrix,
                      Product, Tables, TriPattern, TruncPoly, Zn, build_ring,
                      enumerate_derivations, enumerate_jordan_derivations,
-                     formal_derivative, inner_derivation, integrals, maps,
+                     formal_derivative, inner_derivation, integrals, rings,
                      spec_name, theorems, zero_map)
 
 # the two checkers that read the padded preimage rows of the fibre index
@@ -152,7 +153,7 @@ def test_pair_blocks_split_the_stream(config, block, monkeypatch):
     witness order, the cap and the once-only notes must survive the
     split.  A 5-cell block holds one row; a 48-cell block cuts M2(Z2)'s
     16 rows into five 3-row blocks and a short 1-row block."""
-    monkeypatch.setattr(maps, "_BLOCK", block)
+    monkeypatch.setattr(rings, "_BLOCK", block)
     m2z2 = build_ring(Matrix(Zn(2), 2))
     _compare(m2z2, _forged(m2z2, TANGLED), CONFIGS[config])
     tp33 = build_ring(TruncPoly(3, 3))
@@ -233,19 +234,36 @@ def _walks(monkeypatch):
     return walked
 
 
+def _pair_walks(monkeypatch):
+    """Record how many rows x each _law_holds call of theorems takes: each
+    is one row block of a walk of one map's pairs (x, y)."""
+    rows_taken = []
+    law_holds = theorems._law_holds
+
+    def recorded(ring, F, law, gens=None, rows=None):
+        rows_taken.append(len(rows))
+        return law_holds(ring, F, law, gens, rows)
+
+    monkeypatch.setattr(theorems, "_law_holds", recorded)
+    return rows_taken
+
+
 @pytest.mark.parametrize("block", [48, 1000, 5000])
 def test_block_of_maps_matches_reference(block_cases, block, monkeypatch):
     """run_suite gives every map checker all its maps at once.  With
     _BLOCK patched, a block of whole maps ends inside the map list, and a
-    block of (map, x) pair rows starts or ends inside a map; every report
-    must still equal its loop reference."""
-    monkeypatch.setattr(maps, "_BLOCK", block)
+    walk of the pair rules of one map that its generator proof does not
+    cover, rows x against every y, splits its rows where its n² pairs
+    pass the block; every report must still equal its loop reference."""
+    monkeypatch.setattr(rings, "_BLOCK", block)
     walked = _walks(monkeypatch)
+    pair_rows = _pair_walks(monkeypatch)
     config, cases = block_cases
     capped = split = several = 0
     k = len(BLOCK_PAIRS)
     for ring, amaps, expected in cases:
         walked.clear()
+        pair_rows.clear()
         got = theorems.run_suite(ring, [(str(i), m) for i, m in enumerate(amaps)],
                                  list(BLOCK_PAIRS), config)
         assert len(got) == k * len(amaps)
@@ -259,12 +277,52 @@ def test_block_of_maps_matches_reference(block_cases, block, monkeypatch):
                     assert _strip(report) == _strip(old), (report.checker, amap.as_tuple())
                     capped += len(old.witnesses) == theorems.MAX_WITNESSES
         n = ring.size
-        split += any(r[0] % n or len(r) % n for rows, width, r in walked
-                     if rows == len(amaps) * n and width == n)
+        split += any(rows < n for rows in pair_rows)
         several += any(rows > len(r) > 1 for rows, _, r in walked if rows == len(amaps))
-    assert capped and split
+    # a walk of one map splits its rows where its n² pairs pass _BLOCK: at
+    # 48 cells for these rings, and at no other size here
+    assert capped and bool(split) == (block == 48)
     # at 48 cells a block of whole maps holds one map of these rings
     assert bool(several) == (block > 48)
+
+
+def _empty_parts_loop(ring, table):
+    """The first (x, y), in the loop order of the pair walk, at which both
+    part integrals i_d(d(x)y) and i_d(x d(y)) are empty, with the two parts,
+    or None."""
+    image = set(table)
+    for x in range(ring.size):
+        for y in range(ring.size):
+            a, b = ring.mul(table[x], y), ring.mul(x, table[y])
+            if a not in image and b not in image:
+                return x, y, a, b
+    return None
+
+
+@pytest.mark.parametrize("block", [None, 5, 48], ids=["default", "5", "48"])
+def test_empty_parts_match_a_plain_loop(corpus_rings, block, monkeypatch):
+    """theorems._empty_parts, which gives additivity-parts' note and
+    search's empty-parts witness, against the plain loop: every derivation
+    of each corpus ring and random additive tables, with the forged TANGLED
+    map of M2(Z2) and identity map of Z8, all of a ring as one list and
+    each map alone.  At 5 and 48 cells a map's rows are walked in several
+    blocks."""
+    if block is not None:
+        monkeypatch.setattr(rings, "_BLOCK", block)
+    rng = random.Random(33)
+    found = []
+    for ring in corpus_rings:
+        amaps = list(enumerate_derivations(ring))
+        amaps += [AdditiveMap(ring, _random_additive(ring, rng)) for _ in range(4)]
+        if ring.spec == Matrix(Zn(2), 2):
+            amaps.append(_forged(ring, TANGLED))
+        if ring.spec == Zn(8):
+            amaps.append(_forged(ring, range(8)))
+        expected = [_empty_parts_loop(ring, m.table.tolist()) for m in amaps]
+        assert list(theorems._empty_parts(ring, amaps)) == expected
+        assert [next(theorems._empty_parts(ring, [m])) for m in amaps] == expected
+        found += [pair is not None for pair in expected]
+    assert any(found) and not all(found)
 
 
 @pytest.mark.parametrize("block", [None, 5, 48], ids=["default", "5", "48"])
@@ -278,7 +336,7 @@ def test_maps_of_one_width_and_two_shapes_match_reference(block, monkeypatch):
     failed parts rule, which holds for additive maps only, so its reports
     of the two are held to the one-map call alone."""
     if block is not None:
-        monkeypatch.setattr(maps, "_BLOCK", block)
+        monkeypatch.setattr(rings, "_BLOCK", block)
     zn6 = build_ring(Zn(6))
     amaps = [_forged(zn6, [0, 1, 0, 1, 0, 1]), _forged(zn6, [0, 1, 1, 1, 2, 2]),
              zero_map(zn6)]
@@ -354,7 +412,7 @@ def test_zero_map_first_or_last_gives_the_same_reports(spec, block, monkeypatch)
     """Listings put the zero map first, and blocks of whole maps are walked
     in order of widest fibre, which puts it last.  Every map's reports are
     the same with the zero map first or last in the call."""
-    monkeypatch.setattr(maps, "_BLOCK", block)
+    monkeypatch.setattr(rings, "_BLOCK", block)
     ring = build_ring(spec)
     listed = list(enumerate_jordan_derivations(ring))
     assert not listed[0].table.any()

@@ -387,14 +387,21 @@ def test_axiom_check_memory_bound(spec):
     assert peak <= 7 * ring.size ** 2 * np.dtype(np.int32).itemsize
 
 
-@pytest.mark.parametrize("i, j", [(0, 1), (5, 127), (3, 130), (127, 128), (140, 299),
-                                  (200, 260), (298, 299)])
-def test_asymmetry_finds_a_pair_in_any_tile(i, j):
+# The changed cells of a case, the first the first mismatch in row-major
+# order.  The last case changes three cells of one tile, and the first is
+# on the last column of the three, so row-major order decides the pair.
+@pytest.mark.parametrize("pairs", [
+    *(pytest.param([(i, j)], id=f"{i}-{j}")
+      for i, j in [(0, 1), (5, 127), (3, 130), (127, 128), (140, 299), (200, 260),
+                   (298, 299)]),
+    pytest.param([(40, 200), (41, 130), (90, 129)], id="several-in-one-tile")])
+def test_asymmetry_finds_a_pair_in_any_tile(pairs):
     t = np.add.outer(np.arange(300), np.arange(300)) % 7
     assert _asymmetry(t) is None
-    t[i, j] += 1
-    assert _asymmetry(t) == (i, j)
-    assert _asymmetry(t.T.copy()) == (i, j)
+    for i, j in pairs:
+        t[i, j] += 1
+    assert _asymmetry(t) == pairs[0]
+    assert _asymmetry(t.T.copy()) == pairs[0]
 
 
 def test_right_distributivity_witness_past_the_first_block():

@@ -14,7 +14,7 @@ from ringlab import (AdditiveMap, CHECKER_ORDER, MapLawError, Matrix, Product,
                      verify_coset_structure, verify_jordan_suite,
                      verify_kernel_constants, verify_kernel_scaling,
                      verify_power_rules, verify_separation, zero_map)
-from ringlab import maps, theorems
+from ringlab import maps, rings, theorems
 
 
 def _by_checker(reports):
@@ -302,7 +302,7 @@ def test_pair_blocks_yield_every_pair_once():
     start = 0
     for x in theorems._row_blocks(n, n):
         xs, ys = (a.ravel() for a in np.broadcast_arrays(x[:, None], np.arange(n)))
-        assert 0 < len(xs) == len(ys) <= maps._BLOCK
+        assert 0 < len(xs) == len(ys) <= rings._BLOCK
         assert 0 <= ys.min() and ys.max() < n
         assert np.array_equal(xs * n + ys, np.arange(start, start + len(xs)))
         if start == 0:
