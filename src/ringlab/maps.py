@@ -502,9 +502,9 @@ def generator_basis(ring: FiniteRing) -> GeneratorBasis:
 
 def _generator_basis(ring: FiniteRing) -> GeneratorBasis:
     n = ring.size
-    add = ring.add_table
+    add, zero = ring.add_table, ring.zero
     member = np.zeros(n, dtype=bool)      # in the span so far
-    member[ring.zero] = True
+    member[zero] = True
     coords = np.zeros((n, 0), dtype=np.int64)   # rows of members are valid
     gens: list[int] = []
     gen_orders: list[int] = []
@@ -515,20 +515,25 @@ def _generator_basis(ring: FiniteRing) -> GeneratorBasis:
         # o·x = Σ a_t g_t, and x − Σ (a_t/o)·g_t has order o.  o divides
         # every a_t because the span is a pure subgroup: each generator had
         # the largest order modulo the span before it.
-        a = coords[_times(ring, x, o)]
+        a = coords[_times(add, x, o, zero)]
         for t, g in enumerate(gens):
-            x = int(add[x, ring.neg_table[_times(ring, g, int(a[t]) // o)]])
+            x = int(add[x, ring.neg_table[_times(add, g, int(a[t]) // o, zero)]])
+        # c·x for c < o by doubling: with m the multiples for c < 2^k,
+        # those for 2^k <= c < 2^(k+1) are m + 2^k·x
+        multiples, step = np.array([zero]), x
+        while len(multiples) < o:
+            multiples = np.concatenate([multiples, add[multiples, step]])[:o]
+            step = int(add[step, step])
+        # c·x + s for every member s, with its coordinates and then c, in
+        # one scatter; c = 0 rewrites the members' own rows
         members = np.flatnonzero(member)
-        grown = np.zeros((n, len(gens) + 1), dtype=np.int64)
-        grown[:, :-1] = coords
-        cx = ring.zero
-        for c in range(1, o):
-            cx = int(add[cx, x])
-            targets = add[members, cx]
-            grown[targets, :-1] = coords[members]
-            grown[targets, -1] = c
-            member[targets] = True
-        coords = grown
+        targets = add[multiples[:, None], members].ravel()
+        rows = np.empty((o, len(members), len(gens) + 1), dtype=np.int64)
+        rows[:, :, :-1] = coords[members]
+        rows[:, :, -1] = np.arange(o)[:, None]
+        coords = np.zeros((n, len(gens) + 1), dtype=np.int64)
+        coords[targets] = rows.reshape(-1, len(gens) + 1)
+        member[targets] = True
         gens.append(x)
         gen_orders.append(o)
     arrays = np.array(gens, dtype=np.intp), np.array(gen_orders, dtype=np.int64), coords

@@ -244,13 +244,14 @@ class FiniteRing:
     """A finite ring on elements ``0..size-1`` with dense operation tables.
 
     Instances are immutable once built; the table arrays are flagged
-    read-only.  All arithmetic is table lookup.  generators, when the build
-    checked the axioms, are the elements that check found to give every
-    element of (R, +) as a sum.
+    read-only.  All arithmetic is table lookup.  neg_table holds each
+    element's additive inverse, as the build found it (``_negatives``).
+    generators, when the build checked the axioms, are the elements that
+    check found to give every element of (R, +) as a sum.
     """
 
-    def __init__(self, spec, size, add_table, mul_table, zero, unity, labels,
-                 values, parser, generators=None):
+    def __init__(self, spec, size, add_table, mul_table, zero, neg_table, unity,
+                 labels, values, parser, generators=None):
         self.spec = spec
         self.size = int(size)
         self.add_table = add_table
@@ -261,10 +262,9 @@ class FiniteRing:
         self._values = list(values)
         self._value_index = {v: i for i, v in enumerate(self._values)}
         self._parser = parser
-        for t in (self.add_table, self.mul_table):
+        self.neg_table = neg_table
+        for t in (self.add_table, self.mul_table, self.neg_table):
             t.flags.writeable = False
-        self.neg_table = self._build_neg_table()
-        self.neg_table.flags.writeable = False
         self._label_index = {}
         for i, lab in enumerate(self.labels):
             if lab in self._label_index:
@@ -314,13 +314,6 @@ class FiniteRing:
     def elements(self) -> range:
         return range(self.size)
 
-    def _build_neg_table(self) -> np.ndarray:
-        neg = np.empty(self.size, dtype=_TABLE_DTYPE)
-        zero_hits = np.argwhere(self.add_table == self.zero)
-        # each row has exactly one zero hit once axioms hold
-        neg[zero_hits[:, 0]] = zero_hits[:, 1]
-        return neg
-
     # -- values and labels --------------------------------------------------
 
     def value(self, x: int):
@@ -357,13 +350,13 @@ class FiniteRing:
         return self.unity
 
     def bold(self, n: int) -> int:
-        """The element n*1, by repeated addition (negative n via negation).
+        """The element n*1, by doubling (negative n via negation).
 
         The value is periodic in the additive order of unity, so n is
         reduced modulo that order first.
         """
         one = self._require_unity("bold-n")
-        return _times(self, one, int(n) % self.additive_order(one))
+        return _times(self.add_table, one, int(n) % self.additive_order(one), self.zero)
 
     def invert(self, x: int) -> Optional[int]:
         """Two-sided multiplicative inverse, or None."""
@@ -455,27 +448,55 @@ class FiniteRing:
         return f"FiniteRing({spec_name(self.spec)}, size={self.size})"
 
 
-def _times(ring: FiniteRing, x: int, c: int) -> int:
-    """c·x by repeated addition."""
-    acc = ring.zero
-    for _ in range(c):
-        acc = int(ring.add_table[acc, x])
-    return acc
+def _times(add: np.ndarray, x, c: int, zero: Optional[int] = None):
+    """c·x for c >= 0 by doubling, over the bits of c below its top one:
+    (2k)·x = k·x + k·x and (2k+1)·x = (2k)·x + x.  x is one element, or an
+    array of elements taken at once; zero is needed only for c = 0."""
+    if c == 0:
+        return np.full_like(x, zero) if isinstance(x, np.ndarray) else zero
+    acc = x
+    for bit in bin(c)[3:]:
+        acc = add[acc, acc]
+        if bit == "1":
+            acc = add[acc, x]
+    return acc if isinstance(x, np.ndarray) else int(acc)
+
+
+def _prime_powers(m: int) -> list[tuple[int, int]]:
+    """The (p, e) with p^e exactly dividing m, p prime, by trial division."""
+    out, p = [], 2
+    while p * p <= m:
+        e = 0
+        while m % p == 0:
+            m, e = m // p, e + 1
+        if e:
+            out.append((p, e))
+        p += 1
+    if m > 1:
+        out.append((m, 1))
+    return out
 
 
 def _orders_modulo(add: np.ndarray, member: np.ndarray) -> np.ndarray:
-    """For each x, the least q >= 1 with q·x in the subgroup whose mask is
-    ``member``; with the mask of {0} these are the additive orders."""
+    """For each x, the least q >= 1 with q·x in the subgroup S whose mask is
+    ``member``; with the mask of {0} these are the additive orders.
+
+    ``member`` must be the mask of a subgroup of (R, +).  Then q divides
+    m = n/|S| (Lagrange), and q is the product, over the p^e exactly
+    dividing m, of the least p^k with p^k·(m/p^e)·x in S; once a multiple
+    is in S, so are its multiples.  Each p^e takes O(log n) doublings of
+    every element at once, where a step per multiple took up to n."""
     n = add.shape[0]
-    idx = np.arange(n)
-    orders = np.zeros(n, dtype=np.int64)
-    pending = np.ones(n, dtype=bool)
-    acc, q = idx, 1
-    while pending.any():
-        done = pending & member[acc]
-        orders[done] = q
-        pending &= ~done
-        acc, q = add[acc, idx], q + 1
+    m = n // int(np.count_nonzero(member))
+    orders = np.ones(n, dtype=np.int64)
+    for p, e in _prime_powers(m):
+        y = _times(add, np.arange(n), m // p ** e)
+        for _ in range(e):
+            outside = ~member[y]
+            if not outside.any():
+                break
+            orders[outside] *= p
+            y = _times(add, y, p)
     return orders
 
 
@@ -485,10 +506,11 @@ def _orders_modulo(add: np.ndarray, member: np.ndarray) -> np.ndarray:
 
 def _require_equal(lhs: np.ndarray, rhs: np.ndarray, axiom: str, law: str,
                    witness) -> None:
-    """Raise RingAxiomError at the first index where lhs and rhs differ;
-    ``witness`` maps that index to the witness tuple."""
-    if not np.array_equal(lhs, rhs):
-        w = witness(*(int(i) for i in np.argwhere(lhs != rhs)[0]))
+    """Raise RingAxiomError at the first index where lhs and rhs, broadcast
+    together, differ; ``witness`` maps that index to the witness tuple."""
+    differ = lhs != rhs
+    if differ.any():
+        w = witness(*(int(i) for i in np.argwhere(differ)[0]))
         raise RingAxiomError(axiom, w, f"{law} at {w}")
 
 
@@ -521,18 +543,21 @@ def _asymmetry(t: np.ndarray) -> Optional[tuple[int, int]]:
     return None
 
 
-def _additive_generators(add: np.ndarray, zero: int) -> list[int]:
-    """Elements a_1 < a_2 < ... such that every element is a sum of them;
-    each a_i is the least element outside the span of the earlier ones.
+def _additive_generators(add: np.ndarray, zero: int) -> tuple[list[int], np.ndarray]:
+    """Elements a_1 < a_2 < ... such that every element is a sum of them,
+    each a_i the least element outside the span of the earlier ones, and
+    for each element y the generator via[y] whose multiples first reached
+    it; zero's entry is zero.
 
     The span grows by the multiples of a_i, found by doubling: with m(j)
     the multiples found for j < 2^k, m(j + 2^k) = m(j) + m(2^k), until a
-    doubling adds nothing new; they join the span in one gather.  Every
-    element reached is a sum of generators under some bracketing, which
-    is all check_ring_axioms needs, as zero is an identity and addition
-    commutes."""
+    doubling adds nothing new; they join the span in one gather, and the
+    elements new to it record a_i.  Every element reached is a sum of
+    generators under some bracketing, which is all check_ring_axioms
+    needs, as zero is an identity and addition commutes."""
     reached = np.zeros(add.shape[0], dtype=bool)
     reached[zero] = True
+    via = np.full(add.shape[0], zero, dtype=np.intp)
     gens: list[int] = []
     while not reached.all():
         g = int(np.argmin(reached))
@@ -546,8 +571,22 @@ def _additive_generators(add: np.ndarray, zero: int) -> list[int]:
             seen[new] = True
             multiples = np.concatenate([multiples, new])
             step = int(add[step, step])
-        reached[add[np.ix_(np.flatnonzero(reached), multiples)]] = True
-    return gens
+        new = add[np.flatnonzero(reached)[:, None], multiples].ravel()
+        new = new[~reached[new]]
+        via[new] = g
+        reached[new] = True
+    return gens, via
+
+
+def _negatives(add: np.ndarray, zero: int) -> np.ndarray:
+    """For each x the first y with x + y = zero, a block of rows at a time;
+    0 where a row holds no zero, which the axiom check refuses."""
+    n = add.shape[0]
+    neg = np.empty(n, dtype=_TABLE_DTYPE)
+    for r in _row_blocks(n, n):
+        rows = slice(int(r[0]), int(r[-1]) + 1)
+        neg[rows] = (add[rows] == zero).argmax(axis=1)
+    return neg
 
 
 def check_ring_axioms(add: np.ndarray, mul: np.ndarray, size: int,
@@ -558,27 +597,39 @@ def check_ring_axioms(add: np.ndarray, mul: np.ndarray, size: int,
 
 
 def _check_axioms(add: np.ndarray, mul: np.ndarray, size: int,
-                  unity: Optional[int] = None) -> tuple[int, list[int]]:
-    """Verify the ring axioms exactly; returns the zero element index and
-    the additive generators A the checks reduced to.
+                  unity: Optional[int] = None) -> tuple[int, np.ndarray, list[int]]:
+    """Verify the ring axioms exactly; returns the zero element index, the
+    additive inverse of every element, and the additive generators A the
+    checks reduced to.
 
     Raises RingAxiomError naming the violated axiom with a witness tuple
     that violates it.  An O(size^2) prelude checks shape, closure,
     additive commutativity, a unique additive identity and additive
-    inverses.  Then A = ``_additive_generators``, and four reductions
-    bring the rest to O(size^2 * |A|) (|A| = 1 for Z256, 8 for
-    Z2[X]/(X^8)), each exact:
+    inverses, each row's zero giving its inverse.  Then A and via =
+    ``_additive_generators``, and four reductions bring the rest to
+    O(size^2 * |A|) (|A| = 1 for Z256, 8 for Z2[X]/(X^8)), each exact:
 
     * Additive associativity as (x+a)+y = x+(a+y) for a in A (Light's
       test).  The a that pass are closed under +, zero passes, and every
       other element is a sum of generators.  As + commutes, s =
       add[add[a]] has s[x, y] = (a+x)+y = (x+a)+y and s[y, x] = (a+y)+x
       = x+(a+y), so a passes exactly when s is symmetric.
-    * Right distributivity as (y+a)*x = y*x+a*x for a in A, all y and x.
-      The a that pass are closed under +, and with associativity (R, +)
-      is a finite group generated by A, so every element, zero included,
-      is a nonempty sum of generators.  Hence x -> x*w is additive for
-      every w.
+    * Right distributivity, that f = (x -> x*w) is additive for every w,
+      on one edge per element and one per generator, each the instance
+      (u+v)*x = u*x+v*x for all x.  The element edge of y is
+      y = (y-a)+a with a = via[y] (zero's is 0 = 0+0), and the inverse
+      edge of a in A is 0 = (-a)+a.  They suffice, by induction over the
+      spans S_i of a_1..a_i (a polycyclic presentation of (R, +)).  With
+      m_i the order of a_i modulo S_{i-1}, each y in S_i but not S_{i-1}
+      is s + c*a_i for one s in S_{i-1} and one c in 1..m_i-1, and has
+      via[y] = a_i, so y-a_i = s + (c-1)*a_i.  By induction on c the
+      element edges give f(s + c*a_i) = f(s) + c*f(a_i), and the edge of
+      a_1 gives f(0) = 0.  Let f be additive on S_{i-1}.  Adding two such
+      forms on S_i carries only through m_i*a_i = r_i, in S_{i-1}.  As
+      -a_i = -r_i + (m_i-1)*a_i, the inverse edge of a_i reads
+      0 = f(-r_i) + m_i*f(a_i), so f(r_i) = m_i*f(a_i) and f is additive
+      on S_i.  The pass costs O(size^2 + size*|A|) instead of a full
+      (y+a)*x = y*x+a*x for each a in A.
     * Left distributivity as x*(y+a) = x*y+x*a for x and a in A only,
       all y.  Given right distributivity, each term of
       d(x) = x*(y+z) - x*y - x*z is additive in x, so d is, and it is
@@ -593,7 +644,7 @@ def _check_axioms(add: np.ndarray, mul: np.ndarray, size: int,
     Every raised witness is a violated instance, so the order of the
     checks changes only which one is named.  The left check, one
     (|A|, size, |A|) comparison, runs before the right pass, which takes
-    O(size^2) a generator in blocks of rows.
+    the element edges in blocks of rows, then the |A| inverse edges.
     """
     n = size
     idx = np.arange(n, dtype=_TABLE_DTYPE)
@@ -616,12 +667,13 @@ def _check_axioms(add: np.ndarray, mul: np.ndarray, size: int,
                              "addition table has no unique identity row")
     zero = int(zero_rows[0])
 
-    has_inverse = (add == zero).any(axis=1)
-    if not has_inverse.all():
-        x = int(np.flatnonzero(~has_inverse)[0])
+    neg = _negatives(add, zero)
+    no_inverse = add[idx, neg] != zero
+    if no_inverse.any():
+        x = int(np.argmax(no_inverse))
         raise RingAxiomError("additive-inverse", (x,), f"element {x} has no additive inverse")
 
-    gens = _additive_generators(add, zero)
+    gens, via = _additive_generators(add, zero)
     for a in gens:
         bad = _asymmetry(add[add[a]])                       # (a+x)+y at [x, y]
         if bad is not None:
@@ -636,17 +688,23 @@ def _check_axioms(add: np.ndarray, mul: np.ndarray, size: int,
                    "left-distributivity", "x*(y+z) != x*y+x*z",
                    lambda i, y, j: (gens[i], y, gens[j]))
 
-    # y*x+a*x is add.flat[(y*x)*n + a*x]; each block's rows y are read as
-    # a slice, a view, which numpy reads faster than a gather of the rows
+    # an edge u + v = y compares y*x with u*x+v*x, add.flat[(u*x)*n + v*x];
+    # each block's rows y are read as a slice, a view, which numpy reads
+    # faster than a gather of the rows
     flat = add.ravel()
-    for a in gens:
-        for r in _row_blocks(n, n):
-            y = slice(int(r[0]), int(r[-1]) + 1)
-            index = np.multiply(mul[y], n, dtype=np.intp)
-            index += mul[a]
-            _require_equal(mul[add[a, y]], flat.take(index),    # (y+a)*x, y*x+a*x
-                           "right-distributivity", "(y+z)*x != y*x+z*x",
-                           lambda i, x: (y.start + i, a, x))
+    less = add[idx, neg[via]]                               # y - via[y]
+    for r in _row_blocks(n, n):
+        y = slice(int(r[0]), int(r[-1]) + 1)
+        index = np.multiply(mul[less[y]], n, dtype=np.intp)
+        index += mul[via[y]]
+        _require_equal(mul[y], flat.take(index),            # y*x, (y-a)*x+a*x
+                       "right-distributivity", "(y+z)*x != y*x+z*x",
+                       lambda i, x: (int(less[y][i]), int(via[y][i]), x))
+    index = np.multiply(mul[neg[g]], n, dtype=np.intp)
+    index += mul[g]
+    _require_equal(mul[zero], flat.take(index),
+                   "right-distributivity", "(y+z)*x != y*x+z*x",   # 0*x, (-a)*x+a*x
+                   lambda i, x: (int(neg[g[i]]), gens[i], x))
 
     _require_equal(mul[gg][:, :, g], rows[:, gg],           # (a*b)*c, a*(b*c)
                    "multiplicative-associativity", "(x*y)*z != x*(y*z)",
@@ -657,7 +715,7 @@ def _check_axioms(add: np.ndarray, mul: np.ndarray, size: int,
                 and np.array_equal(mul[:, unity], idx)):
             raise RingAxiomError("unity", (unity,),
                                  f"declared unity {unity} is not a two-sided identity")
-    return zero, gens
+    return zero, neg, gens
 
 
 def _detect_unity(mul: np.ndarray) -> Optional[int]:
@@ -892,14 +950,18 @@ def _build_matrix(spec: Matrix) -> dict:
         rows = _parse_matrix_rows(text, d, base)
         return ring.index_of_value(tuple(itertools.chain.from_iterable(rows)))
 
-    parts.update(labels=[_matrix_label(base, d, v) for v in parts["values"]], parser=parser)
+    parts.update(labels=_matrix_labels(base, d, ["{}"] * cells, parts["values"]),
+                 parser=parser)
     return parts
 
 
-def _matrix_label(base: FiniteRing, d: int, cells) -> str:
-    rows = (cells[r * d:(r + 1) * d] for r in range(d))
-    return "[" + ",".join("[" + ",".join(base.labels[i] for i in row) + "]"
-                          for row in rows) + "]"
+def _matrix_labels(base: FiniteRing, d: int, cells: list[str], values) -> list[str]:
+    """Labels of d×d matrices through one format string: the row-major
+    ``cells`` are "{}" where a value's base labels go, in order, and
+    literal text elsewhere."""
+    fmt = "[" + ",".join("[" + ",".join(cells[r * d:(r + 1) * d]) + "]"
+                         for r in range(d)) + "]"
+    return [fmt.format(*map(base.labels.__getitem__, v)) for v in values]
 
 
 def _parse_matrix_rows(text: str, d: int, base: FiniteRing) -> list[list[int]]:
@@ -932,11 +994,6 @@ def _build_tri_pattern(spec: TriPattern) -> dict:
     base = build_ring(spec.base, check=False)
     parts = _coordinate_ring([base] * len(_TRI_POSITIONS), _matrix_rule(_TRI_POSITIONS))
 
-    def label(v):
-        at = dict(zip(_TRI_POSITIONS, v))
-        return _matrix_label(base, 3, [at.get((r, c), base.zero)
-                                       for r in range(3) for c in range(3)])
-
     def parser(ring, text):
         if text == "A":
             # the all-ones pattern matrix, the canonical inner-map witness here
@@ -951,7 +1008,10 @@ def _build_tri_pattern(spec: TriPattern) -> dict:
                     f"{text!r} has a nonzero entry outside the stored pattern")
         return ring.index_of_value(tuple(flat[r * 3 + c] for r, c in _TRI_POSITIONS))
 
-    parts.update(labels=[label(v) for v in parts["values"]], parser=parser)
+    # the stored positions are in row-major order, so they take the "{}" in turn
+    zero = base.labels[base.zero].replace("{", "{{").replace("}", "}}")
+    cells = ["{}" if (r, c) in _TRI_POSITIONS else zero for r in range(3) for c in range(3)]
+    parts.update(labels=_matrix_labels(base, 3, cells, parts["values"]), parser=parser)
     return parts
 
 
@@ -1046,11 +1106,12 @@ def build_ring(spec: RingSpec, check: bool = True) -> FiniteRing:
 
     gens = None
     if check or isinstance(spec, Tables):
-        zero, gens = _check_axioms(parts["add"], parts["mul"], parts["size"],
-                                   unity=getattr(spec, "unity", None))
+        zero, neg, gens = _check_axioms(parts["add"], parts["mul"], parts["size"],
+                                        unity=getattr(spec, "unity", None))
     else:
         # in a group x + a = a only for x = 0; take a = element 0
         zero = int(np.argmax(parts["add"][:, 0] == 0))
-    return FiniteRing(spec, parts["size"], parts["add"], parts["mul"], zero,
+        neg = _negatives(parts["add"], zero)
+    return FiniteRing(spec, parts["size"], parts["add"], parts["mul"], zero, neg,
                       _detect_unity(parts["mul"]), parts["labels"],
                       parts["values"], parts["parser"], gens)

@@ -22,8 +22,9 @@ from ringlab.rings import (_TABLE_DTYPE, _TRI_POSITIONS, _TRI_ZERO_POSITIONS,
                            ElementParseError, FiniteRing, Matrix, Product,
                            RingAxiomError, RingError, Tables, TriPattern,
                            TruncPoly, Zn, _build_tables, _build_zn,
-                           _detect_unity, _is_prime_int, _parse_index_or_label,
-                           _parse_matrix_rows, _poly_label, _poly_parse_text)
+                           _detect_unity, _is_prime_int, _negatives,
+                           _parse_index_or_label, _parse_matrix_rows,
+                           _poly_label, _poly_parse_text)
 
 
 def _build_trunc_poly(spec: TruncPoly) -> dict:
@@ -215,15 +216,18 @@ def _first_mismatch3(lhs: np.ndarray, rhs: np.ndarray, x0: int) -> tuple:
     return (int(x) + x0, int(y), int(z))
 
 
-def additive_generators(add: np.ndarray, zero: int) -> list[int]:
+def additive_generators(add: np.ndarray, zero: int) -> tuple[list[int], np.ndarray]:
     """The generator search of ringlab.rings._additive_generators as a
     breadth-first walk: each generator is the least element not reached
     from zero by repeatedly adding earlier generators, and each step of
-    the walk adds every generator to the last frontier."""
+    the walk adds every generator to the last frontier.  Also returns, for
+    each element, the generator in whose round the walk first reached it;
+    zero's entry is zero."""
     reached = np.zeros(add.shape[0], dtype=bool)
     reached[zero] = True
+    via = np.full(add.shape[0], zero, dtype=np.intp)
     gens: list[int] = []
-    frontier = np.array([zero])
+    frontier = np.zeros(0, dtype=np.intp)
     while frontier.size or not reached.all():
         if not frontier.size:
             gens.append(int(np.argmin(reached)))
@@ -231,7 +235,33 @@ def additive_generators(add: np.ndarray, zero: int) -> list[int]:
         step = add[np.ix_(frontier, gens)].ravel()
         frontier = np.unique(step[~reached[step]])
         reached[frontier] = True
-    return gens
+        via[frontier] = gens[-1]
+    return gens, via
+
+
+def orders_modulo(add: np.ndarray, member: np.ndarray) -> np.ndarray:
+    """The one-step loop that ringlab.rings._orders_modulo replaced: for
+    each x the least q >= 1 with q·x in the set whose mask is ``member``,
+    adding x once a step."""
+    n = add.shape[0]
+    idx = np.arange(n)
+    orders = np.zeros(n, dtype=np.int64)
+    pending = np.ones(n, dtype=bool)
+    acc, q = idx, 1
+    while pending.any():
+        done = pending & member[acc]
+        orders[done] = q
+        pending &= ~done
+        acc, q = add[acc, idx], q + 1
+    return orders
+
+
+def times(add: np.ndarray, x, c: int, zero: int):
+    """c·x by repeated addition, for one element x or an array of them."""
+    acc = np.full_like(x, zero)
+    for _ in range(c):
+        acc = add[acc, x]
+    return acc if isinstance(x, np.ndarray) else int(acc)
 
 
 def check_ring_axioms(add: np.ndarray, mul: np.ndarray, size: int,
@@ -327,5 +357,5 @@ def reference_build(spec, check: bool = False) -> FiniteRing:
         idx = np.arange(parts["size"], dtype=_TABLE_DTYPE)
         zero = int(np.flatnonzero((parts["add"] == idx[None, :]).all(axis=1))[0])
     return FiniteRing(spec, parts["size"], parts["add"], parts["mul"], zero,
-                      _detect_unity(parts["mul"]), parts["labels"],
+                      _negatives(parts["add"], zero), _detect_unity(parts["mul"]), parts["labels"],
                       parts["values"], parts["parser"])

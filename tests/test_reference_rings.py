@@ -10,11 +10,14 @@ import numpy as np
 import pytest
 
 from ringlab import (Matrix, Product, RingAxiomError, RingError, Tables,
-                     TriPattern, TruncPoly, Zn, build_ring, spec_name)
-from ringlab.rings import _additive_generators, check_ring_axioms
+                     TriPattern, TruncPoly, Zn, build_ring, generator_basis,
+                     spec_name)
+from ringlab.rings import _additive_generators, _orders_modulo, _times, check_ring_axioms
 
 from reference_rings import additive_generators as reference_generators
 from reference_rings import check_ring_axioms as reference_check
+from reference_rings import orders_modulo as reference_orders
+from reference_rings import times as reference_times
 from reference_rings import reference_build
 
 
@@ -182,11 +185,39 @@ GENERATOR_SPECS = [
 @pytest.mark.parametrize("spec", GENERATOR_SPECS, ids=spec_name)
 def test_generator_search_matches_breadth_first_walk(spec):
     """Doubling out each generator's multiples picks the same generators as
-    walking the span one addition at a time."""
+    walking the span one addition at a time, and records for each element
+    the same generator that reached it."""
     ring = build_ring(spec)
-    got = _additive_generators(ring.add_table, ring.zero)
-    assert got == reference_generators(ring.add_table, ring.zero)
+    got, via = _additive_generators(ring.add_table, ring.zero)
+    ref, ref_via = reference_generators(ring.add_table, ring.zero)
+    assert got == ref
+    assert np.array_equal(via, ref_via)
     assert all(isinstance(g, int) for g in got)
+
+
+# Z255 and Z12×Z18 are generator specs already
+@pytest.mark.parametrize("spec", GENERATOR_SPECS + [Zn(243)], ids=spec_name)
+def test_orders_and_multiples_match_plain_loops(spec):
+    """Orders modulo {0} and modulo each prefix span of the generator basis
+    (subgroups, as _orders_modulo requires), taken over the prime powers of
+    the index, are those of adding x once a step; and c·x by doubling is
+    c-fold addition for every c up to twice the largest order, for the
+    whole ring at once and for each basis generator alone."""
+    ring = build_ring(spec)
+    add, zero, n = ring.add_table, ring.zero, ring.size
+    basis = generator_basis(ring)
+    masks = [(basis.decomp[:, t:] == 0).all(axis=1) for t in range(len(basis.generators) + 1)]
+    assert np.array_equal(masks[0], np.arange(n) == zero)
+    for member in masks:
+        assert np.array_equal(_orders_modulo(add, member), reference_orders(add, member))
+    idx = np.arange(n)
+    for c in range(2 * int(basis.orders.max(initial=1)) + 1):
+        multiples = reference_times(add, idx, c, zero)
+        assert np.array_equal(_times(add, idx, c, zero), multiples)
+        for g, order in zip(basis.generators.tolist(), basis.orders):
+            if c <= 2 * order:
+                got = _times(add, g, c, zero)
+                assert type(got) is int and got == multiples[g]
 
 
 # -- the axiom check ---------------------------------------------------------------
@@ -325,3 +356,16 @@ def test_axiom_check_on_hand_built_tables(tables, axiom):
     kind, err = _agree(*tables)
     assert kind == "raise" and err.axiom == axiom
     assert _verdict(reference_check, *tables, None)[1].axiom == axiom
+
+
+def test_right_distributivity_needs_the_inverse_edges():
+    """Z2×Z4, the element (u, v) at index 4u + v, with y*x = u(y)*x: four
+    zero rows, then four identity rows.  It is associative and left
+    distributive, and every element edge y = (y-a)+a holds, but
+    (4+4)*1 = 0 != 2: only the inverse edge 0 = (-4)+4 of the generator
+    4 = (1, 0), of order 2, sees it."""
+    add = _table(8, lambda x, y: 4 * ((x // 4 + y // 4) % 2) + (x + y) % 4)
+    mul = _table(8, lambda y, x: x if y >= 4 else 0)
+    kind, err = _agree(add, mul)
+    assert kind == "raise" and err.axiom == "right-distributivity"
+    assert err.witness == (4, 4, 1)
